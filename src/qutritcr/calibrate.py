@@ -16,26 +16,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from datetime import datetime, timezone
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .crpulse import FlatTopCRPulse, _stepped_unitary
+from .crpulse import FlatTopCRPulse, rwa_unitary
 from .device import DeviceParams, FrameSpec, transition_frequencies
 from .effective import ideal_ucr, rx_subspace
 from .errors import CalibrationFailed, InvalidParams
 from .fitting import fit_rabi
 from .hamiltonian import rotating_frame_hamiltonian
 from .linalg import dag, ket2, kron
-from .propagate import EvolveOptions, evolve_unitary
+from .propagate import FULL_MODEL_OPTIONS, evolve_unitary
 from .pulses import (
     DEFAULT_RISEFALL_NS,
     DragGaussian,
+    GaussianSquare,
     Play,
     Schedule,
-    build_cr_schedule,
     concat,
     schedule_from_dicts,
     schedule_to_dicts,
@@ -48,7 +47,6 @@ _EXCITATIONS = np.add.outer(np.arange(3), np.arange(3)).reshape(9).astype(float)
 
 SINGLE_QUTRIT_MIN_FID = 0.999
 CR_MIN_FID = 0.95
-_STEP_NS = 0.025
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +100,15 @@ def _apply_phases(u: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarra
 # phase-correction search
 
 
+def _corrected_fidelity(m: np.ndarray, x: np.ndarray) -> float:
+    """phase_corrected_fidelity with m = u * target.conj() precomputed."""
+    zc = np.exp(1j * np.array([0.0, x[0], x[1]]))
+    zt = np.exp(1j * np.array([0.0, x[2], x[3]]))
+    d_left = np.kron(zc, zt) * np.exp(-1j * x[4] * _EXCITATIONS)
+    d_right = np.exp(1j * x[4] * _EXCITATIONS)
+    return (abs(d_left @ m @ d_right) ** 2 + 9.0) / 90.0
+
+
 def phase_corrected_fidelity(u: np.ndarray, target: np.ndarray, x: np.ndarray) -> float:
     """Average gate fidelity after the 5-parameter virtual correction x.
 
@@ -109,13 +116,7 @@ def phase_corrected_fidelity(u: np.ndarray, target: np.ndarray, x: np.ndarray) -
     carrier-phase shift phi realized as conjugation by the total-excitation
     diagonal.
     """
-    m = u * target.conj()
-    zc = np.exp(1j * np.array([0.0, x[0], x[1]]))
-    zt = np.exp(1j * np.array([0.0, x[2], x[3]]))
-    d_left = np.kron(zc, zt) * np.exp(-1j * x[4] * _EXCITATIONS)
-    d_right = np.exp(1j * x[4] * _EXCITATIONS)
-    tr = d_left @ m @ d_right
-    return (abs(tr) ** 2 + 9.0) / 90.0
+    return _corrected_fidelity(u * target.conj(), x)
 
 
 def optimize_phase_correction(u: np.ndarray, target: np.ndarray):
@@ -127,11 +128,7 @@ def optimize_phase_correction(u: np.ndarray, target: np.ndarray):
     m = u * target.conj()
 
     def neg(x):
-        zc = np.exp(1j * np.array([0.0, x[0], x[1]]))
-        zt = np.exp(1j * np.array([0.0, x[2], x[3]]))
-        d_left = np.kron(zc, zt) * np.exp(-1j * x[4] * _EXCITATIONS)
-        d_right = np.exp(1j * x[4] * _EXCITATIONS)
-        return -((abs(d_left @ m @ d_right) ** 2 + 9.0) / 90.0)
+        return -_corrected_fidelity(m, x)
 
     best = None
     for x0 in (np.zeros(5), np.array([0.1, -0.1, 0.1, -0.1, 0.0])):
@@ -172,20 +169,9 @@ def calibrate_virtual_phases(achieved: np.ndarray, target: np.ndarray):
 # single-qutrit gates
 
 
-def _drag_schedule(p, channel, subspace, amp, beta, duration, sigma):
-    freq = transition_frequencies(p, dressed=True).of(channel, subspace)
+def _drag_schedule(channel, carrier, amp, beta, duration, sigma):
     shape = DragGaussian(amp=amp, sigma=sigma, duration=duration, beta=beta)
-    return Schedule((Play(channel=channel, start=0.0, shape=shape, carrier_freq=freq),))
-
-
-def _pulse_unitary(p, schedule, carrier):
-    """Bare-frame propagator of a schedule via fixed-step RWA integration."""
-    frame = FrameSpec(carrier, carrier)
-    prov = rotating_frame_hamiltonian(p, frame, schedule, rwa=True)
-    u = _stepped_unitary(prov, 0.0, schedule.duration, _STEP_NS)
-    delta_n = np.array([0.0, frame.frame1, 2 * frame.frame1]).repeat(3)
-    delta_n += np.tile([0.0, frame.frame2, 2 * frame.frame2], 3)
-    return (np.exp(1j * 2.0 * np.pi * delta_n * schedule.duration))[:, None] * u
+    return Schedule((Play(channel=channel, start=0.0, shape=shape, carrier_freq=carrier),))
 
 
 def _subspace_leakage(u: np.ndarray, channel: int, subspace: str) -> float:
@@ -232,8 +218,8 @@ def calibrate_single_qutrit(
     target = kron(rot, np.eye(3)) if channel == 1 else kron(np.eye(3), rot)
 
     def fid_of(amp, beta):
-        sched = _drag_schedule(p, channel, subspace, amp, beta, duration, sigma)
-        u = _pulse_unitary(p, sched, carrier)
+        sched = _drag_schedule(channel, carrier, amp, beta, duration, sigma)
+        u = rwa_unitary(p, sched, carrier)
         f, pre, post = optimize_phase_correction(u, target)
         return f, u, pre, post, sched
 
@@ -367,8 +353,6 @@ def run_rabi_scan(
 
 def edge_equivalent_width(amp: float, risefall: float) -> float:
     """Flat-top time equivalent, in area, to the two Gaussian edges."""
-    from .pulses import GaussianSquare
-
     gs = GaussianSquare(amp=amp, sigma=risefall / 2.0, risefall=risefall, width=0.0)
     return gs.area() / amp
 
@@ -428,12 +412,12 @@ def calibrate_cr_gate(
         options={"maxfev": max_evals, "xatol": 1e-5, "fatol": 1e-10},
     )
     amp, width = float(np.clip(res.x[0], lo, hi)), max(float(res.x[1]), 0.0)
-    u = pulse(amp).unitary(width, frame=bare)
+    best = pulse(amp)
+    u = best.unitary(width, frame=bare)
     f, pre, post = optimize_phase_correction(u, target)
     if f < CR_MIN_FID:
         raise CalibrationFailed(f"{name}: fidelity {f:.4f} < {CR_MIN_FID} after {evals[0]} evals")
-    sched = build_cr_schedule(p, subspace, amp, width, risefall)
-    return CalibratedGate(name, sched, pre, post, _apply_phases(u, pre, post), f)
+    return CalibratedGate(name, best.schedule(width), pre, post, _apply_phases(u, pre, post), f)
 
 
 def refine_full_model(
@@ -452,12 +436,7 @@ def refine_full_model(
     if not gate.schedule.instructions:
         return gate
     prov = rotating_frame_hamiltonian(p, FrameSpec.bare(p), gate.schedule, rwa=False)
-    u = evolve_unitary(
-        prov,
-        0.0,
-        gate.schedule.duration,
-        EvolveOptions(rel_tol=1e-9, abs_tol=1e-11, max_step=0.02),
-    )
+    u = evolve_unitary(prov, 0.0, gate.schedule.duration, FULL_MODEL_OPTIONS)
     f, pre, post = optimize_phase_correction(u, target)
     if f < min_fidelity:
         raise CalibrationFailed(f"{gate.name}: full-model fidelity {f:.4f} < {min_fidelity}")
@@ -497,13 +476,19 @@ class CalibrationStore:
         return name in self.gates
 
     def save(self) -> None:
+        """Write the store atomically: a failed write leaves the old file."""
         payload = {
             "fingerprint": self.fingerprint,
-            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "gates": {n: g.to_dict() for n, g in sorted(self.gates.items())},
         }
-        with open(self.path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as f:
+                json.dump(payload, f, indent=2, sort_keys=True)
+            os.replace(tmp, self.path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path: str, fingerprint: str) -> "CalibrationStore | None":

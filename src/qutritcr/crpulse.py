@@ -3,9 +3,11 @@
 In the frame rotating at the drive carrier on both transmons, every retained
 term of the RWA Hamiltonian is oscillation-free, so during the flat top the
 Hamiltonian is a constant matrix: that section integrates exactly by
-eigendecomposition, and only the two short Gaussian edges need the ODE.
+eigendecomposition, and only the two short Gaussian edges need time steps.
 The edge propagators are width-independent, so amplitude/width sweeps cost
 one pair of edge integrations plus diagonal phase arithmetic per point.
+``rwa_unitary`` runs the same drive-frame integrator over any schedule and
+returns its bare-frame propagator.
 """
 
 from __future__ import annotations
@@ -15,15 +17,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .device import DeviceParams, FrameSpec, number_diagonal, transition_frequencies
+from .device import DeviceParams, FrameSpec, reframe, transition_frequencies
 from .hamiltonian import rotating_frame_hamiltonian
-from .linalg import PAIR_DIM, dag
-from .propagate import EvolveOptions, evolve_unitary
-from .pulses import DEFAULT_RISEFALL_NS, GaussianSquare, Play, Schedule
-
-TWO_PI = 2.0 * np.pi
-
-_EDGE_OPTS = EvolveOptions(rel_tol=1e-10, abs_tol=1e-12, max_step=0.1, rwa=True)
+from .linalg import dag
+from .pulses import DEFAULT_RISEFALL_NS, Schedule, build_cr_schedule
 
 # Reference width used to build the (width-independent) edge propagators.
 _REF_WIDTH = 100.0
@@ -51,6 +48,19 @@ def _stepped_unitary(prov, t0: float, t1: float, h: float = _EDGE_STEP) -> np.nd
     return u
 
 
+def rwa_unitary(p: DeviceParams, schedule: Schedule, carrier: float) -> np.ndarray:
+    """Bare-frame RWA propagator of any schedule.
+
+    Integrated with fixed-step Magnus in the frame rotating at the carrier on
+    both transmons, where the retained RWA terms do not oscillate, then
+    re-expressed in the bare frame.
+    """
+    drive = FrameSpec(carrier, carrier)
+    prov = rotating_frame_hamiltonian(p, drive, schedule, rwa=True)
+    u = _stepped_unitary(prov, 0.0, schedule.duration)
+    return reframe(u, drive, FrameSpec.bare(p), schedule.duration)
+
+
 class FlatTopCRPulse:
     """One cross-resonance Gaussian-square pulse at fixed amplitude and phase."""
 
@@ -71,33 +81,16 @@ class FlatTopCRPulse:
         self.frame = FrameSpec(self.carrier, self.carrier)
 
     def schedule(self, width: float) -> Schedule:
-        shape = GaussianSquare(
-            amp=self.amp, sigma=self.risefall / 2.0, risefall=self.risefall, width=width
-        )
-        return Schedule(
-            (Play(channel=1, start=0.0, shape=shape, carrier_freq=self.carrier, carrier_phase=self.phase),)
-        )
-
-    def _provider(self, width: float):
-        return rotating_frame_hamiltonian(self.params, self.frame, self.schedule(width), rwa=True)
+        return build_cr_schedule(self.params, self.subspace, self.amp, width, self.risefall, self.phase)
 
     @cached_property
     def _pieces(self):
-        prov = self._provider(_REF_WIDTH)
+        prov = rotating_frame_hamiltonian(self.params, self.frame, self.schedule(_REF_WIDTH), rwa=True)
         u_rise = _stepped_unitary(prov, 0.0, self.risefall)
         u_fall = _stepped_unitary(prov, self.risefall + _REF_WIDTH, 2 * self.risefall + _REF_WIDTH)
         h_plat = prov(self.risefall + _REF_WIDTH / 2.0)
         w, v = scipy.linalg.eigh(h_plat)
         return u_rise, u_fall, w, v
-
-    def edge_unitaries_ode(self):
-        """Rise/fall propagators via the adaptive integrator (cross-check path)."""
-        prov = self._provider(_REF_WIDTH)
-        u_rise = evolve_unitary(prov, 0.0, self.risefall, _EDGE_OPTS)
-        u_fall = evolve_unitary(
-            prov, self.risefall + _REF_WIDTH, 2 * self.risefall + _REF_WIDTH, _EDGE_OPTS
-        )
-        return u_rise, u_fall
 
     def plateau_hamiltonian(self) -> np.ndarray:
         """Constant drive-frame Hamiltonian during the flat top (rad/ns)."""
@@ -117,9 +110,7 @@ class FlatTopCRPulse:
         u_rise, u_fall, _, _ = self._pieces
         u = u_fall @ self._plateau_u(width) @ u_rise
         if frame is not None:
-            duration = width + 2.0 * self.risefall
-            delta = number_diagonal(frame) - number_diagonal(self.frame)
-            u = np.exp(1j * TWO_PI * delta * duration)[:, None] * u
+            u = reframe(u, self.frame, frame, width + 2.0 * self.risefall)
         return u
 
     def plateau_states(self, psi0: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -138,7 +129,5 @@ class FlatTopCRPulse:
 
         Shape (len(widths), 9), drive frame.
         """
-        u_rise, u_fall, w, v = self._pieces
-        coef = dag(v) @ (u_rise @ psi0)
-        phases = np.exp(-1j * np.outer(np.asarray(widths, dtype=float), w))
-        return (u_fall @ (v @ (phases * coef[None, :]).T)).T
+        u_fall = self._pieces[1]
+        return (u_fall @ self.plateau_states(psi0, widths).T).T

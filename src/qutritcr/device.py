@@ -99,18 +99,10 @@ class FrameSpec:
     def bare(cls, p: DeviceParams) -> "FrameSpec":
         return cls(p.omega1, p.omega2)
 
-    @classmethod
-    def lab(cls) -> "FrameSpec":
-        return cls(0.0, 0.0)
-
 
 def destroy() -> np.ndarray:
     """Single-transmon annihilation operator, a|n> = sqrt(n)|n-1>."""
     return np.diag(np.sqrt(np.arange(1, QUTRIT_DIM)).astype(complex), k=1)
-
-
-def number_op() -> np.ndarray:
-    return np.diag(np.arange(QUTRIT_DIM).astype(complex))
 
 
 def lowering_operator(which: int) -> np.ndarray:
@@ -135,6 +127,16 @@ def number_diagonal(frame: FrameSpec) -> np.ndarray:
     """Diagonal of frame1*n1 + frame2*n2 over the 9 basis states (GHz)."""
     n = np.arange(QUTRIT_DIM, dtype=float)
     return (frame.frame1 * n[:, None] + frame.frame2 * n[None, :]).reshape(PAIR_DIM)
+
+
+def reframe(u: np.ndarray, src: FrameSpec, dst: FrameSpec, duration: float) -> np.ndarray:
+    """Re-express a propagator over [0, duration] from frame src in frame dst.
+
+    A state in frame F is exp(i 2pi N_F t) times the lab-frame state, so
+    U_dst = exp(i 2pi (N_dst - N_src) duration) U_src.
+    """
+    delta = number_diagonal(dst) - number_diagonal(src)
+    return np.exp(1j * TWO_PI * delta * duration)[:, None] * u
 
 
 def static_diagonal(p: DeviceParams) -> np.ndarray:

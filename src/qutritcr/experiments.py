@@ -31,7 +31,7 @@ from .fitting import fit_rabi
 from .hamiltonian import rotating_frame_hamiltonian
 from .linalg import ket2, kron
 from .metrics import MetricReport, concurrence, state_fidelity
-from .propagate import EvolveOptions, evolve_state
+from .propagate import FULL_MODEL_OPTIONS, EvolveOptions, evolve_state
 
 H3_THETA1 = 2.0 * np.arccos(1.0 / np.sqrt(3.0))
 
@@ -230,19 +230,13 @@ def _print_table(store: CalibrationStore) -> None:
 
 def _propagate_gate(p, gate: CalibratedGate, psi: np.ndarray, method: str) -> np.ndarray:
     """One circuit segment: pre virtual phases, pulse propagation, post."""
-    if not gate.schedule.instructions:
-        return gate.unitary @ psi
-    if method == "store":
+    if method == "store" or not gate.schedule.instructions:
         return gate.unitary @ psi
     psi = np.exp(1j * gate.pre_phases) * psi
     prov = rotating_frame_hamiltonian(
         p, FrameSpec.bare(p), gate.schedule, rwa=(method == "rwa")
     )
-    opts = (
-        EvolveOptions(max_step=0.1)
-        if method == "rwa"
-        else EvolveOptions(rel_tol=1e-9, abs_tol=1e-11, max_step=0.02)
-    )
+    opts = EvolveOptions(max_step=0.1) if method == "rwa" else FULL_MODEL_OPTIONS
     psi = evolve_state(prov, psi, 0.0, gate.schedule.duration, opts)
     return np.exp(1j * gate.post_phases) * psi
 

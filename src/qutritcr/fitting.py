@@ -45,8 +45,8 @@ def fit_rabi(times: np.ndarray, values: np.ndarray) -> FitResult:
     """DFT-seeded least-squares cosine fit on a uniformly sampled trace.
 
     Raises NoOscillation when no spectral peak clears the median floor
-    (near-identity traces).  Spectral-peak ties resolve to the lower
-    frequency.
+    (near-identity traces) or when the least-squares fit does not converge.
+    Spectral-peak ties resolve to the lower frequency.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -70,7 +70,10 @@ def fit_rabi(times: np.ndarray, values: np.ndarray) -> FitResult:
 
     full = np.fft.rfft(detrended)[1:]
     p0 = [values.mean(), 2.0 * peak / len(times), freqs[k], float(np.angle(full[k]))]
-    popt, _ = curve_fit(_model, times, values, p0=p0, maxfev=20000)
+    try:
+        popt, _ = curve_fit(_model, times, values, p0=p0, maxfev=20000)
+    except RuntimeError as exc:  # least squares gave up
+        raise NoOscillation(f"cosine fit did not converge: {exc}") from exc
     offset, amplitude, freq, phase = popt
     if amplitude < 0:
         amplitude, phase = -amplitude, phase + np.pi

@@ -50,18 +50,10 @@ def herm_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - dag(a)))) if a.size else 0.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return herm_defect(a) <= tol
-
-
 def unitary_defect(u: np.ndarray) -> float:
     """max |U†U - I| entrywise."""
     d = u.shape[0]
     return float(np.max(np.abs(dag(u) @ u - np.eye(d))))
-
-
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return unitary_defect(u) <= tol
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,7 +87,3 @@ def partial_trace(psi: np.ndarray, keep: str = "first") -> np.ndarray:
     if keep == "second":
         return a.T @ a.conj()
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
-
-
-def norm_defect(psi: np.ndarray) -> float:
-    return float(abs(np.vdot(psi, psi).real - 1.0))

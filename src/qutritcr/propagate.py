@@ -35,8 +35,20 @@ class EvolveOptions:
 
 DEFAULT_OPTIONS = EvolveOptions()
 
+# Tolerances for propagating calibrated gates without the RWA.
+FULL_MODEL_OPTIONS = EvolveOptions(rel_tol=1e-9, abs_tol=1e-11, max_step=0.02)
 
-def _solve(hprov, y0, t0, t1, opts, rhs, t_eval=None):
+
+def _state_rhs(hprov):
+    """Schrodinger right-hand side -i H(t) psi for a state vector."""
+
+    def rhs(t, y):
+        return -1j * (hprov(t) @ y)
+
+    return rhs
+
+
+def _solve(rhs, y0, t0, t1, opts, t_eval=None):
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
@@ -60,11 +72,7 @@ def _solve(hprov, y0, t0, t1, opts, rhs, t_eval=None):
 def evolve_state(hprov, psi0, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OPTIONS):
     """Solve i dpsi/dt = H(t) psi from t0 to t1; returns the final state."""
     psi0 = np.asarray(psi0, dtype=complex)
-
-    def rhs(t, y):
-        return -1j * (hprov(t) @ y)
-
-    psi, _ = _solve(hprov, psi0, t0, t1, opts, rhs)
+    psi, _ = _solve(_state_rhs(hprov), psi0, t0, t1, opts)
     drift = abs(np.linalg.norm(psi) - np.linalg.norm(psi0))
     if drift > NORM_DRIFT_LIMIT:
         raise NormDrift(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
@@ -78,14 +86,10 @@ def evolve_trace(hprov, psi0, t_grid, opts: EvolveOptions = DEFAULT_OPTIONS):
     """
     psi0 = np.asarray(psi0, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
-
-    def rhs(t, y):
-        return -1j * (hprov(t) @ y)
-
     t0, t1 = float(t_grid[0]), float(t_grid[-1])
     if t1 == t0:
         return np.tile(psi0, (len(t_grid), 1))
-    _, sol = _solve(hprov, psi0, t0, t1, opts, rhs, t_eval=t_grid)
+    _, sol = _solve(_state_rhs(hprov), psi0, t0, t1, opts, t_eval=t_grid)
     states = sol.y.T.copy()
     drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - np.linalg.norm(psi0))))
     if drift > NORM_DRIFT_LIMIT:
@@ -100,7 +104,7 @@ def evolve_unitary(hprov, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OP
     def rhs(t, y):
         return (-1j * (hprov(t) @ y.reshape(dim, dim))).reshape(-1)
 
-    u, _ = _solve(hprov, u0, t0, t1, opts, rhs)
+    u, _ = _solve(rhs, u0, t0, t1, opts)
     u = u.reshape(dim, dim)
     defect = unitary_defect(u)
     if defect > UNITARY_DRIFT_LIMIT:

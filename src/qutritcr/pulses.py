@@ -8,13 +8,13 @@ adaptive integrator rewards.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 
+from .device import transition_frequencies
 from .errors import InvalidParams, OutOfRange
 
 AMP_CAP_GHZ = 1.0
@@ -121,10 +121,6 @@ def _check_shape(amp, sigma, duration):
 def _check_window(t, duration):
     if t < 0.0 or t > duration:
         raise OutOfRange(f"t = {t} ns outside [0, {duration}] ns")
-
-
-def sample_envelope(shape: PulseShape, t: float) -> complex:
-    return shape.sample(t)
 
 
 @dataclass(frozen=True)
@@ -235,18 +231,6 @@ def concat(*schedules: Schedule) -> Schedule:
     return Schedule(tuple(out))
 
 
-def drive_term(instr: Play, t: float, virtual_phase: float = 0.0) -> float:
-    """Real lab-frame drive coefficient of one pulse at absolute time t (rad/ns).
-
-    2pi * Re[envelope(t - start) * exp(-i (2pi f_c t + carrier_phase + virtual))].
-    """
-    if t < instr.start or t > instr.end:
-        raise OutOfRange(f"t = {t} ns outside pulse window [{instr.start}, {instr.end}]")
-    env = instr.shape.sample(t - instr.start)
-    arg = 2.0 * np.pi * instr.carrier_freq * t + instr.carrier_phase + virtual_phase
-    return 2.0 * np.pi * float((env * np.exp(-1j * arg)).real)
-
-
 def build_cr_schedule(p, subspace: str, amp: float, width: float, risefall: float = DEFAULT_RISEFALL_NS, phase: float = 0.0) -> Schedule:
     """Single Gaussian-square CR pulse on the control transmon's channel.
 
@@ -254,14 +238,11 @@ def build_cr_schedule(p, subspace: str, amp: float, width: float, risefall: floa
     transition frequency, which is what makes the drive a cross-resonance
     drive.
     """
-    from .device import transition_frequencies  # local import to avoid a cycle
-
     if subspace not in ("01", "12"):
         raise InvalidParams("subspace must be '01' or '12'")
     if width < 0:
         raise InvalidParams("width must be >= 0")
-    freqs = transition_frequencies(p, dressed=True)
-    carrier = freqs.of(2, subspace)
+    carrier = transition_frequencies(p, dressed=True).of(2, subspace)
     shape = GaussianSquare(amp=amp, sigma=risefall / 2.0, risefall=risefall, width=width)
     return Schedule((Play(channel=1, start=0.0, shape=shape, carrier_freq=carrier, carrier_phase=phase),))
 
@@ -345,16 +326,6 @@ def schedule_from_dicts(items: list) -> Schedule:
                 )
             )
     return Schedule(tuple(instrs))
-
-
-def schedule_to_json(s: Schedule, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(schedule_to_dicts(s), f, indent=2, sort_keys=True)
-
-
-def schedule_from_json(path: str) -> Schedule:
-    with open(path) as f:
-        return schedule_from_dicts(json.load(f))
 
 
 def export_envelope_csv(shape: PulseShape, path: str, step: float = 0.1) -> None:

@@ -22,6 +22,11 @@ from qutritcr.effective import ideal_ucr, rx_subspace, zdiag
 from qutritcr.errors import CalibrationFailed, InvalidParams
 from qutritcr.linalg import ket2, kron, unitary_defect
 from qutritcr.metrics import average_gate_fidelity
+from qutritcr.pulses import Schedule
+
+
+def _empty_gate(name):
+    return CalibratedGate(name, Schedule(()), np.zeros(9), np.zeros(9), np.eye(9, dtype=complex), 1.0)
 
 
 class TestSingleQutrit:
@@ -157,6 +162,34 @@ class TestStore:
         store.save()
         assert CalibrationStore.load(path, "aaa") is not None
         assert CalibrationStore.load(path, "bbb") is None
+
+    def test_save_is_deterministic(self, tmp_path):
+        path = tmp_path / "cal.json"
+        store = CalibrationStore(path=str(path), fingerprint="aaa")
+        store.put(_empty_gate("x"))
+        store.save()
+        first = path.read_bytes()
+        store.save()
+        assert path.read_bytes() == first
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        import qutritcr.calibrate as calibrate
+
+        path = tmp_path / "cal.json"
+        store = CalibrationStore(path=str(path), fingerprint="aaa")
+        store.put(_empty_gate("x"))
+        store.save()
+        before = path.read_bytes()
+
+        def broken_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(calibrate.json, "dump", broken_dump)
+        store.put(_empty_gate("y"))
+        with pytest.raises(OSError):
+            store.save()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cal.json"]
 
     def test_corrupted_store_discarded(self, tmp_path):
         path = tmp_path / "cal.json"

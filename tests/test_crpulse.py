@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from qutritcr.crpulse import FlatTopCRPulse
-from qutritcr.device import FrameSpec
+from qutritcr.crpulse import FlatTopCRPulse, rwa_unitary
+from qutritcr.device import FrameSpec, transition_frequencies
 from qutritcr.hamiltonian import rotating_frame_hamiltonian
 from qutritcr.linalg import herm_defect, ket2, unitary_defect
 from qutritcr.propagate import EvolveOptions, evolve_state, evolve_unitary
+from qutritcr.pulses import DragGaussian, Play, Schedule
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +64,23 @@ class TestFastPath:
         # rise/fall cancel: U(w2) U(w1)^-1 = fall P(w2-w1) fall^-1
         m = u2 @ u1.conj().T
         assert unitary_defect(m) < 1e-8
+
+
+class TestRWAUnitary:
+    def test_drag_pulse_matches_bare_frame_ode(self, device):
+        # the frame change must land in the bare frame: a bare-frame RWA
+        # integration of the same DRAG pulse is the oracle
+        carrier = transition_frequencies(device, dressed=True).of(2, "01")
+        shape = DragGaussian(amp=0.05, sigma=8.0, duration=32.0, beta=0.4)
+        sched = Schedule((Play(channel=2, start=0.0, shape=shape, carrier_freq=carrier),))
+        bare = FrameSpec.bare(device)
+        prov = rotating_frame_hamiltonian(device, bare, sched, rwa=True)
+        opts = EvolveOptions(rel_tol=1e-11, abs_tol=1e-13, max_step=0.1)
+        u_ode = evolve_unitary(prov, 0.0, sched.duration, opts)
+        assert np.max(np.abs(rwa_unitary(device, sched, carrier) - u_ode)) <= 1e-9
+
+    def test_matches_flat_top_fast_path(self, device, pulse):
+        width = 40.0
+        u_fast = pulse.unitary(width, frame=FrameSpec.bare(device))
+        u_any = rwa_unitary(device, pulse.schedule(width), pulse.carrier)
+        assert np.max(np.abs(u_fast - u_any)) <= 1e-9

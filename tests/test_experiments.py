@@ -100,6 +100,18 @@ class TestCmdRabi:
         for name in ("rabi_01_c0.csv", "rabi_01.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_failed_fit_recorded_in_sidecar(self, config, tmp_path, monkeypatch):
+        import qutritcr.fitting
+
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(qutritcr.fitting, "curve_fit", no_convergence)
+        sidecar = cmd_rabi(config, "01", (0,), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path))
+        assert sidecar["fits"]["control_0"]["error"] == "NoOscillation"
+        on_disk = json.loads((tmp_path / "rabi_01.json").read_text())
+        assert on_disk["fits"]["control_0"]["error"] == "NoOscillation"
+
     def test_grid_validation(self, config, tmp_path):
         with pytest.raises(InvalidParams):
             cmd_rabi(config, "01", (0,), t_max=10.0, points=24, out_dir=str(tmp_path))

@@ -12,11 +12,21 @@ from qutritcr.pulses import (
     Schedule,
     build_cr_schedule,
     concat,
-    drive_term,
-    sample_envelope,
     schedule_from_dicts,
     schedule_to_dicts,
 )
+
+
+def drive_term(instr: Play, t: float, virtual_phase: float = 0.0) -> float:
+    """Lab-frame oracle: real drive coefficient of one pulse at absolute time t (rad/ns).
+
+    2pi * Re[envelope(t - start) * exp(-i (2pi f_c t + carrier_phase + virtual))].
+    """
+    if t < instr.start or t > instr.end:
+        raise OutOfRange(f"t = {t} ns outside pulse window [{instr.start}, {instr.end}]")
+    env = instr.shape.sample(t - instr.start)
+    arg = 2.0 * np.pi * instr.carrier_freq * t + instr.carrier_phase + virtual_phase
+    return 2.0 * np.pi * float((env * np.exp(-1j * arg)).real)
 
 
 class TestEnvelopes:
@@ -47,7 +57,7 @@ class TestEnvelopes:
         with pytest.raises(OutOfRange):
             g.sample(-0.1)
         with pytest.raises(OutOfRange):
-            sample_envelope(g, 33.0)
+            g.sample(33.0)
 
     def test_amp_cap(self):
         with pytest.raises(InvalidParams):
