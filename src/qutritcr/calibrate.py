@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .crpulse import FlatTopCRPulse, rwa_unitary
+from .crpulse import cr_pulse, rwa_unitary
 from .device import DeviceParams, FrameSpec, transition_frequencies
 from .effective import ideal_ucr, rx_subspace
 from .errors import CalibrationFailed, InvalidParams
 from .fitting import fit_rabi
 from .hamiltonian import rotating_frame_hamiltonian
-from .linalg import dag, ket2, kron
+from .linalg import PAIR_DIM, dag, ket2, kron, unitary_defect
 from .propagate import FULL_MODEL_OPTIONS, evolve_unitary
 from .pulses import (
     DEFAULT_RISEFALL_NS,
@@ -47,6 +47,12 @@ _EXCITATIONS = np.add.outer(np.arange(3), np.arange(3)).reshape(9).astype(float)
 
 SINGLE_QUTRIT_MIN_FID = 0.999
 CR_MIN_FID = 0.95
+
+# Largest unitarity defect a gate read from a store may carry.  Full-model
+# gates keep the DOP853 propagator's defect (up to propagate's 1e-7 drift
+# limit per pulse; 6e-8 for the default cr01_pi) and composites multiply
+# parts, so the bound sits above that and far below a corrupted matrix.
+STORED_UNITARY_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +96,18 @@ class CalibratedGate:
             fidelity=float(d["fidelity"]),
             leakage=float(d.get("leakage", 0.0)),
         )
+
+
+def _well_formed(g: CalibratedGate) -> bool:
+    """Finite (9, 9) unitary within STORED_UNITARY_TOL, finite (9,) phases,
+    finite fidelity and leakage."""
+    arrays = (g.unitary, g.pre_phases, g.post_phases, np.array([g.fidelity, g.leakage]))
+    return (
+        g.unitary.shape == (PAIR_DIM, PAIR_DIM)
+        and g.pre_phases.shape == g.post_phases.shape == (PAIR_DIM,)
+        and all(np.isfinite(a).all() for a in arrays)
+        and unitary_defect(g.unitary) <= STORED_UNITARY_TOL
+    )
 
 
 def _apply_phases(u: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -335,7 +353,7 @@ def run_rabi_scan(
         s = 1.0 / np.sqrt(2.0)
         minus = np.array([[s, s, 0.0], [-s, s, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
         psi0 = kron(np.eye(3), minus) @ psi0
-    pulse = FlatTopCRPulse(p, subspace, amp=amp, risefall=risefall)
+    pulse = cr_pulse(p, subspace, amp, risefall)
     if mode == "pulsed":
         states = pulse.states_after(psi0, widths)
         times = widths + 2.0 * risefall
@@ -379,13 +397,6 @@ def calibrate_cr_gate(
         name = f"cr{subspace}"
     bare = FrameSpec.bare(p)
     target = ideal_ucr(subspace, theta)
-    cache: dict = {}
-
-    def pulse(amp):
-        key = round(amp, 12)
-        if key not in cache:
-            cache[key] = FlatTopCRPulse(p, subspace, amp=amp, risefall=risefall)
-        return cache[key]
 
     # stage 1: conditional rate at the default amplitude
     scan_w = np.linspace(0.0, 4000.0, 2001)
@@ -401,7 +412,7 @@ def calibrate_cr_gate(
         if not (lo <= amp <= hi) or width < 0 or evals[0] >= max_evals:
             return 0.0
         evals[0] += 1
-        u = pulse(amp).unitary(width, frame=bare)
+        u = cr_pulse(p, subspace, amp, risefall).unitary(width, frame=bare)
         f, _, _ = optimize_phase_correction(u, target)
         return -f
 
@@ -412,7 +423,7 @@ def calibrate_cr_gate(
         options={"maxfev": max_evals, "xatol": 1e-5, "fatol": 1e-10},
     )
     amp, width = float(np.clip(res.x[0], lo, hi)), max(float(res.x[1]), 0.0)
-    best = pulse(amp)
+    best = cr_pulse(p, subspace, amp, risefall)
     u = best.unitary(width, frame=bare)
     f, pre, post = optimize_phase_correction(u, target)
     if f < CR_MIN_FID:
@@ -492,7 +503,11 @@ class CalibrationStore:
 
     @classmethod
     def load(cls, path: str, fingerprint: str) -> "CalibrationStore | None":
-        """Load a store if present, uncorrupted, and fingerprint-matched."""
+        """Load a store if present, uncorrupted, and fingerprint-matched.
+
+        A store holding a malformed gate (see _well_formed) counts as
+        corrupted.
+        """
         if not os.path.exists(path):
             return None
         try:
@@ -501,6 +516,8 @@ class CalibrationStore:
             if payload.get("fingerprint") != fingerprint:
                 return None
             gates = {n: CalibratedGate.from_dict(d) for n, d in payload["gates"].items()}
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, InvalidParams):
+            return None
+        if not all(_well_formed(g) for g in gates.values()):
             return None
         return cls(path=path, fingerprint=fingerprint, gates=gates)

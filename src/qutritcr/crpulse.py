@@ -7,12 +7,14 @@ eigendecomposition, and only the two short Gaussian edges need time steps.
 The edge propagators are width-independent, so amplitude/width sweeps cost
 one pair of edge integrations plus diagonal phase arithmetic per point.
 ``rwa_unitary`` runs the same drive-frame integrator over any schedule and
-returns its bare-frame propagator.
+returns its bare-frame propagator.  ``cr_pulse`` hands out one shared pulse
+per setting, so scans and tune-ups at the same amplitude integrate its edges
+once.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +27,12 @@ from .pulses import DEFAULT_RISEFALL_NS, Schedule, build_cr_schedule
 # Reference width used to build the (width-independent) edge propagators.
 _REF_WIDTH = 100.0
 
+# Pulses kept by cr_pulse.  Reuse comes within a few calls of a build (the
+# control states of one Rabi sweep; a CR tune-up's rate scan, first simplex
+# vertices and final best point), so a short cache catches all of it; the
+# default cr01_pi tune-up builds 87 pulses for 90 requests at 4 entries or 128.
+_PULSE_CACHE_SIZE = 8
+
 # Step for the fourth-order Magnus integrator on the smooth 20 ns edges;
 # checked against the adaptive ODE to well below 1e-9.
 _EDGE_STEP = 0.025
@@ -36,8 +44,8 @@ def _stepped_unitary(prov, t0: float, t1: float, h: float = _EDGE_STEP) -> np.nd
     dt = (t1 - t0) / n
     offset = np.sqrt(3.0) / 6.0 * dt
     lefts = t0 + dt * np.arange(n) + dt / 2.0
-    h1 = np.stack([prov(t - offset) for t in lefts])
-    h2 = np.stack([prov(t + offset) for t in lefts])
+    h1 = prov(lefts - offset)
+    h2 = prov(lefts + offset)
     # exp(-i M) with M = dt (H1 + H2)/2 - i sqrt(3)/12 dt^2 [H2, H1]
     m = 0.5 * dt * (h1 + h2) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (h2 @ h1 - h1 @ h2)
     w, v = np.linalg.eigh(m)
@@ -131,3 +139,21 @@ class FlatTopCRPulse:
         """
         u_fall = self._pieces[1]
         return (u_fall @ self.plateau_states(psi0, widths).T).T
+
+
+@lru_cache(maxsize=_PULSE_CACHE_SIZE)
+def cr_pulse(
+    p: DeviceParams,
+    subspace: str,
+    amp: float,
+    risefall: float = DEFAULT_RISEFALL_NS,
+    phase: float = 0.0,
+) -> FlatTopCRPulse:
+    """The shared FlatTopCRPulse for these settings, built on first use.
+
+    A pulse is a deterministic function of its settings, so callers that
+    drive the same tone (every control state of a Rabi sweep, a CR tune-up's
+    rate scan and its search) share one pair of edge integrations.  The
+    returned pulse is shared: treat it as read-only.
+    """
+    return FlatTopCRPulse(p, subspace, amp, risefall, phase)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -190,6 +191,12 @@ def transition_frequencies(p: DeviceParams, dressed: bool = False) -> Transition
             w01_2=p.omega2,
             w12_2=p.omega2 + p.delta2,
         )
+    return _dressed_frequencies(p)
+
+
+@lru_cache(maxsize=16)
+def _dressed_frequencies(p: DeviceParams) -> TransitionFrequencies:
+    """Dressed transitions, diagonalized once per (frozen, hashable) device."""
     e = _dressed_energies(p)
 
     def idx(q1, q2):

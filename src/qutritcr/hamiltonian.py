@@ -52,7 +52,8 @@ def _nearest_subspace(p: DeviceParams, channel: int, carrier: float) -> str:
 
 
 class RotatingFrameHamiltonian:
-    """Callable t (ns) -> 9x9 Hermitian H_rot(t) in rad/ns."""
+    """Callable t (ns) -> 9x9 Hermitian H_rot(t) in rad/ns; an array of n times
+    gives the (n, 9, 9) stack."""
 
     def __init__(
         self,
@@ -113,7 +114,18 @@ class RotatingFrameHamiltonian:
         self._add_term(low, f_ch - instr.carrier_freq, env_co, start, instr.end)
         self._add_term(low, f_ch + instr.carrier_freq, env_counter, start, instr.end)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t):
+        """H_rot(t) for a float t; for a 1-d numpy array of times, the (n, 9, 9) stack.
+
+        The stack is assembled term by term exactly as the scalar path adds
+        them, with each envelope sampled by its scalar ``sample``, so every
+        matrix equals the scalar evaluation at that time up to the last bit of
+        the oscillation factors (bit-identical when all of them are 1, as in
+        a drive frame under the RWA).  Floats keep the scalar loop, which is
+        the faster of the two for one time.
+        """
+        if isinstance(t, np.ndarray) and t.ndim:
+            return self._stack(t.astype(float, copy=False))
         h = self._const.copy()
         for term in self._terms:
             if not term.active(t):
@@ -125,6 +137,26 @@ class RotatingFrameHamiltonian:
             h += block
             h += block.conj().T
         return h
+
+    def _stack(self, ts: np.ndarray) -> np.ndarray:
+        hs = np.repeat(self._const[None], len(ts), axis=0)
+        for term in self._terms:
+            on = (term.t0 <= ts) & (ts <= term.t1)
+            if term.env is None:
+                c = np.ones(len(ts), dtype=complex)
+            else:
+                c = np.zeros(len(ts), dtype=complex)
+                c[on] = [term.env(t) for t in ts[on].tolist()]
+            on &= c != 0.0
+            if not on.any():
+                continue
+            # a term on at every node takes the basic slice: no gather/scatter copies
+            rows = slice(None) if on.all() else on
+            coef = c[rows] * np.exp(-2j * np.pi * term.freq * ts[rows])
+            block = coef[:, None, None] * term.matrix
+            hs[rows] += block
+            hs[rows] += block.conj().transpose(0, 2, 1)
+        return hs
 
 
 def rotating_frame_hamiltonian(

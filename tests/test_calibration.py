@@ -196,6 +196,39 @@ class TestStore:
         path.write_text("{not json")
         assert CalibrationStore.load(str(path), "aaa") is None
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("unitary_re", np.eye(3).tolist()),  # wrong shape
+            ("unitary_im", np.full((9, 9), 0.1).tolist()),  # not unitary
+            ("unitary_re", [[float("nan")] * 9] * 9),
+            ("pre_phases", [0.0] * 8),
+            ("post_phases", [float("inf")] + [0.0] * 8),
+            ("fidelity", float("nan")),
+        ],
+    )
+    def test_malformed_gate_discards_store(self, tmp_path, field, value):
+        import json
+
+        path = tmp_path / "cal.json"
+        store = CalibrationStore(path=str(path), fingerprint="aaa")
+        store.put(_empty_gate("x01_pi_2"))
+        store.put(_empty_gate("ok"))
+        store.save()
+        payload = json.loads(path.read_text())
+        payload["gates"]["x01_pi_2"][field] = value
+        path.write_text(json.dumps(payload))
+        assert CalibrationStore.load(str(path), "aaa") is None
+
+    def test_calibrated_store_round_trips(self, cal_store, tmp_path):
+        path = str(tmp_path / "cal.json")
+        CalibrationStore(path=path, fingerprint="aaa", gates=dict(cal_store.gates)).save()
+        loaded = CalibrationStore.load(path, "aaa")
+        assert loaded is not None
+        assert sorted(loaded.gates) == sorted(cal_store.gates)
+        for name, g in cal_store.gates.items():
+            assert np.max(np.abs(loaded.get(name).unitary - g.unitary)) <= 1e-14
+
     def test_missing_gate_raises(self, tmp_path):
         store = CalibrationStore(path=str(tmp_path / "c.json"), fingerprint="x")
         with pytest.raises(CalibrationFailed):

@@ -2,13 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qutritcr.crpulse as crpulse
+import qutritcr.device as device_mod
+from qutritcr.calibrate import calibrate_cr_gate
 from qutritcr.crpulse import FlatTopCRPulse, rwa_unitary
-from qutritcr.device import FrameSpec, transition_frequencies
+from qutritcr.device import DeviceParams, FrameSpec, transition_frequencies
+from qutritcr.errors import CalibrationFailed
+from qutritcr.experiments import cmd_rabi
 from qutritcr.hamiltonian import rotating_frame_hamiltonian
 from qutritcr.linalg import herm_defect, ket2, unitary_defect
 from qutritcr.propagate import EvolveOptions, evolve_state, evolve_unitary
-from qutritcr.pulses import DragGaussian, Play, Schedule
+from qutritcr.pulses import (
+    DragGaussian,
+    Gaussian,
+    GaussianSquare,
+    PhaseShift,
+    Play,
+    Schedule,
+    build_cr_schedule,
+    concat,
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +100,111 @@ class TestRWAUnitary:
         u_fast = pulse.unitary(width, frame=FrameSpec.bare(device))
         u_any = rwa_unitary(device, pulse.schedule(width), pulse.carrier)
         assert np.max(np.abs(u_fast - u_any)) <= 1e-9
+
+
+def _schedules(p):
+    """One schedule per envelope kind, a phase shift, and a two-play concat."""
+    tf = transition_frequencies(p, dressed=True)
+    gauss = Schedule((Play(2, 3.0, Gaussian(amp=0.04, sigma=6.0, duration=24.0), tf.w01_2, 0.3),))
+    drag = Schedule(
+        (
+            PhaseShift(channel=2, subspace="12", angle=0.7, start=0.0),
+            Play(2, 0.0, DragGaussian(amp=0.06, sigma=8.0, duration=32.0, beta=0.5), tf.w12_2),
+        )
+    )
+    square = build_cr_schedule(p, "01", 0.3, 15.0, phase=-0.4)
+    square_shape = GaussianSquare(amp=0.2, sigma=5.0, risefall=10.0, width=4.0)
+    two = concat(drag, Schedule((Play(1, 0.0, square_shape, tf.w01_2),)))
+    return {"gaussian": gauss, "drag_phase": drag, "square": square, "concat": two}
+
+
+_DEVICE = DeviceParams()
+_SCHEDULES = _schedules(_DEVICE)
+_CARRIER = transition_frequencies(_DEVICE, dressed=True).w01_2
+
+
+class TestStackedHamiltonian:
+    """prov(ts) must equal the scalar evaluations stacked, time by time."""
+
+    @pytest.mark.parametrize("name", sorted(_SCHEDULES))
+    @pytest.mark.parametrize(
+        "frame,rwa",
+        [
+            (FrameSpec(_CARRIER, _CARRIER), True),
+            (FrameSpec(_CARRIER, _CARRIER), False),
+            (FrameSpec.bare(_DEVICE), False),
+            (FrameSpec.bare(_DEVICE), True),
+        ],
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.floats(min_value=-5.0, max_value=90.0), min_size=1, max_size=40))
+    def test_stack_equals_scalar_loop(self, name, frame, rwa, times):
+        sched = _SCHEDULES[name]
+        prov = rotating_frame_hamiltonian(_DEVICE, frame, sched, rwa=rwa)
+        # play windows' edges, where the scalar path switches terms on and off
+        edges = [t for i in sched.plays() for t in (i.start, i.end)]
+        ts = np.array(times + edges)
+        got = prov(ts)
+        want = np.stack([prov(t) for t in ts])
+        assert got.shape == (len(ts), 9, 9)
+        if all(term.freq == 0.0 for term in prov._terms):
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_drive_frame_stack_is_bit_identical(self, device):
+        # the Magnus node grid of a CR edge: every retained term is static
+        sched = build_cr_schedule(device, "12", 0.41, 100.0)
+        frame = FrameSpec(*(2 * [transition_frequencies(device, dressed=True).w12_2]))
+        prov = rotating_frame_hamiltonian(device, frame, sched, rwa=True)
+        ts = 0.0125 + 0.025 * np.arange(800)
+        assert np.array_equal(prov(ts), np.stack([prov(t) for t in ts]))
+
+
+def _count_magnus(monkeypatch):
+    calls = []
+    real = crpulse._stepped_unitary
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(crpulse, "_stepped_unitary", counted)
+    crpulse.cr_pulse.cache_clear()
+    return calls
+
+
+class TestPulseReuse:
+    def test_rabi_sweep_integrates_edges_once(self, config, tmp_path, monkeypatch):
+        calls = _count_magnus(monkeypatch)
+        cmd_rabi(config, "01", (0, 1, 2), 0.37, 300.0, 32, str(tmp_path))
+        assert len(calls) == 2  # rise and fall, shared by the three control states
+
+    def test_cr_tuneup_shares_rate_scan_pulse(self, device, monkeypatch):
+        # max_evals=1: stage 1 plus one Nelder-Mead evaluation at amp_default
+        calls = _count_magnus(monkeypatch)
+        try:
+            calibrate_cr_gate(device, "01", np.pi, 0.35, max_evals=1)
+        except CalibrationFailed:
+            pass
+        assert len(calls) == 2
+
+    def test_same_settings_same_pulse(self, device):
+        assert crpulse.cr_pulse(device, "12", 0.2, 20.0) is crpulse.cr_pulse(device, "12", 0.2, 20.0)
+        assert crpulse.cr_pulse(device, "12", 0.2, 20.0) is not crpulse.cr_pulse(device, "12", 0.21, 20.0)
+
+
+def test_dressed_carrier_diagonalized_once(device, monkeypatch):
+    calls = []
+    real = device_mod._dressed_energies
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(device_mod, "_dressed_energies", counted)
+    device_mod._dressed_frequencies.cache_clear()
+    pulse = FlatTopCRPulse(device, "12", amp=0.2)
+    for width in range(10):
+        pulse.schedule(float(width))
+    assert len(calls) <= 1
