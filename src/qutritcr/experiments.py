@@ -27,7 +27,7 @@ from .calibrate import (
 from .device import DeviceParams, FrameSpec
 from .effective import bell_state, ideal_ucr, rx_subspace
 from .errors import BadDistribution, InvalidParams, NoOscillation
-from .fitting import fit_rabi
+from .fitting import MIN_SAMPLES, fit_rabi
 from .hamiltonian import rotating_frame_hamiltonian
 from .linalg import ket2, kron
 from .metrics import MetricReport, concurrence, state_fidelity
@@ -354,8 +354,8 @@ def cmd_rabi(
     if np.isscalar(control_states):
         control_states = (int(control_states),)
     t0 = 2.0 * config.risefall
-    if t_max <= t0 or points < 2:
-        raise InvalidParams(f"need t_max > {t0} ns and at least 2 points")
+    if t_max <= t0 or points < MIN_SAMPLES:
+        raise InvalidParams(f"need t_max > {t0} ns and at least {MIN_SAMPLES} points")
     widths = np.linspace(0.0, t_max - t0, int(points))
     os.makedirs(out_dir, exist_ok=True)
 

@@ -12,6 +12,9 @@ from .errors import NoOscillation
 # Spectral peak must beat the median by this factor to count as an oscillation.
 PEAK_OVER_MEDIAN = 3.0
 
+# Fewest samples fit_rabi accepts for a frequency estimate.
+MIN_SAMPLES = 16
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -50,8 +53,8 @@ def fit_rabi(times: np.ndarray, values: np.ndarray) -> FitResult:
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(times) < 16:
-        raise ValueError("need at least 16 samples for a frequency estimate")
+    if len(times) < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for a frequency estimate")
     steps = np.diff(times)
     if np.max(np.abs(steps - steps[0])) > 1e-6 * steps[0]:
         raise ValueError("fit_rabi requires a uniform time grid")

@@ -6,10 +6,17 @@ only cheap or targeted calibrations run fresh here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import unitary_group
 
 from qutritcr.calibrate import (
     CalibratedGate,
     CalibrationStore,
+    _apply_phases,
+    _correction_phases,
+    _drag_schedule,
+    _fidelity_and_gradient,
     calibrate_single_qutrit,
     calibrate_virtual_phases,
     config_fingerprint,
@@ -18,6 +25,8 @@ from qutritcr.calibrate import (
     prepare_control_state,
     run_rabi_scan,
 )
+from qutritcr.crpulse import cr_pulse, rwa_unitary
+from qutritcr.device import FrameSpec, transition_frequencies
 from qutritcr.effective import ideal_ucr, rx_subspace, zdiag
 from qutritcr.errors import CalibrationFailed, InvalidParams
 from qutritcr.linalg import ket2, kron, unitary_defect
@@ -109,6 +118,89 @@ class TestVirtualPhases:
         corrected = np.exp(1j * post)[:, None] * u * np.exp(1j * pre)[None, :]
         assert average_gate_fidelity(corrected, t) == pytest.approx(f, abs=1e-7)
         assert f > 1.0 - 1e-6
+
+
+_PHASES = st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=5, max_size=5).map(np.array)
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _random_unitary(seed):
+    return unitary_group.rvs(9, random_state=np.random.default_rng(seed))
+
+
+class TestPhaseSolver:
+    @settings(max_examples=40, deadline=None)
+    @given(_SEEDS, _PHASES)
+    def test_gradient_matches_finite_differences(self, seed, x):
+        u, t = _random_unitary(seed), _random_unitary(seed + 1)
+        _, grad = _fidelity_and_gradient(u * t.conj(), x)
+        h = 1e-6
+        fd = [
+            (phase_corrected_fidelity(u, t, x + h * e) - phase_corrected_fidelity(u, t, x - h * e)) / (2 * h)
+            for e in np.eye(5)
+        ]
+        assert np.max(np.abs(grad - fd)) <= 1e-7
+
+    # Both fixed starts sit near x = 0, and F has local maxima: spoils of
+    # 1.5 rad per component can already end on one, so the range checked
+    # here is +/- 1 rad.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["ucr01", "ucr12", "rx01_1", "rx12_1", "rx01_2", "rx12_2"]),
+        st.floats(min_value=-np.pi, max_value=np.pi),
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=5, max_size=5).map(np.array),
+    )
+    def test_recovers_spoiled_target(self, kind, theta, x):
+        if kind.startswith("ucr"):
+            t = ideal_ucr(kind[3:], theta)
+        else:
+            rot = rx_subspace(kind[2:4], theta)
+            t = kron(rot, np.eye(3)) if kind.endswith("1") else kron(np.eye(3), rot)
+        pre, post = _correction_phases(x)
+        u = _apply_phases(t, -pre, -post)
+        f, pre_fit, post_fit = optimize_phase_correction(u, t)
+        assert f >= 1.0 - 1e-12
+        assert average_gate_fidelity(_apply_phases(u, pre_fit, post_fit), t) >= 1.0 - 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(_SEEDS)
+    def test_never_below_uncorrected(self, seed):
+        u, t = _random_unitary(seed), _random_unitary(seed + 1)
+        f, _, _ = optimize_phase_correction(u, t)
+        assert f >= phase_corrected_fidelity(u, t, np.zeros(5))
+
+    def test_repeat_calls_bit_identical(self):
+        u, t = _random_unitary(5), ideal_ucr("01", np.pi)
+        f, pre, post = optimize_phase_correction(u, t)
+        f2, pre2, post2 = optimize_phase_correction(u, t)
+        assert f == f2
+        assert np.array_equal(pre, pre2) and np.array_equal(post, post2)
+
+    @pytest.mark.parametrize(
+        "case,optimum",
+        [
+            # Nelder-Mead optima of the previous solver on the same unitaries
+            ("cr01", 0.9856214391545421),
+            ("cr01_detuned", 0.6531321646068092),
+            ("cr12", 0.7836082873571766),
+            ("drag_x01_2", 0.9998479577518115),
+        ],
+    )
+    def test_real_pulses_reach_previous_optimum(self, device, case, optimum):
+        if case.startswith("cr"):
+            sub, theta, amp, width = {
+                "cr01": ("01", np.pi, 0.4025, 248.5),
+                "cr01_detuned": ("01", np.pi, 0.3, 100.0),
+                "cr12": ("12", np.pi / 2.0, 0.35, 120.0),
+            }[case]
+            u = cr_pulse(device, sub, amp, 20.0).unitary(width, frame=FrameSpec.bare(device))
+            t = ideal_ucr(sub, theta)
+        else:
+            carrier = transition_frequencies(device, dressed=True).of(2, "01")
+            u = rwa_unitary(device, _drag_schedule(2, carrier, 0.0146, 0.77, 32.0, 8.0), carrier)
+            t = kron(np.eye(3), rx_subspace("01", np.pi / 2.0))
+        f, _, _ = optimize_phase_correction(u, t)
+        assert f >= optimum - 1e-12
 
 
 class TestCRGates:
@@ -233,6 +325,25 @@ class TestStore:
         store = CalibrationStore(path=str(tmp_path / "c.json"), fingerprint="x")
         with pytest.raises(CalibrationFailed):
             store.get("nope")
+
+    def test_store_from_older_calibration_discarded(self, tmp_path, config):
+        # fingerprint payload before CALIBRATION_VERSION existed
+        import hashlib
+        import json
+
+        blob = json.dumps({"device": config.device.to_dict(), "defaults": config.calibration_defaults()}, sort_keys=True)
+        old = hashlib.sha256(blob.encode()).hexdigest()
+        path = str(tmp_path / "cal.json")
+        store = CalibrationStore(path=path, fingerprint=old)
+        store.put(_empty_gate("x01_pi_2"))
+        store.save()
+        assert CalibrationStore.load(path, old) is not None
+        assert CalibrationStore.load(path, config.fingerprint()) is None
+
+    def test_fingerprint_ignores_seed_and_shots(self, config):
+        from dataclasses import replace
+
+        assert replace(config, seed=config.seed + 1, shots=7).fingerprint() == config.fingerprint()
 
     def test_fingerprint_depends_on_device(self, device):
         from qutritcr.device import DeviceParams

@@ -38,6 +38,18 @@ def test_rabi_rejects_bad_grid(runner, tmp_path):
     assert res.exit_code != 0
 
 
+def test_rabi_rejects_too_few_points(runner, tmp_path):
+    # fit_rabi needs MIN_SAMPLES points; fewer must fail before any CSV
+    res = runner.invoke(
+        main,
+        ["rabi", "--subspace", "01", "--control", "0", "--points", "8", "--out", str(tmp_path)],
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "at least 16 points" in res.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bell_requires_matching_store(runner, tmp_path):
     store = tmp_path / "cal.json"
     store.write_text(json.dumps({"fingerprint": "stale", "gates": {}}))
