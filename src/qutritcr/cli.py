@@ -12,7 +12,7 @@ import sys
 import click
 
 from .calibrate import CalibrationStore
-from .errors import QutritCRError
+from .errors import InvalidParams, QutritCRError
 from .experiments import (
     ExperimentConfig,
     cmd_bell,
@@ -28,8 +28,11 @@ def _load_config(path: str | None, seed: int | None = None, shots: int | None = 
     cfg = ExperimentConfig.from_json(path) if path else ExperimentConfig()
     env_seed = os.environ.get("QUTRITCR_SEED")
     if env_seed is not None:
-        cfg = replace(cfg, seed=int(env_seed))
-    elif seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise InvalidParams(f"QUTRITCR_SEED must be an integer, got {env_seed!r}") from None
+    if seed is not None:
         cfg = replace(cfg, seed=seed)
     if shots is not None:
         cfg = replace(cfg, shots=shots)
@@ -60,9 +63,9 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
 def rabi(subspace, control, amp_ghz, t_max_ns, points, config_path, out_dir):
     """Conditional Rabi sweep of a CR tone (Fig.-2-style)."""
-    cfg = _load_config(config_path)
     controls = (0, 1, 2) if control == "all" else (int(control),)
     try:
+        cfg = _load_config(config_path)
         sidecar = cmd_rabi(cfg, subspace, controls, amp_ghz, t_max_ns, points, out_dir)
     except QutritCRError as exc:
         raise click.ClickException(str(exc))
@@ -80,8 +83,8 @@ def rabi(subspace, control, amp_ghz, t_max_ns, points, config_path, out_dir):
 @click.option("--store", "store_path", type=click.Path(), required=True)
 def calibrate(config_path, store_path):
     """Calibrate the single-qutrit and CR gate set; persist to a JSON store."""
-    cfg = _load_config(config_path)
     try:
+        cfg = _load_config(config_path)
         cmd_calibrate(cfg, store_path)
     except QutritCRError as exc:
         raise click.ClickException(str(exc))
@@ -96,9 +99,9 @@ def calibrate(config_path, store_path):
 @click.option("--method", type=click.Choice(["full", "rwa", "store"]), default="full", show_default=True)
 def bell(config_path, store_path, shots, seed, out_dir, method):
     """Run the Bell-state preparation and report fidelity and concurrence."""
-    cfg = _load_config(config_path, seed=seed, shots=shots)
-    store = _require_store(store_path, cfg)
     try:
+        cfg = _load_config(config_path, seed=seed, shots=shots)
+        store = _require_store(store_path, cfg)
         res = cmd_bell(cfg, store, out_dir, method)
     except QutritCRError as exc:
         raise click.ClickException(str(exc))
@@ -116,9 +119,9 @@ def bell(config_path, store_path, shots, seed, out_dir, method):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def gatefid(gate_name, store_path, config_path):
     """Print the stored fidelity of one calibrated gate."""
-    cfg = _load_config(config_path)
-    store = _require_store(store_path, cfg)
     try:
+        cfg = _load_config(config_path)
+        store = _require_store(store_path, cfg)
         cmd_gatefid(store, gate_name)
     except QutritCRError as exc:
         raise click.ClickException(str(exc))

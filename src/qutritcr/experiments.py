@@ -101,7 +101,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            try:
+                d = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(d, dict):
+            raise InvalidParams(f"config {path} must hold a JSON object")
+        return cls.from_dict(d)
 
     def calibration_defaults(self) -> dict:
         """Pulse-affecting defaults; seed and shots do not enter the hash."""

@@ -4,44 +4,58 @@ The provider represents H_rot(t) = R(t) (H0 + H_drive(t)) R(t)† - F with
 R(t) = exp(i F t), F = 2pi (frame1 n1 + frame2 n2).  Because F is diagonal,
 every matrix element just picks up a known oscillation frequency, so the
 Hamiltonian decomposes into a static diagonal plus a short list of terms
-``coeff(t) * exp(-2pi i f t) * M + h.c.``.  The optional RWA drops terms
-whose total oscillation frequency exceeds a cutoff (default 2 GHz).
+``coeff(t) * exp(-2pi i f t) * M + h.c.``.  Only three operators M occur:
+the coupling a1† a2 and each channel's lowering operator.  The terms of one
+operator sum to a complex coefficient z(t), and
+
+    H(t) = const + Re z (M + M†) + Im z i(M - M†)
+
+summed over the operators: one small product of the coefficients with a
+constant table.  The optional RWA drops terms whose total oscillation
+frequency exceeds a cutoff (default 2 GHz).
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .device import (
     DeviceParams,
     FrameSpec,
-    destroy,
     lowering_operator,
     number_diagonal,
     static_diagonal,
 )
-from .linalg import PAIR_DIM, QUTRIT_DIM, dag, kron
-from .pulses import Play, Schedule
+from .linalg import PAIR_DIM, dag
+from .pulses import Play, PulseShape, Schedule
 
 TWO_PI = 2.0 * np.pi
 
 RWA_CUTOFF_GHZ = 2.0
 
+# Operator indices: the coupling a1† a2, then the lowering operator of channel 1 and of 2.
+_COUPLING = 0
 
-@dataclass
+
+@dataclass(frozen=True)
 class _OscTerm:
-    matrix: np.ndarray  # rad/ns scale included
-    freq: float  # GHz; contribution matrix * env(t) * exp(-2pi i freq t) + h.c.
-    env: Callable[[float], complex] | None  # None means constant 1
-    t0: float
-    t1: float
+    op: int  # index of the operator M this term multiplies
+    freq: float  # GHz; adds scale * env(t) * exp(-2pi i freq t) to the coefficient of M
+    scale: complex  # rad/ns
+    conj: bool  # the envelope enters conjugated
 
-    def active(self, t: float) -> bool:
-        return self.t0 <= t <= self.t1
+
+@dataclass(frozen=True)
+class _Window:
+    """Terms that share one envelope sample: a play's co- and counter-rotating parts."""
+
+    shape: PulseShape | None  # None means constant 1
+    t0: float
+    span: float  # on while 0 <= t - t0 <= span: the envelope's own domain
+    terms: tuple[_OscTerm, ...]
 
 
 def _nearest_subspace(p: DeviceParams, channel: int, carrier: float) -> str:
@@ -69,94 +83,87 @@ class RotatingFrameHamiltonian:
         self.rwa = rwa
         self.cutoff = cutoff
 
-        self._const = np.diag(TWO_PI * (static_diagonal(p) - number_diagonal(frame))).astype(
-            complex
-        )
-        self._terms: list[_OscTerm] = []
+        a1, a2 = lowering_operator(1), lowering_operator(2)
+        ops = (TWO_PI * p.coupling_j * (dag(a1) @ a2), a1, a2)
+        # rows 2k and 2k+1 pair with Re z_k and Im z_k of the real view of z
+        table = np.stack([m for op in ops for m in (op + dag(op), 1j * (op - dag(op)))])
+        self._table = table.reshape(len(table), PAIR_DIM * PAIR_DIM).view(float)
+        diagonal = TWO_PI * (static_diagonal(p) - number_diagonal(frame))
+        self._const = np.diag(diagonal).astype(complex).reshape(-1)
+        self._nops = len(ops)
+        self._windows: list[_Window] = []
 
         # Exchange coupling J (a1† a2 + h.c.); a1† rotates at +frame1, a2 at -frame2.
-        a1, a2 = lowering_operator(1), lowering_operator(2)
-        self._add_term(
-            TWO_PI * p.coupling_j * (dag(a1) @ a2),
-            frame.frame2 - frame.frame1,
-            None,
-            0.0,
-            np.inf,
-        )
-
+        self._add_window(None, 0.0, np.inf, [_OscTerm(_COUPLING, frame.frame2 - frame.frame1, 1.0, False)])
         for instr in self.schedule.plays():
             self._add_play(instr)
+        self._terms = [term for w in self._windows for term in w.terms]
 
-    def _add_term(self, m, freq, env, t0, t1):
-        if self.rwa and abs(freq) > self.cutoff:
-            return
-        self._terms.append(_OscTerm(np.asarray(m, dtype=complex), freq, env, t0, t1))
+    def _add_window(self, shape, t0, span, terms):
+        kept = tuple(term for term in terms if not (self.rwa and abs(term.freq) > self.cutoff))
+        if kept:
+            self._windows.append(_Window(shape, t0, span, kept))
 
     def _add_play(self, instr: Play):
         p = self.params
         f_ch = self.frame.frame1 if instr.channel == 1 else self.frame.frame2
-        low = lowering_operator(instr.channel)
         sub = _nearest_subspace(p, instr.channel, instr.carrier_freq)
         phase = instr.carrier_phase + self.schedule.virtual_phase(instr.channel, sub, instr.start)
-        shape, start = instr.shape, instr.start
         # Lab drive 2pi Re[env e^{-i(2pi f_c t + phase)}] (a + a†); in the frame the
         # lowering part rotates at -f_ch.  Split into co- and counter-rotating pieces.
-
-        ph_co = np.pi * cmath.exp(1j * phase)
-        ph_ctr = np.pi * cmath.exp(-1j * phase)
-
-        def env_co(t, _shape=shape, _start=start, _ph=ph_co):
-            return _shape.sample(t - _start).conjugate() * _ph
-
-        def env_counter(t, _shape=shape, _start=start, _ph=ph_ctr):
-            return _shape.sample(t - _start) * _ph
-
-        self._add_term(low, f_ch - instr.carrier_freq, env_co, start, instr.end)
-        self._add_term(low, f_ch + instr.carrier_freq, env_counter, start, instr.end)
+        op = instr.channel
+        co = _OscTerm(op, f_ch - instr.carrier_freq, np.pi * cmath.exp(1j * phase), True)
+        counter = _OscTerm(op, f_ch + instr.carrier_freq, np.pi * cmath.exp(-1j * phase), False)
+        self._add_window(instr.shape, instr.start, instr.duration, [co, counter])
 
     def __call__(self, t):
         """H_rot(t) for a float t; for a 1-d numpy array of times, the (n, 9, 9) stack.
 
-        The stack is assembled term by term exactly as the scalar path adds
-        them, with each envelope sampled by its scalar ``sample``, so every
-        matrix equals the scalar evaluation at that time up to the last bit of
-        the oscillation factors (bit-identical when all of them are 1, as in
-        a drive frame under the RWA).  Floats keep the scalar loop, which is
-        the faster of the two for one time.
+        Both paths sum the same operator coefficients, with each envelope
+        sampled by its scalar ``sample``, and go through the same product, so
+        every matrix of the stack equals the scalar evaluation at that time
+        up to the last bit of the oscillation factors (bit-identical when all
+        of them are 1, as in a drive frame under the RWA).
         """
         if isinstance(t, np.ndarray) and t.ndim:
             return self._stack(t.astype(float, copy=False))
-        h = self._const.copy()
-        for term in self._terms:
-            if not term.active(t):
+        z = [0j] * self._nops
+        for w in self._windows:
+            s = t - w.t0
+            if not 0.0 <= s <= w.span:
                 continue
-            c = term.env(t) if term.env is not None else 1.0
-            if c == 0.0:
+            env = 1.0 if w.shape is None else w.shape.sample(s)
+            if env == 0.0:
                 continue
-            block = (c * cmath.exp(-2j * cmath.pi * term.freq * t)) * term.matrix
-            h += block
-            h += block.conj().T
-        return h
+            for term in w.terms:
+                c = (env.conjugate() if term.conj else env) * term.scale
+                z[term.op] += c * cmath.exp(-2j * cmath.pi * term.freq * t)
+        return self._assemble(np.array(z))
 
     def _stack(self, ts: np.ndarray) -> np.ndarray:
-        hs = np.repeat(self._const[None], len(ts), axis=0)
-        for term in self._terms:
-            on = (term.t0 <= ts) & (ts <= term.t1)
-            if term.env is None:
-                c = np.ones(len(ts), dtype=complex)
-            else:
-                c = np.zeros(len(ts), dtype=complex)
-                c[on] = [term.env(t) for t in ts[on].tolist()]
-            on &= c != 0.0
+        z = np.zeros((len(ts), self._nops), dtype=complex)
+        for w in self._windows:
+            s = ts - w.t0
+            on = (0.0 <= s) & (s <= w.span)
             if not on.any():
                 continue
-            # a term on at every node takes the basic slice: no gather/scatter copies
+            # a window open at every node takes the basic slice: no gather/scatter copies
             rows = slice(None) if on.all() else on
-            coef = c[rows] * np.exp(-2j * np.pi * term.freq * ts[rows])
-            block = coef[:, None, None] * term.matrix
-            hs[rows] += block
-            hs[rows] += block.conj().transpose(0, 2, 1)
-        return hs
+            t_on = ts[rows]
+            envs = None if w.shape is None else [w.shape.sample(x) for x in s[rows].tolist()]
+            for term in w.terms:
+                coef = np.exp(-2j * np.pi * term.freq * t_on)
+                if envs is not None:
+                    c = [(e.conjugate() if term.conj else e) * term.scale for e in envs]
+                    coef = np.array(c, dtype=complex) * coef
+                z[rows, term.op] += coef
+        return self._assemble(z)
+
+    def _assemble(self, z: np.ndarray) -> np.ndarray:
+        """const + [Re z, Im z] @ table for coefficients z of shape (..., n_ops)."""
+        h = (z.view(float) @ self._table).view(complex)
+        h += self._const
+        return h.reshape(*z.shape[:-1], PAIR_DIM, PAIR_DIM)
 
 
 def rotating_frame_hamiltonian(

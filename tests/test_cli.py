@@ -88,3 +88,34 @@ def test_env_seed_override(runner, cal_store, config, monkeypatch):
 
     expected = cmd_bell(replace(config, seed=123), cal_store, method="store")
     assert f"{expected.metrics[1].value:.6f}" in res.output
+
+
+@pytest.mark.parametrize(
+    "config_text,env_seed,extra,message",
+    [
+        ('{"bogus_key": 1}', None, [], "unknown config keys"),
+        ('{"seed": 3,', None, [], "is not valid JSON"),
+        (None, "abc", [], "QUTRITCR_SEED must be an integer"),
+        (None, "-4", [], "seed must be >= 0"),
+        (None, None, ["--shots", "0"], "shots must be >= 1"),
+    ],
+    ids=["unknown_key", "malformed_json", "seed_not_int", "seed_negative", "zero_shots"],
+)
+def test_config_errors_are_reported_without_traceback(runner, tmp_path, monkeypatch, config_text, env_seed, extra, message):
+    store = tmp_path / "cal.json"
+    store.write_text(json.dumps({"fingerprint": "stale", "gates": {}}))
+    args = ["bell", "--store", str(store), *extra]
+    if config_text is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config_text)
+        args += ["--config", str(cfg)]
+    if env_seed is None:
+        monkeypatch.delenv("QUTRITCR_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QUTRITCR_SEED", env_seed)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    # a handled error exits through SystemExit; anything else would be a traceback
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert "Traceback" not in res.output
