@@ -36,7 +36,7 @@ from .experiments import (
 from .fitting import FitResult, fit_rabi
 from .hamiltonian import rotating_frame_hamiltonian
 from .metrics import MetricReport, average_gate_fidelity, concurrence, purity, state_fidelity
-from .propagate import EvolveOptions, evolve_state, evolve_trace, evolve_unitary
+from .propagate import EvolveOptions, evolve_state, evolve_trace, evolve_unitary, full_model_unitary
 from .pulses import (
     DragGaussian,
     Gaussian,

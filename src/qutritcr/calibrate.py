@@ -26,9 +26,8 @@ from .device import DeviceParams, FrameSpec, transition_frequencies
 from .effective import ideal_ucr, rx_subspace
 from .errors import CalibrationFailed, InvalidParams
 from .fitting import fit_rabi
-from .hamiltonian import rotating_frame_hamiltonian
 from .linalg import PAIR_DIM, dag, ket2, kron, unitary_defect
-from .propagate import FULL_MODEL_OPTIONS, evolve_unitary
+from .propagate import full_model_unitary
 from .pulses import (
     DEFAULT_RISEFALL_NS,
     DragGaussian,
@@ -463,8 +462,7 @@ def refine_full_model(
     """
     if not gate.schedule.instructions:
         return gate
-    prov = rotating_frame_hamiltonian(p, FrameSpec.bare(p), gate.schedule, rwa=False)
-    u = evolve_unitary(prov, 0.0, gate.schedule.duration, FULL_MODEL_OPTIONS)
+    u = full_model_unitary(p, gate.schedule)
     f, pre, post = optimize_phase_correction(u, target)
     if f < min_fidelity:
         raise CalibrationFailed(f"{gate.name}: full-model fidelity {f:.4f} < {min_fidelity}")
@@ -479,7 +477,9 @@ def refine_full_model(
 # different gates for the same configuration, so older stores recalibrate.
 # 2: BFGS phase correction (its pre/post phases differ from Nelder-Mead's
 # along the objective's flat directions).
-CALIBRATION_VERSION = 2
+# 3: full-model CR propagators from one drive period raised to a power
+# (full_model_unitary); the CR gates move by ~1e-8.
+CALIBRATION_VERSION = 3
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

@@ -15,6 +15,8 @@ Conventions
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +50,10 @@ class DeviceParams:
     levels: int = 3
 
     def __post_init__(self):
+        for key, attr in _CONFIG_KEYS.items():
+            value = getattr(self, attr)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidParams(f"device {key} must be a finite number, got {value!r}")
         if self.levels != 3:
             raise InvalidParams(f"only 3-level transmons supported, got levels={self.levels}")
         if self.omega1 <= 0 or self.omega2 <= 0:
@@ -61,6 +67,8 @@ class DeviceParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceParams":
+        if not isinstance(d, dict):
+            raise InvalidParams(f"device config must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - set(_CONFIG_KEYS)
         if unknown:
             raise InvalidParams(f"unknown device config keys: {sorted(unknown)}")

@@ -8,6 +8,8 @@ timestamps are written and floating-point formatting is fixed.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -31,7 +33,7 @@ from .fitting import MIN_SAMPLES, fit_rabi
 from .hamiltonian import rotating_frame_hamiltonian
 from .linalg import ket2, kron
 from .metrics import MetricReport, concurrence, state_fidelity
-from .propagate import FULL_MODEL_OPTIONS, EvolveOptions, evolve_state
+from .propagate import EvolveOptions, evolve_state, full_model_unitary
 
 H3_THETA1 = 2.0 * np.arccos(1.0 / np.sqrt(3.0))
 
@@ -70,6 +72,12 @@ class ExperimentConfig:
     sq_sigma: float = 8.0  # ns
 
     def __post_init__(self):
+        for key, attr in self._KEYS.items():
+            value = getattr(self, attr)
+            integer = attr in ("seed", "shots")
+            kind = numbers.Integral if integer else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not (integer or math.isfinite(value)):
+                raise InvalidParams(f"{key} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
         if self.shots < 1:
             raise InvalidParams("shots must be >= 1")
         if self.seed < 0:
@@ -77,6 +85,8 @@ class ExperimentConfig:
         for a in (self.cr01_amp, self.cr12_amp, self.scan_amp):
             if not 0.0 < a <= 1.0:
                 raise InvalidParams("amplitudes must be in (0, 1] GHz")
+        if min(self.risefall, self.sq_duration, self.sq_sigma) <= 0:
+            raise InvalidParams("risefall_ns, sq_duration_ns and sq_sigma_ns must be > 0")
 
     _KEYS = {
         "seed": "seed",
@@ -239,11 +249,11 @@ def _propagate_gate(p, gate: CalibratedGate, psi: np.ndarray, method: str) -> np
     if method == "store" or not gate.schedule.instructions:
         return gate.unitary @ psi
     psi = np.exp(1j * gate.pre_phases) * psi
-    prov = rotating_frame_hamiltonian(
-        p, FrameSpec.bare(p), gate.schedule, rwa=(method == "rwa")
-    )
-    opts = EvolveOptions(max_step=0.1) if method == "rwa" else FULL_MODEL_OPTIONS
-    psi = evolve_state(prov, psi, 0.0, gate.schedule.duration, opts)
+    if method == "rwa":
+        prov = rotating_frame_hamiltonian(p, FrameSpec.bare(p), gate.schedule, rwa=True)
+        psi = evolve_state(prov, psi, 0.0, gate.schedule.duration, EvolveOptions(max_step=0.1))
+    else:
+        psi = full_model_unitary(p, gate.schedule) @ psi
     return np.exp(1j * gate.post_phases) * psi
 
 

@@ -119,3 +119,31 @@ def test_config_errors_are_reported_without_traceback(runner, tmp_path, monkeypa
     assert isinstance(res.exception, SystemExit)
     assert message in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"seed": "abc"}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"shots": 1.5}, "shots must be an integer"),
+        ({"cr01_amp_ghz": None}, "cr01_amp_ghz must be a finite number"),
+        ({"device": 5}, "device config must be a JSON object"),
+        ({"device": {"omega1_ghz": "5"}}, "device omega1_ghz must be a finite number"),
+        ({"risefall_ns": 0}, "risefall_ns, sq_duration_ns and sq_sigma_ns must be > 0"),
+        ({"sq_sigma_ns": -8.0}, "risefall_ns, sq_duration_ns and sq_sigma_ns must be > 0"),
+        ({"sq_duration_ns": 0.0}, "risefall_ns, sq_duration_ns and sq_sigma_ns must be > 0"),
+    ],
+    ids=["seed_str", "seed_bool", "shots_float", "amp_null", "device_int", "device_field_str",
+         "risefall_zero", "sigma_negative", "duration_zero"],
+)
+def test_config_values_of_wrong_type_or_range_are_rejected(runner, tmp_path, config, message):
+    store = tmp_path / "cal.json"
+    store.write_text(json.dumps({"fingerprint": "stale", "gates": {}}))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, ["gatefid", "--gate", "cr01_pi", "--store", str(store), "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: {message}" in res.output
+    assert "Traceback" not in res.output

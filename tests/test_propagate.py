@@ -1,19 +1,35 @@
 """Integrator correctness against analytic oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qutritcr.device import DeviceParams, FrameSpec
+from qutritcr import propagate
+from qutritcr.device import DeviceParams, FrameSpec, transition_frequencies
+from qutritcr.hamiltonian import rotating_frame_hamiltonian
 from qutritcr.linalg import expm_unitary, ket2
 from qutritcr.propagate import (
+    FULL_MODEL_OPTIONS,
     EvolveOptions,
     evolve_state,
     evolve_trace,
     evolve_unitary,
+    full_model_unitary,
     populations,
 )
+from qutritcr.pulses import DragGaussian, GaussianSquare, Play, Schedule, build_cr_schedule, concat
 
 TWO_PI = 2.0 * np.pi
+
+_DEVICE = DeviceParams()
+# drive period T = 1/(2c) of a CR tone at the target's dressed transition c
+_PERIOD = {sub: 0.5 / transition_frequencies(_DEVICE, dressed=True).of(2, sub) for sub in ("01", "12")}
+ORACLE_OPTIONS = EvolveOptions(rel_tol=1e-11, abs_tol=1e-13)
+# max |U - U_oracle| of the bare-frame DOP853 at FULL_MODEL_OPTIONS on the default cr01_pi
+FULL_MODEL_ERR = 4.9e-8
 
 
 def const(h):
@@ -136,3 +152,81 @@ class TestTraceAndPopulations:
         assert p[0] == pytest.approx(0.5) and p[7] == pytest.approx(0.5)
         bell = (ket2(0, 0) + ket2(1, 1) + ket2(2, 2)) / np.sqrt(3.0)
         assert populations(bell)[[0, 4, 8]] == pytest.approx([1 / 3] * 3)
+
+
+def _traced_pieces(p, sched):
+    """full_model_unitary's propagator and the [t0, t1] of every DOP853 piece it ran."""
+    with mock.patch.object(propagate, "evolve_unitary", wraps=propagate.evolve_unitary) as spy:
+        u = full_model_unitary(p, sched)
+    return u, [call.args[1:3] for call in spy.call_args_list]
+
+
+@st.composite
+def _cr_plays(draw):
+    sub = draw(st.sampled_from(["01", "12"]))
+    period = _PERIOD[sub]
+    whole = st.builds(lambda k, d: k * period + d, st.integers(1, 60), st.sampled_from([-1e-12, 0.0, 1e-12]))
+    width = draw(st.one_of(st.just(0.0), st.floats(0.0, period, exclude_max=True), whole, st.floats(0.0, 6.0)))
+    return (
+        sub,
+        draw(st.floats(0.05, 0.5)),
+        draw(st.floats(-np.pi, np.pi)),
+        draw(st.sampled_from([0.0, 0.75, 2.5])),
+        draw(st.floats(2.0, 6.0)),
+        width,
+    )
+
+
+class TestFullModelUnitary:
+    @pytest.mark.parametrize("sub,phase", [("01", 0.0), ("12", 0.0), ("01", 1.1), ("12", -2.3)])
+    def test_drive_frame_hamiltonian_is_periodic_on_the_plateau(self, sub, phase):
+        sched = build_cr_schedule(_DEVICE, sub, 0.4, 30.0, 4.0, phase)
+        carrier = sched.plays()[0].carrier_freq
+        prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec(carrier, carrier), sched, rwa=False)
+        period = _PERIOD[sub]
+        assert period == 0.5 / carrier
+        ts = np.linspace(4.0, 34.0 - period, 61)
+        h = np.array([prov(t) for t in ts])
+        shifted = np.array([prov(t + period) for t in ts])
+        assert np.max(np.abs(shifted - h)) <= 1e-12 * np.max(np.abs(h))
+
+    @settings(max_examples=6, deadline=None)
+    @given(_cr_plays())
+    @example(("01", 0.4, 0.0, 0.0, 4.0, 0.0))
+    @example(("12", 0.11, 1.0, 0.75, 3.0, 0.4 * _PERIOD["12"]))
+    @example(("01", 0.3, -2.0, 0.0, 2.0, 37 * _PERIOD["01"]))
+    @example(("01", 0.3, 2.0, 2.5, 2.0, 37 * _PERIOD["01"] + 1e-12))
+    @example(("12", 0.2, 0.5, 0.0, 6.0, 23 * _PERIOD["12"] - 1e-12))
+    def test_matches_the_bare_frame_oracle(self, case):
+        sub, amp, phase, start, risefall, width = case
+        sched = build_cr_schedule(_DEVICE, sub, amp, width, risefall, phase).shifted(start)
+        u, pieces = _traced_pieces(_DEVICE, sched)
+        u_oracle = evolve_unitary(
+            rotating_frame_hamiltonian(_DEVICE, FrameSpec.bare(_DEVICE), sched, rwa=False),
+            0.0, sched.duration, ORACLE_OPTIONS,
+        )
+        assert np.max(np.abs(u - u_oracle)) <= FULL_MODEL_ERR
+
+        # rise, [one period,] remainder, fall: they tile [0, duration] and the
+        # n whole periods never pass the plateau end
+        a, b, period = start + risefall, start + risefall + width, _PERIOD[sub]
+        assert pieces[0] == (0.0, a) and pieces[-1] == (b, sched.duration)
+        rest_start, rest_end = pieces[-2]
+        assert rest_end == b and a <= rest_start <= b and b - rest_start < period + 1e-9
+        assert len(pieces) == 3 or pieces[1] == (a, a + period)
+
+    @pytest.mark.parametrize("case", ["drag", "two_plays", "h3_concat"])
+    def test_other_schedules_fall_back_bit_identically(self, case):
+        carrier = transition_frequencies(_DEVICE, dressed=True)
+        drag = Schedule((Play(1, 0.0, DragGaussian(0.06, 2.0, 8.0, 0.4), carrier.w01_1),))
+        if case == "drag":
+            sched = drag
+        elif case == "two_plays":
+            square = GaussianSquare(0.3, 1.5, 3.0, 2.0)
+            sched = Schedule((Play(1, 0.0, square, carrier.w01_2), Play(2, 1.0, DragGaussian(0.05, 2.0, 8.0), carrier.w01_2)))
+        else:
+            second = Schedule((Play(1, 0.0, DragGaussian(0.08, 2.0, 8.0, -0.3), carrier.w12_1),))
+            sched = concat(drag, second)
+        prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec.bare(_DEVICE), sched, rwa=False)
+        u_bare = evolve_unitary(prov, 0.0, sched.duration, FULL_MODEL_OPTIONS)
+        assert np.array_equal(full_model_unitary(_DEVICE, sched), u_bare)

@@ -52,6 +52,18 @@ class TestEnvelopes:
         assert abs(d.sample(16.0).imag) < 1e-15
         assert abs(d.sample(16.0).real - 0.02) < 1e-15
 
+    def test_drag_endpoints_carry_the_unlifted_quadrature(self):
+        # only the in-phase part is lifted: the ends read +/- i beta g'(0), with
+        # g'(0) = amp (c / sigma^2) e^{-c^2 / 2 sigma^2} / (1 - e^{-c^2 / 2 sigma^2})
+        amp, sigma, duration, beta = 0.06, 8.0, 32.0, 0.5
+        c = duration / 2.0
+        edge = np.exp(-(c**2) / (2.0 * sigma**2))
+        slope = amp * (c / sigma**2) * edge / (1.0 - edge)
+        d = DragGaussian(amp, sigma, duration, beta)
+        assert d.sample(0.0) == pytest.approx(1j * beta * slope, abs=1e-15)
+        assert d.sample(duration) == pytest.approx(-1j * beta * slope, abs=1e-15)
+        assert abs(d.sample(0.0).imag - 1.1739e-3) < 1e-7
+
     def test_out_of_range(self):
         g = Gaussian(amp=0.02, sigma=8.0, duration=32.0)
         with pytest.raises(OutOfRange):
