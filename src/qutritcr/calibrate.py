@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .crpulse import cr_pulse, rwa_unitary
+from .crpulse import cr_pulse
 from .device import DeviceParams, FrameSpec, transition_frequencies
 from .effective import ideal_ucr, rx_subspace
 from .errors import CalibrationFailed, InvalidParams
 from .fitting import fit_rabi
 from .linalg import PAIR_DIM, dag, ket2, kron, unitary_defect
-from .propagate import full_model_unitary
+from .propagate import full_model_unitary, rwa_unitary
 from .pulses import (
     DEFAULT_RISEFALL_NS,
     DragGaussian,
@@ -251,7 +251,7 @@ def calibrate_single_qutrit(
 
     def fid_of(amp, beta):
         sched = _drag_schedule(channel, carrier, amp, beta, duration, sigma)
-        u = rwa_unitary(p, sched, carrier)
+        u = rwa_unitary(p, sched)
         f, pre, post = optimize_phase_correction(u, target)
         return f, u, pre, post, sched
 
@@ -351,7 +351,6 @@ def run_rabi_scan(
     control_state: int,
     widths: np.ndarray,
     risefall: float = DEFAULT_RISEFALL_NS,
-    store: "CalibrationStore | None" = None,
     mode: str = "pulsed",
 ) -> RabiTrace:
     """Conditional Rabi scan of a CR tone versus pulse length.
@@ -362,7 +361,7 @@ def run_rabi_scan(
     mode="plateau" records a continuous trace along a single long plateau.
     """
     widths = np.asarray(widths, dtype=float)
-    psi0, _ = prepare_control_state(p, control_state, store)
+    psi0, _ = prepare_control_state(p, control_state)
     if subspace == "12":
         s = 1.0 / np.sqrt(2.0)
         minus = np.array([[s, s, 0.0], [-s, s, 0.0], [0.0, 0.0, 1.0]], dtype=complex)

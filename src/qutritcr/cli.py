@@ -14,6 +14,7 @@ import click
 from .calibrate import CalibrationStore
 from .errors import InvalidParams, QutritCRError
 from .experiments import (
+    BELL_METHODS,
     ExperimentConfig,
     cmd_bell,
     cmd_calibrate,
@@ -96,7 +97,7 @@ def calibrate(config_path, store_path):
 @click.option("--shots", type=int, default=None, help="overrides config shots")
 @click.option("--seed", type=int, default=None, help="overrides config seed")
 @click.option("--out", "out_dir", type=click.Path(), default=None)
-@click.option("--method", type=click.Choice(["full", "rwa", "store"]), default="full", show_default=True)
+@click.option("--method", type=click.Choice(BELL_METHODS), default="full", show_default=True)
 def bell(config_path, store_path, shots, seed, out_dir, method):
     """Run the Bell-state preparation and report fidelity and concurrence."""
     try:

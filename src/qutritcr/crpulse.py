@@ -1,15 +1,14 @@
-"""Fast exact propagation of Gaussian-square CR pulses under the RWA.
+"""Width sweeps of Gaussian-square CR pulses under the RWA.
 
 In the frame rotating at the drive carrier on both transmons, every retained
 term of the RWA Hamiltonian is oscillation-free, so during the flat top the
 Hamiltonian is a constant matrix: that section integrates exactly by
-eigendecomposition, and only the two short Gaussian edges need time steps.
-The edge propagators are width-independent, so amplitude/width sweeps cost
-one pair of edge integrations plus diagonal phase arithmetic per point.
-``rwa_unitary`` runs the same drive-frame integrator over any schedule and
-returns its bare-frame propagator.  ``cr_pulse`` hands out one shared pulse
-per setting, so scans and tune-ups at the same amplitude integrate its edges
-once.
+eigendecomposition, and only the two short Gaussian edges need time steps
+(``propagate._rwa_flat_top``, as in ``propagate.rwa_unitary``).  The edge
+propagators are width-independent, so amplitude/width sweeps cost one pair
+of edge integrations plus diagonal phase arithmetic per point.  ``cr_pulse``
+hands out one shared pulse per setting, so scans and tune-ups at the same
+amplitude integrate its edges once.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .device import DeviceParams, FrameSpec, reframe, transition_frequencies
-from .hamiltonian import rotating_frame_hamiltonian
 from .linalg import dag
+from .propagate import _rwa_flat_top, _stepped_unitary  # noqa: F401  (bench/tracer.py binds _stepped_unitary here)
 from .pulses import DEFAULT_RISEFALL_NS, Schedule, build_cr_schedule
 
 # Reference width used to build the (width-independent) edge propagators.
@@ -32,41 +30,6 @@ _REF_WIDTH = 100.0
 # vertices and final best point), so a short cache catches all of it; the
 # default cr01_pi tune-up builds 87 pulses for 90 requests at 4 entries or 128.
 _PULSE_CACHE_SIZE = 8
-
-# Step for the fourth-order Magnus integrator on the smooth 20 ns edges;
-# checked against the adaptive ODE to well below 1e-9.
-_EDGE_STEP = 0.025
-
-
-def _stepped_unitary(prov, t0: float, t1: float, h: float = _EDGE_STEP) -> np.ndarray:
-    """Fourth-order Magnus propagator over [t0, t1] (two-point Gauss nodes)."""
-    n = max(int(np.ceil((t1 - t0) / h)), 1)
-    dt = (t1 - t0) / n
-    offset = np.sqrt(3.0) / 6.0 * dt
-    lefts = t0 + dt * np.arange(n) + dt / 2.0
-    h1 = prov(lefts - offset)
-    h2 = prov(lefts + offset)
-    # exp(-i M) with M = dt (H1 + H2)/2 - i sqrt(3)/12 dt^2 [H2, H1]
-    m = 0.5 * dt * (h1 + h2) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (h2 @ h1 - h1 @ h2)
-    w, v = np.linalg.eigh(m)
-    steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w), v.conj())
-    u = steps[0]
-    for k in range(1, n):
-        u = steps[k] @ u
-    return u
-
-
-def rwa_unitary(p: DeviceParams, schedule: Schedule, carrier: float) -> np.ndarray:
-    """Bare-frame RWA propagator of any schedule.
-
-    Integrated with fixed-step Magnus in the frame rotating at the carrier on
-    both transmons, where the retained RWA terms do not oscillate, then
-    re-expressed in the bare frame.
-    """
-    drive = FrameSpec(carrier, carrier)
-    prov = rotating_frame_hamiltonian(p, drive, schedule, rwa=True)
-    u = _stepped_unitary(prov, 0.0, schedule.duration)
-    return reframe(u, drive, FrameSpec.bare(p), schedule.duration)
 
 
 class FlatTopCRPulse:
@@ -93,12 +56,7 @@ class FlatTopCRPulse:
 
     @cached_property
     def _pieces(self):
-        prov = rotating_frame_hamiltonian(self.params, self.frame, self.schedule(_REF_WIDTH), rwa=True)
-        u_rise = _stepped_unitary(prov, 0.0, self.risefall)
-        u_fall = _stepped_unitary(prov, self.risefall + _REF_WIDTH, 2 * self.risefall + _REF_WIDTH)
-        h_plat = prov(self.risefall + _REF_WIDTH / 2.0)
-        w, v = scipy.linalg.eigh(h_plat)
-        return u_rise, u_fall, w, v
+        return _rwa_flat_top(self.params, self.schedule(_REF_WIDTH))
 
     def plateau_hamiltonian(self) -> np.ndarray:
         """Constant drive-frame Hamiltonian during the flat top (rad/ns)."""

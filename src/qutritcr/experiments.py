@@ -26,14 +26,13 @@ from .calibrate import (
     run_rabi_scan,
     SINGLE_QUTRIT_MIN_FID,
 )
-from .device import DeviceParams, FrameSpec
+from .device import DeviceParams
 from .effective import bell_state, ideal_ucr, rx_subspace
 from .errors import BadDistribution, InvalidParams, NoOscillation
 from .fitting import MIN_SAMPLES, fit_rabi
-from .hamiltonian import rotating_frame_hamiltonian
 from .linalg import ket2, kron
 from .metrics import MetricReport, concurrence, state_fidelity
-from .propagate import EvolveOptions, evolve_state, full_model_unitary
+from .propagate import full_model_unitary, rwa_unitary
 
 H3_THETA1 = 2.0 * np.arccos(1.0 / np.sqrt(3.0))
 
@@ -48,6 +47,9 @@ GATE_SET = (
     "cr01_pi",
     "csx12",
 )
+
+# How cmd_bell obtains each gate's propagator.
+BELL_METHODS = ("full", "rwa", "store")
 
 
 @dataclass(frozen=True)
@@ -248,12 +250,8 @@ def _propagate_gate(p, gate: CalibratedGate, psi: np.ndarray, method: str) -> np
     """One circuit segment: pre virtual phases, pulse propagation, post."""
     if method == "store" or not gate.schedule.instructions:
         return gate.unitary @ psi
-    psi = np.exp(1j * gate.pre_phases) * psi
-    if method == "rwa":
-        prov = rotating_frame_hamiltonian(p, FrameSpec.bare(p), gate.schedule, rwa=True)
-        psi = evolve_state(prov, psi, 0.0, gate.schedule.duration, EvolveOptions(max_step=0.1))
-    else:
-        psi = full_model_unitary(p, gate.schedule) @ psi
+    propagator = rwa_unitary if method == "rwa" else full_model_unitary
+    psi = propagator(p, gate.schedule) @ (np.exp(1j * gate.pre_phases) * psi)
     return np.exp(1j * gate.post_phases) * psi
 
 
@@ -280,6 +278,8 @@ def cmd_bell(config: ExperimentConfig, store: CalibrationStore, out_dir: str | N
     control-phase correction is read off the state's diagonal amplitudes,
     standing in for the phase calibration a hardware run would do.
     """
+    if method not in BELL_METHODS:
+        raise InvalidParams(f"method must be one of {', '.join(BELL_METHODS)}, got {method!r}")
     p = config.device
     sequence = ("h3_1", "cr01_pi", "csx12", "v_2", "x01_pi_2")
     psi = ket2(0, 0)

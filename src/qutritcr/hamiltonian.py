@@ -12,7 +12,7 @@ operator sum to a complex coefficient z(t), and
 
 summed over the operators: one small product of the coefficients with a
 constant table.  The optional RWA drops terms whose total oscillation
-frequency exceeds a cutoff (default 2 GHz).
+frequency exceeds RWA_CUTOFF_GHZ.
 """
 
 from __future__ import annotations
@@ -75,13 +75,11 @@ class RotatingFrameHamiltonian:
         frame: FrameSpec,
         schedule: Schedule | None = None,
         rwa: bool = False,
-        cutoff: float = RWA_CUTOFF_GHZ,
     ):
         self.params = p
         self.frame = frame
         self.schedule = schedule or Schedule()
         self.rwa = rwa
-        self.cutoff = cutoff
 
         a1, a2 = lowering_operator(1), lowering_operator(2)
         ops = (TWO_PI * p.coupling_j * (dag(a1) @ a2), a1, a2)
@@ -100,7 +98,7 @@ class RotatingFrameHamiltonian:
         self._terms = [term for w in self._windows for term in w.terms]
 
     def _add_window(self, shape, t0, span, terms):
-        kept = tuple(term for term in terms if not (self.rwa and abs(term.freq) > self.cutoff))
+        kept = tuple(term for term in terms if not (self.rwa and abs(term.freq) > RWA_CUTOFF_GHZ))
         if kept:
             self._windows.append(_Window(shape, t0, span, kept))
 
@@ -171,7 +169,6 @@ def rotating_frame_hamiltonian(
     frame: FrameSpec,
     schedule: Schedule | None = None,
     rwa: bool = False,
-    cutoff: float = RWA_CUTOFF_GHZ,
 ) -> RotatingFrameHamiltonian:
     """Build the time-dependent Hamiltonian provider for a schedule."""
-    return RotatingFrameHamiltonian(p, frame, schedule, rwa=rwa, cutoff=cutoff)
+    return RotatingFrameHamiltonian(p, frame, schedule, rwa=rwa)

@@ -1,26 +1,34 @@
-"""Numerically exact time evolution under a time-dependent Hamiltonian.
+"""Bare-frame propagators of schedules, one function per model.
 
-Uses scipy's adaptive DOP853 integrator (explicit order 8 with embedded
-error control).  States are never silently renormalized; norm drift is
-checked after every run.  ``full_model_unitary`` is the one entry point for
-the bare-frame propagator of a schedule without the RWA.
+``rwa_unitary`` integrates under the RWA with fixed-step fourth-order Magnus
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) in the drive frame.
+``full_model_unitary`` integrates without the RWA with the ``evolve_*``
+functions: scipy's adaptive DOP853 (order 8, embedded error control).  States
+are never silently renormalized; norm drift is checked after every run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from .device import DeviceParams, FrameSpec, reframe
 from .errors import NormDrift, StepFailure
-from .hamiltonian import rotating_frame_hamiltonian
-from .linalg import PAIR_DIM, unitary_defect
+from .hamiltonian import RWA_CUTOFF_GHZ, rotating_frame_hamiltonian
+from .linalg import PAIR_DIM, dag, unitary_defect
 from .pulses import GaussianSquare, Schedule
 
 NORM_DRIFT_LIMIT = 1e-6
 UNITARY_DRIFT_LIMIT = 1e-7
+
+# Fourth-order Magnus step; agrees with the adaptive ODE to well below 1e-7.
+_MAGNUS_STEP = 0.025
+
+# Magnus steps built at once, so that long schedules do not raise peak memory.
+_MAGNUS_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -28,8 +36,6 @@ class EvolveOptions:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = 0.5  # ns
-    rwa: bool = False
-    frame: FrameSpec | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0:
@@ -100,19 +106,71 @@ def evolve_trace(hprov, psi0, t_grid, opts: EvolveOptions = DEFAULT_OPTIONS):
     return states
 
 
-def evolve_unitary(hprov, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OPTIONS, dim: int = PAIR_DIM):
+def evolve_unitary(hprov, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OPTIONS):
     """Propagator over [t0, t1]: all basis columns evolved together."""
-    u0 = np.eye(dim, dtype=complex).reshape(-1)
+    u0 = np.eye(PAIR_DIM, dtype=complex).reshape(-1)
 
     def rhs(t, y):
-        return (-1j * (hprov(t) @ y.reshape(dim, dim))).reshape(-1)
+        return (-1j * (hprov(t) @ y.reshape(PAIR_DIM, PAIR_DIM))).reshape(-1)
 
     u, _ = _solve(rhs, u0, t0, t1, opts)
-    u = u.reshape(dim, dim)
+    u = u.reshape(PAIR_DIM, PAIR_DIM)
     defect = unitary_defect(u)
     if defect > UNITARY_DRIFT_LIMIT:
         raise NormDrift(f"unitarity defect {defect:.3e} exceeds {UNITARY_DRIFT_LIMIT:.0e}")
     return u
+
+
+def _stepped_unitary(prov, t0: float, t1: float) -> np.ndarray:
+    """Fourth-order Magnus propagator over [t0, t1] (two-point Gauss nodes)."""
+    n = max(int(np.ceil((t1 - t0) / _MAGNUS_STEP)), 1)
+    dt = (t1 - t0) / n
+    offset = np.sqrt(3.0) / 6.0 * dt
+    mids = t0 + dt * np.arange(n) + dt / 2.0
+    u = None
+    for k in range(0, n, _MAGNUS_BLOCK):
+        h1 = prov(mids[k : k + _MAGNUS_BLOCK] - offset)
+        h2 = prov(mids[k : k + _MAGNUS_BLOCK] + offset)
+        # exp(-i M) with M = dt (H1 + H2)/2 - i sqrt(3)/12 dt^2 [H2, H1]
+        m = 0.5 * dt * (h1 + h2) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (h2 @ h1 - h1 @ h2)
+        w, v = np.linalg.eigh(m)
+        for step in np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w), v.conj()):
+            u = step if u is None else step @ u
+    return u
+
+
+def _rwa_flat_top(p: DeviceParams, schedule: Schedule):
+    """(u_rise, u_fall, w, v) of a schedule whose lone play is a Gaussian
+    square at carrier c, 2c above the RWA cutoff: in the frame rotating at c,
+    Magnus over [0, flat-top start] and [flat-top end, duration], and the
+    flat top's constant Hamiltonian v diag(w) v^dagger.
+    """
+    play = schedule.plays()[0]
+    prov = rotating_frame_hamiltonian(p, FrameSpec(play.carrier_freq, play.carrier_freq), schedule, rwa=True)
+    a = play.start + play.shape.risefall
+    b = a + play.shape.width
+    w, v = scipy.linalg.eigh(prov(a + play.shape.width / 2.0))
+    return _stepped_unitary(prov, 0.0, a), _stepped_unitary(prov, b, schedule.duration), w, v
+
+
+def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
+    """Bare-frame propagator of a schedule over [0, duration] under the RWA.
+
+    Magnus runs in the frame rotating at the first play's carrier c on both
+    transmons (the bare frame without a play), where the retained terms do
+    not oscillate.  A lone Gaussian-square play's flat top is then constant
+    once 2c exceeds the RWA cutoff, and is exponentiated exactly.
+    """
+    bare = FrameSpec.bare(p)
+    plays = schedule.plays()
+    c = plays[0].carrier_freq if plays else None
+    drive = FrameSpec(c, c) if plays else bare
+    if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare) and 2.0 * c > RWA_CUTOFF_GHZ:
+        u_rise, u_fall, w, v = _rwa_flat_top(p, schedule)
+        u = u_fall @ (v * np.exp(-1j * w * plays[0].shape.width)) @ dag(v) @ u_rise
+    else:
+        u = _stepped_unitary(rotating_frame_hamiltonian(p, drive, schedule, rwa=True), 0.0, schedule.duration)
+    return reframe(u, drive, bare, schedule.duration)
 
 
 def full_model_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
@@ -149,8 +207,3 @@ def full_model_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     u = evolve_unitary(prov, b, schedule.duration, FULL_MODEL_OPTIONS) @ u
     return reframe(u, drive, bare, schedule.duration)
 
-
-def populations(psi) -> np.ndarray:
-    """|amplitude|^2 per basis state."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.abs(psi) ** 2

@@ -335,12 +335,3 @@ def schedule_from_dicts(items: list) -> Schedule:
             )
     return Schedule(tuple(instrs))
 
-
-def export_envelope_csv(shape: PulseShape, path: str, step: float = 0.1) -> None:
-    """Sampled envelope as CSV with columns t_ns, re, im."""
-    ts = np.arange(0.0, shape.duration + step / 2, step)
-    with open(path, "w") as f:
-        f.write("t_ns,re,im\n")
-        for t in ts:
-            v = shape.sample(min(t, shape.duration))
-            f.write(f"{t:.6g},{v.real:.12g},{v.imag:.12g}\n")

@@ -25,12 +25,13 @@ from qutritcr.calibrate import (
     prepare_control_state,
     run_rabi_scan,
 )
-from qutritcr.crpulse import cr_pulse, rwa_unitary
+from qutritcr.crpulse import cr_pulse
 from qutritcr.device import FrameSpec, transition_frequencies
 from qutritcr.effective import ideal_ucr, rx_subspace, zdiag
 from qutritcr.errors import CalibrationFailed, InvalidParams
 from qutritcr.linalg import ket2, kron, unitary_defect
 from qutritcr.metrics import average_gate_fidelity
+from qutritcr.propagate import rwa_unitary
 from qutritcr.pulses import Schedule
 
 
@@ -197,7 +198,7 @@ class TestPhaseSolver:
             t = ideal_ucr(sub, theta)
         else:
             carrier = transition_frequencies(device, dressed=True).of(2, "01")
-            u = rwa_unitary(device, _drag_schedule(2, carrier, 0.0146, 0.77, 32.0, 8.0), carrier)
+            u = rwa_unitary(device, _drag_schedule(2, carrier, 0.0146, 0.77, 32.0, 8.0))
             t = kron(np.eye(3), rx_subspace("01", np.pi / 2.0))
         f, _, _ = optimize_phase_correction(u, t)
         assert f >= optimum - 1e-12

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 import qutritcr.crpulse as crpulse
 import qutritcr.device as device_mod
+import qutritcr.propagate as propagate
 from qutritcr.calibrate import calibrate_cr_gate
-from qutritcr.crpulse import FlatTopCRPulse, rwa_unitary
+from qutritcr.crpulse import FlatTopCRPulse
 from qutritcr.device import DeviceParams, FrameSpec, transition_frequencies
 from qutritcr.errors import CalibrationFailed
 from qutritcr.experiments import cmd_rabi
 from qutritcr.hamiltonian import rotating_frame_hamiltonian
 from qutritcr.linalg import herm_defect, ket2, unitary_defect
-from qutritcr.propagate import EvolveOptions, evolve_state, evolve_unitary
+from qutritcr.propagate import EvolveOptions, evolve_state, evolve_unitary, rwa_unitary
 from qutritcr.pulses import (
     DragGaussian,
     Gaussian,
@@ -93,12 +94,12 @@ class TestRWAUnitary:
         prov = rotating_frame_hamiltonian(device, bare, sched, rwa=True)
         opts = EvolveOptions(rel_tol=1e-11, abs_tol=1e-13, max_step=0.1)
         u_ode = evolve_unitary(prov, 0.0, sched.duration, opts)
-        assert np.max(np.abs(rwa_unitary(device, sched, carrier) - u_ode)) <= 1e-9
+        assert np.max(np.abs(rwa_unitary(device, sched) - u_ode)) <= 1e-9
 
     def test_matches_flat_top_fast_path(self, device, pulse):
         width = 40.0
         u_fast = pulse.unitary(width, frame=FrameSpec.bare(device))
-        u_any = rwa_unitary(device, pulse.schedule(width), pulse.carrier)
+        u_any = rwa_unitary(device, pulse.schedule(width))
         assert np.max(np.abs(u_fast - u_any)) <= 1e-9
 
 
@@ -162,14 +163,15 @@ class TestStackedHamiltonian:
 
 
 def _count_magnus(monkeypatch):
+    # the Magnus integrator that the flat-top split in propagate calls
     calls = []
-    real = crpulse._stepped_unitary
+    real = propagate._stepped_unitary
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(crpulse, "_stepped_unitary", counted)
+    monkeypatch.setattr(propagate, "_stepped_unitary", counted)
     crpulse.cr_pulse.cache_clear()
     return calls
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from qutritcr import experiments
 from qutritcr.errors import BadDistribution, InvalidParams
 from qutritcr.experiments import (
     CSV_POP_HEADERS,
@@ -164,3 +165,13 @@ class TestCmdBell:
         f_rwa = cmd_bell(config, cal_store, method="rwa").metrics[0].value
         assert abs(f_store - f_rwa) < 1e-2
         assert f_rwa >= 0.95
+
+    def test_unknown_method_rejected_before_propagation(self, config, cal_store, tmp_path, monkeypatch):
+        def propagated(*args):
+            raise AssertionError("propagated a gate")
+
+        monkeypatch.setattr(experiments, "full_model_unitary", propagated)
+        monkeypatch.setattr(experiments, "rwa_unitary", propagated)
+        with pytest.raises(InvalidParams, match="'Full '"):
+            cmd_bell(config, cal_store, str(tmp_path / "bell"), method="Full ")
+        assert not (tmp_path / "bell").exists()

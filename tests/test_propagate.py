@@ -18,9 +18,10 @@ from qutritcr.propagate import (
     evolve_trace,
     evolve_unitary,
     full_model_unitary,
-    populations,
+    rwa_unitary,
 )
-from qutritcr.pulses import DragGaussian, GaussianSquare, Play, Schedule, build_cr_schedule, concat
+from qutritcr.experiments import GATE_SET
+from qutritcr.pulses import DragGaussian, GaussianSquare, PhaseShift, Play, Schedule, build_cr_schedule, concat
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,15 +145,6 @@ class TestTraceAndPopulations:
         assert states.shape == (11, 9)
         assert np.max(np.abs(states[-1] - evolve_state(const(h), ket2(0, 0), 0.0, 50.0))) < 1e-7
 
-    def test_populations_examples(self):
-        # [TRIVIAL]
-        assert np.array_equal(populations(ket2(0, 0)), np.eye(9)[0])
-        psi = (ket2(0, 0) + 1j * ket2(2, 1)) / np.sqrt(2.0)
-        p = populations(psi)
-        assert p[0] == pytest.approx(0.5) and p[7] == pytest.approx(0.5)
-        bell = (ket2(0, 0) + ket2(1, 1) + ket2(2, 2)) / np.sqrt(3.0)
-        assert populations(bell)[[0, 4, 8]] == pytest.approx([1 / 3] * 3)
-
 
 def _traced_pieces(p, sched):
     """full_model_unitary's propagator and the [t0, t1] of every DOP853 piece it ran."""
@@ -230,3 +222,48 @@ class TestFullModelUnitary:
         prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec.bare(_DEVICE), sched, rwa=False)
         u_bare = evolve_unitary(prov, 0.0, sched.duration, FULL_MODEL_OPTIONS)
         assert np.array_equal(full_model_unitary(_DEVICE, sched), u_bare)
+
+
+class TestRWAUnitary:
+    def test_stored_gates_match_the_bare_frame_oracle(self, device, cal_store):
+        # the split CR gates, the DRAG gates and the two-carrier h3_1
+        for name in GATE_SET:
+            sched = cal_store.get(name).schedule
+            prov = rotating_frame_hamiltonian(device, FrameSpec.bare(device), sched, rwa=True)
+            u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
+            assert np.max(np.abs(rwa_unitary(device, sched) - u_oracle)) <= 1e-7, name
+
+    @pytest.mark.parametrize("carrier,steps", [(None, [(0.0, 20.0), (170.0, 190.0)]), (0.9, [(0.0, 190.0)])])
+    def test_magnus_steps_a_flat_top_only_where_it_is_not_constant(self, monkeypatch, carrier, steps):
+        # at 2c <= RWA_CUTOFF_GHZ the counter-rotating term is kept, so the
+        # plateau is not constant and the whole play is stepped
+        sched = build_cr_schedule(_DEVICE, "01", 0.3, 150.0)
+        if carrier is not None:
+            sched = Schedule((Play(1, 0.0, sched.plays()[0].shape, carrier),))
+        calls = []
+        real = propagate._stepped_unitary
+
+        def spy(prov, t0, t1):
+            calls.append((t0, t1))
+            return real(prov, t0, t1)
+
+        monkeypatch.setattr(propagate, "_stepped_unitary", spy)
+        rwa_unitary(_DEVICE, sched)
+        assert calls == steps
+
+    def test_schedule_without_a_play(self, device):
+        # a hand-edited store can hold one: integrated in the bare frame
+        assert np.allclose(rwa_unitary(device, Schedule(())), np.eye(9), rtol=0.0, atol=1e-15)
+        sched = Schedule((PhaseShift(channel=1, subspace="01", angle=0.3, start=5.0),))
+        prov = rotating_frame_hamiltonian(device, FrameSpec.bare(device), sched, rwa=True)
+        u_oracle = evolve_unitary(prov, 0.0, 5.0, ORACLE_OPTIONS)
+        assert np.max(np.abs(rwa_unitary(device, sched) - u_oracle)) <= 1e-9
+
+    def test_magnus_blocks_leave_the_product_bit_identical(self, device, monkeypatch):
+        tf = transition_frequencies(device, dressed=True)
+        drag = DragGaussian(0.06, 8.0, 32.0, 0.4)
+        sched = Schedule((Play(1, 0.0, drag, tf.w01_1), Play(1, 32.0, drag, tf.w12_1)))
+        prov = rotating_frame_hamiltonian(device, FrameSpec(tf.w01_1, tf.w01_1), sched, rwa=True)
+        blocked = propagate._stepped_unitary(prov, 0.0, sched.duration)
+        monkeypatch.setattr(propagate, "_MAGNUS_BLOCK", 10**6)
+        assert np.array_equal(blocked, propagate._stepped_unitary(prov, 0.0, sched.duration))

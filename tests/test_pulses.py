@@ -166,12 +166,3 @@ class TestSerialization:
         assert d["shape"]["kind"] == "gaussian_square"
         assert d["shape"]["amp_ghz"] == 0.06
         assert set(d) >= {"channel", "start_ns", "shape", "carrier_ghz", "phase_rad"}
-
-    def test_envelope_csv(self, tmp_path):
-        from qutritcr.pulses import export_envelope_csv
-
-        path = tmp_path / "env.csv"
-        export_envelope_csv(Gaussian(amp=0.02, sigma=8.0, duration=32.0), str(path), step=1.0)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t_ns,re,im"
-        assert len(lines) == 34  # header + 33 samples
