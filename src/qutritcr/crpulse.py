@@ -18,6 +18,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .device import DeviceParams, FrameSpec, reframe, transition_frequencies
+from .errors import InvalidParams
+from .hamiltonian import RWA_CUTOFF_GHZ
 from .linalg import dag
 from .propagate import _rwa_flat_top, _stepped_unitary  # noqa: F401  (bench/tracer.py binds _stepped_unitary here)
 from .pulses import DEFAULT_RISEFALL_NS, Schedule, build_cr_schedule
@@ -33,7 +35,12 @@ _PULSE_CACHE_SIZE = 8
 
 
 class FlatTopCRPulse:
-    """One cross-resonance Gaussian-square pulse at fixed amplitude and phase."""
+    """One cross-resonance Gaussian-square pulse at fixed amplitude and phase.
+
+    Its carrier c must have 2c above the RWA cutoff: below it the RWA keeps
+    the counter-rotating drive, the flat top is not constant, and the pulse
+    raises InvalidParams (``propagate.rwa_unitary`` steps such a play whole).
+    """
 
     def __init__(
         self,
@@ -49,6 +56,11 @@ class FlatTopCRPulse:
         self.risefall = risefall
         self.phase = phase
         self.carrier = transition_frequencies(p, dressed=True).of(2, subspace)
+        if 2.0 * self.carrier <= RWA_CUTOFF_GHZ:
+            raise InvalidParams(
+                f"CR carrier {self.carrier:.4g} GHz: its flat top is not constant under the RWA "
+                f"(2c <= {RWA_CUTOFF_GHZ} GHz keeps the counter-rotating drive)"
+            )
         self.frame = FrameSpec(self.carrier, self.carrier)
 
     def schedule(self, width: float) -> Schedule:

@@ -1,6 +1,6 @@
 """Bare-frame propagators of schedules, one function per model.
 
-``rwa_unitary`` integrates under the RWA with fixed-step fourth-order Magnus
+``rwa_unitary`` integrates under the RWA with fixed-step sixth-order Magnus
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) in the drive frame.
 ``full_model_unitary`` integrates without the RWA with the ``evolve_*``
 functions: scipy's adaptive DOP853 (order 8, embedded error control).  States
@@ -24,8 +24,9 @@ from .pulses import GaussianSquare, Schedule
 NORM_DRIFT_LIMIT = 1e-6
 UNITARY_DRIFT_LIMIT = 1e-7
 
-# Fourth-order Magnus step; agrees with the adaptive ODE to well below 1e-7.
-_MAGNUS_STEP = 0.025
+# Sixth-order Magnus step (ns).  Under the RWA nothing oscillates faster than
+# the detunings, so a CR edge lands within ~1e-9 of a rel-1e-12 DOP853.
+_MAGNUS_STEP = 0.08
 
 # Magnus steps built at once, so that long schedules do not raise peak memory.
 _MAGNUS_BLOCK = 512
@@ -81,7 +82,7 @@ def _solve(rhs, y0, t0, t1, opts, t_eval=None):
 def evolve_state(hprov, psi0, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OPTIONS):
     """Solve i dpsi/dt = H(t) psi from t0 to t1; returns the final state."""
     psi0 = np.asarray(psi0, dtype=complex)
-    psi, _ = _solve(_state_rhs(hprov), psi0, t0, t1, opts)
+    psi, _ = _solve(_state_rhs(hprov), psi0, t0, t1, opts, t_eval=[t1])
     drift = abs(np.linalg.norm(psi) - np.linalg.norm(psi0))
     if drift > NORM_DRIFT_LIMIT:
         raise NormDrift(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
@@ -113,7 +114,7 @@ def evolve_unitary(hprov, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OP
     def rhs(t, y):
         return (-1j * (hprov(t) @ y.reshape(PAIR_DIM, PAIR_DIM))).reshape(-1)
 
-    u, _ = _solve(rhs, u0, t0, t1, opts)
+    u, _ = _solve(rhs, u0, t0, t1, opts, t_eval=[t1])
     u = u.reshape(PAIR_DIM, PAIR_DIM)
     defect = unitary_defect(u)
     if defect > UNITARY_DRIFT_LIMIT:
@@ -121,19 +122,35 @@ def evolve_unitary(hprov, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OP
     return u
 
 
+def _commutator(a, b):
+    return a @ b - b @ a
+
+
 def _stepped_unitary(prov, t0: float, t1: float) -> np.ndarray:
-    """Fourth-order Magnus propagator over [t0, t1] (two-point Gauss nodes)."""
+    """Sixth-order Magnus propagator over [t0, t1] (three-point Gauss nodes).
+
+    Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 4: with
+    A_i = -i H at the nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
+    step h, each step is exp(Omega).
+    """
     n = max(int(np.ceil((t1 - t0) / _MAGNUS_STEP)), 1)
     dt = (t1 - t0) / n
-    offset = np.sqrt(3.0) / 6.0 * dt
+    offset = np.sqrt(15.0) / 10.0 * dt
     mids = t0 + dt * np.arange(n) + dt / 2.0
     u = None
     for k in range(0, n, _MAGNUS_BLOCK):
         h1 = prov(mids[k : k + _MAGNUS_BLOCK] - offset)
-        h2 = prov(mids[k : k + _MAGNUS_BLOCK] + offset)
-        # exp(-i M) with M = dt (H1 + H2)/2 - i sqrt(3)/12 dt^2 [H2, H1]
-        m = 0.5 * dt * (h1 + h2) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (h2 @ h1 - h1 @ h2)
-        w, v = np.linalg.eigh(m)
+        h2 = prov(mids[k : k + _MAGNUS_BLOCK])
+        h3 = prov(mids[k : k + _MAGNUS_BLOCK] + offset)
+        # the -i of A_i = -i H_i rides on the scalar factors
+        alpha1 = (-1j * dt) * h2
+        alpha2 = (-1j * np.sqrt(15.0) * dt / 3.0) * (h3 - h1)
+        alpha3 = (-1j * 10.0 * dt / 3.0) * (h3 - 2.0 * h2 + h1)
+        c1 = _commutator(alpha1, alpha2)
+        c2 = _commutator(alpha1, 2.0 * alpha3 + c1) / -60.0
+        omega = alpha1 + alpha3 / 12.0 + _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+        # exp(Omega) = exp(-i M) with M = i Omega Hermitian
+        w, v = np.linalg.eigh(1j * omega)
         for step in np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w), v.conj()):
             u = step if u is None else step @ u
     return u

@@ -1,8 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qutritcr.device import DeviceParams
 from qutritcr.experiments import ExperimentConfig, cmd_calibrate
+
+# On CI, a falsifying example prints its @reproduce_failure blob, so a draw
+# that only CI finds can be replayed locally.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

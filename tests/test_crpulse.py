@@ -11,7 +11,7 @@ import qutritcr.propagate as propagate
 from qutritcr.calibrate import calibrate_cr_gate
 from qutritcr.crpulse import FlatTopCRPulse
 from qutritcr.device import DeviceParams, FrameSpec, transition_frequencies
-from qutritcr.errors import CalibrationFailed
+from qutritcr.errors import CalibrationFailed, InvalidParams
 from qutritcr.experiments import cmd_rabi
 from qutritcr.hamiltonian import rotating_frame_hamiltonian
 from qutritcr.linalg import herm_defect, ket2, unitary_defect
@@ -158,7 +158,8 @@ class TestStackedHamiltonian:
         sched = build_cr_schedule(device, "12", 0.41, 100.0)
         frame = FrameSpec(*(2 * [transition_frequencies(device, dressed=True).w12_2]))
         prov = rotating_frame_hamiltonian(device, frame, sched, rwa=True)
-        ts = 0.0125 + 0.025 * np.arange(800)
+        mids = 0.04 + 0.08 * np.arange(250)
+        ts = np.concatenate([mids - np.sqrt(15.0) / 10.0 * 0.08, mids, mids + np.sqrt(15.0) / 10.0 * 0.08])
         assert np.array_equal(prov(ts), np.stack([prov(t) for t in ts]))
 
 
@@ -210,3 +211,15 @@ def test_dressed_carrier_diagonalized_once(device, monkeypatch):
     for width in range(10):
         pulse.schedule(float(width))
     assert len(calls) <= 1
+
+
+def test_flat_top_below_the_rwa_cutoff_is_rejected():
+    # with 2c <= RWA_CUTOFF_GHZ the RWA keeps the counter-rotating drive, so
+    # the flat top is not constant; here the 12 carrier is 0.9 GHz
+    p = DeviceParams(omega1=0.6, omega2=1.2)
+    with pytest.raises(InvalidParams, match="not constant"):
+        FlatTopCRPulse(p, "12", 0.05)
+    with pytest.raises(InvalidParams, match="not constant"):
+        crpulse.cr_pulse(p, "12", 0.05)
+    # the 01 carrier, 1.2 GHz, is above the cutoff
+    assert FlatTopCRPulse(p, "01", 0.05).unitary(100.0).shape == (9, 9)

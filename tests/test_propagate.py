@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutritcr import propagate
+from qutritcr.crpulse import FlatTopCRPulse
 from qutritcr.device import DeviceParams, FrameSpec, transition_frequencies
 from qutritcr.hamiltonian import rotating_frame_hamiltonian
 from qutritcr.linalg import expm_unitary, ket2
@@ -29,6 +30,7 @@ _DEVICE = DeviceParams()
 # drive period T = 1/(2c) of a CR tone at the target's dressed transition c
 _PERIOD = {sub: 0.5 / transition_frequencies(_DEVICE, dressed=True).of(2, sub) for sub in ("01", "12")}
 ORACLE_OPTIONS = EvolveOptions(rel_tol=1e-11, abs_tol=1e-13)
+EDGE_ORACLE_OPTIONS = EvolveOptions(rel_tol=1e-12, abs_tol=1e-14)
 # max |U - U_oracle| of the bare-frame DOP853 at FULL_MODEL_OPTIONS on the default cr01_pi
 FULL_MODEL_ERR = 4.9e-8
 
@@ -267,3 +269,37 @@ class TestRWAUnitary:
         blocked = propagate._stepped_unitary(prov, 0.0, sched.duration)
         monkeypatch.setattr(propagate, "_MAGNUS_BLOCK", 10**6)
         assert np.array_equal(blocked, propagate._stepped_unitary(prov, 0.0, sched.duration))
+
+    @pytest.mark.parametrize("sub", ["01", "12"])
+    @pytest.mark.parametrize("amp", [0.2, 0.35, 0.5])
+    def test_cr_edges_match_a_tight_oracle(self, sub, amp):
+        # the rise and fall Magnus propagators against drive-frame DOP853
+        pulse = FlatTopCRPulse(_DEVICE, sub, amp)
+        u_rise, u_fall, _, _ = pulse._pieces
+        sched = pulse.schedule(100.0)
+        prov = rotating_frame_hamiltonian(_DEVICE, pulse.frame, sched, rwa=True)
+        rise = evolve_unitary(prov, 0.0, 20.0, EDGE_ORACLE_OPTIONS)
+        fall = evolve_unitary(prov, 120.0, sched.duration, EDGE_ORACLE_OPTIONS)
+        assert np.max(np.abs(u_rise - rise)) <= 1.5e-9
+        assert np.max(np.abs(u_fall - fall)) <= 1.5e-9
+
+    def test_magnus_error_falls_as_the_sixth_power_of_the_step(self, monkeypatch):
+        # halving h cuts a sixth-order error 64x (a fourth-order one 16x)
+        pulse = FlatTopCRPulse(_DEVICE, "01", 0.35)
+        prov = rotating_frame_hamiltonian(_DEVICE, pulse.frame, pulse.schedule(100.0), rwa=True)
+        rise = evolve_unitary(prov, 0.0, 20.0, EDGE_ORACLE_OPTIONS)
+        errors = []
+        for step in (0.4, 0.2):
+            monkeypatch.setattr(propagate, "_MAGNUS_STEP", step)
+            errors.append(np.max(np.abs(propagate._stepped_unitary(prov, 0.0, 20.0) - rise)))
+        assert errors[0] >= 32.0 * errors[1]
+
+
+def test_end_state_only_matches_the_full_history(device, cal_store, monkeypatch):
+    # evolve_unitary asks solve_ivp for t1 alone instead of every step's state
+    kept = [full_model_unitary(device, cal_store.get(name).schedule) for name in GATE_SET]
+    solve = propagate._solve
+    monkeypatch.setattr(propagate, "_solve", lambda rhs, y0, t0, t1, opts, t_eval=None: solve(rhs, y0, t0, t1, opts))
+    for name, u in zip(GATE_SET, kept):
+        history = full_model_unitary(device, cal_store.get(name).schedule)
+        assert np.max(np.abs(u - history)) <= 1e-15, name
