@@ -510,8 +510,9 @@ def refine_full_model(
     terms mostly contribute ac-Stark phase shifts, which the virtual-phase
     correction absorbs.  The corrected fidelity must still clear
     min_fidelity; it is not checked against the RWA value.  With the default
-    configuration the RWA-minus-full gap is 1.86e-3 for cr01_pi, -6.2e-5 for
-    csx12 and at most 6.9e-7 for the single-qutrit gates.
+    configuration the RWA-minus-full gap is 1.856e-3 for cr01_pi, -6.21e-5
+    for csx12 and at most 6.90e-7 for the single-qutrit gates (x12_pi_1),
+    with the full model's propagators within 2.5e-8 of a rel-1e-11 DOP853.
     """
     if not gate.schedule.instructions:
         return gate
@@ -535,7 +536,9 @@ def refine_full_model(
 # 4: sixth-order Magnus for the RWA tune-ups, and a Newton polish of the
 # phase correction; the tune-ups land elsewhere (DRAG beta by <= 1.8e-5,
 # csx12's width by 2e-6 ns) and fidelities move <= 1.6e-10.
-CALIBRATION_VERSION = 4
+# 5: sixth-order Magnus for the full model (full_model_unitary); DOP853 runs
+# only the CR drive period, and every refined gate moves by <= ~1e-8.
+CALIBRATION_VERSION = 5
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

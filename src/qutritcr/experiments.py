@@ -369,9 +369,11 @@ def cmd_rabi(
         amp = config.scan_amp
     if np.isscalar(control_states):
         control_states = (int(control_states),)
+    if subspace not in ("01", "12"):
+        raise InvalidParams(f"subspace must be '01' or '12', not {subspace!r}")
     t0 = 2.0 * config.risefall
-    if t_max <= t0 or points < MIN_SAMPLES:
-        raise InvalidParams(f"need t_max > {t0} ns and at least {MIN_SAMPLES} points")
+    if not np.isfinite(t_max) or t_max <= t0 or points < MIN_SAMPLES:
+        raise InvalidParams(f"need a finite t_max > {t0} ns and at least {MIN_SAMPLES} points")
     widths = np.linspace(0.0, t_max - t0, int(points))
     os.makedirs(out_dir, exist_ok=True)
 
@@ -383,7 +385,8 @@ def cmd_rabi(
         with open(path, "w") as f:
             f.write("t_ns," + CSV_POP_HEADERS + "\n")
             for t, row in zip(trace.times, trace.populations):
-                f.write(f"{t:.6f}," + ",".join(f"{x:.10f}" for x in row) + "\n")
+                # full precision: t_ns parses back to the simulated time
+                f.write(f"{float(t)!r}," + ",".join(f"{x:.10f}" for x in row) + "\n")
         try:
             fit = fit_rabi(trace.times, trace.observable)
             fits[c] = fit

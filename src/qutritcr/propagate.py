@@ -1,10 +1,14 @@
 """Bare-frame propagators of schedules, one function per model.
 
-``rwa_unitary`` integrates under the RWA with fixed-step sixth-order Magnus
-(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) in the drive frame.
-``full_model_unitary`` integrates without the RWA with the ``evolve_*``
-functions: scipy's adaptive DOP853 (order 8, embedded error control).  States
-are never silently renormalized; norm drift is checked after every run.
+``rwa_unitary`` and ``full_model_unitary`` both integrate with fixed-step
+sixth-order Magnus (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
+in the drive frame; each step is the exponential of an anti-Hermitian
+matrix, so the propagators are unitary by construction.  Without the RWA the
+step resolves the counter-rotating drive at twice the carrier.  The
+``evolve_*`` functions wrap scipy's adaptive DOP853 (order 8, embedded error
+control); the full model uses it only for the one drive period of a CR flat
+top that is raised to a power.  States are never silently renormalized; norm
+drift is checked after every DOP853 run.
 """
 
 from __future__ import annotations
@@ -28,8 +32,17 @@ UNITARY_DRIFT_LIMIT = 1e-7
 # the detunings, so a CR edge lands within ~1e-9 of a rel-1e-12 DOP853.
 _MAGNUS_STEP = 0.08
 
+# Sixth-order Magnus step (ns) without the RWA: T/20 of the ~10 GHz
+# counter-rotating drive.  The DRAG gates and h3_1 land within ~5e-11 of a
+# rel-1e-11 DOP853; the CR gates' ~2.5e-8 is their DOP853 period's error,
+# raised to the n-th power.
+_FULL_MODEL_STEP = 0.005
+
 # Magnus steps built at once, so that long schedules do not raise peak memory.
-_MAGNUS_BLOCK = 512
+# A block's dozen (n, 9, 9) temporaries take ~2 MB at 128 steps; at 512 the
+# full model's 0.005 ns steps raised the pipeline's peak RSS by ~2 MB over
+# the DOP853 it replaced.
+_MAGNUS_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -126,14 +139,15 @@ def _commutator(a, b):
     return a @ b - b @ a
 
 
-def _stepped_unitary(prov, t0: float, t1: float) -> np.ndarray:
+def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> np.ndarray:
     """Sixth-order Magnus propagator over [t0, t1] (three-point Gauss nodes).
 
     Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 4: with
     A_i = -i H at the nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
-    step h, each step is exp(Omega).
+    step h, each step is exp(Omega).  The step is at most ``step`` ns,
+    ``_MAGNUS_STEP`` by default.
     """
-    n = max(int(np.ceil((t1 - t0) / _MAGNUS_STEP)), 1)
+    n = max(int(np.ceil((t1 - t0) / (_MAGNUS_STEP if step is None else step))), 1)
     dt = (t1 - t0) / n
     offset = np.sqrt(15.0) / 10.0 * dt
     mids = t0 + dt * np.arange(n) + dt / 2.0
@@ -170,57 +184,73 @@ def _rwa_flat_top(p: DeviceParams, schedule: Schedule):
     return _stepped_unitary(prov, 0.0, a), _stepped_unitary(prov, b, schedule.duration), w, v
 
 
+def _drive_frame(p: DeviceParams, plays) -> FrameSpec:
+    """The frame rotating at the first play's carrier on both transmons, or
+    the bare frame when there is no play or that carrier is not positive."""
+    if plays and plays[0].carrier_freq > 0:
+        return FrameSpec(plays[0].carrier_freq, plays[0].carrier_freq)
+    return FrameSpec.bare(p)
+
+
 def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     """Bare-frame propagator of a schedule over [0, duration] under the RWA.
 
-    Magnus runs in the frame rotating at the first play's carrier c on both
-    transmons (the bare frame without a play), where the retained terms do
-    not oscillate.  A lone Gaussian-square play's flat top is then constant
-    once 2c exceeds the RWA cutoff, and is exponentiated exactly.
+    Magnus runs in the drive frame (``_drive_frame``), where the retained
+    terms do not oscillate.  A lone Gaussian-square play's flat top is then
+    constant once 2c exceeds the RWA cutoff, and is exponentiated exactly.
     """
-    bare = FrameSpec.bare(p)
     plays = schedule.plays()
-    c = plays[0].carrier_freq if plays else None
-    drive = FrameSpec(c, c) if plays else bare
-    if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare) and 2.0 * c > RWA_CUTOFF_GHZ:
+    drive = _drive_frame(p, plays)
+    if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare) and 2.0 * plays[0].carrier_freq > RWA_CUTOFF_GHZ:
         u_rise, u_fall, w, v = _rwa_flat_top(p, schedule)
         u = u_fall @ (v * np.exp(-1j * w * plays[0].shape.width)) @ dag(v) @ u_rise
     else:
         u = _stepped_unitary(rotating_frame_hamiltonian(p, drive, schedule, rwa=True), 0.0, schedule.duration)
-    return reframe(u, drive, bare, schedule.duration)
+    return reframe(u, drive, FrameSpec.bare(p), schedule.duration)
+
+
+def _full_model_steps(prov, t0: float, t1: float, edges) -> np.ndarray:
+    """Magnus at ``_FULL_MODEL_STEP`` over [t0, t1], with a step boundary at
+    every play edge inside it: H(t) has a kink there, which a step that
+    straddles it resolves only to second order (a 0.5 GHz CR rise starting
+    0.75 ns in lands 9e-8 off; split, 2e-9)."""
+    bounds = [t0, *(t for t in edges if t0 < t < t1), t1]
+    u = _stepped_unitary(prov, bounds[0], bounds[1], _FULL_MODEL_STEP)
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        u = _stepped_unitary(prov, lo, hi, _FULL_MODEL_STEP) @ u
+    return u
 
 
 def full_model_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     """Bare-frame propagator of a schedule over [0, duration], without the RWA.
 
-    A schedule whose only play is a Gaussian square at carrier c > 0 is
-    integrated in the frame rotating at c on both transmons.  There the
-    coupling and the co-rotating drive are static and the counter-rotating
-    drive oscillates at 2c, so on the flat top H(t) is exactly periodic with
-    T = 1/(2c), and the plateau propagator is U_T^n times one remainder
-    piece, n = floor(width / T) (Floquet; Shirley, Phys. Rev. 138, B979
-    (1965)).  DOP853 runs on the rise, one period, the remainder and the
-    fall; U_T^n comes from repeated squaring.  Every other schedule is
-    integrated whole in the bare frame.  Both use FULL_MODEL_OPTIONS.
+    Magnus at ``_FULL_MODEL_STEP`` runs in the drive frame (``_drive_frame``),
+    where the coupling and the co-rotating drive are slow and the
+    counter-rotating drive oscillates at 2c.  A lone Gaussian-square play's
+    flat top is then exactly periodic with T = 1/(2c), and its propagator is
+    U_T^n times one remainder piece, n = floor(width / T) (Floquet; Shirley,
+    Phys. Rev. 138, B979 (1965)).  Magnus steps the rise, the remainder and
+    the fall; DOP853 at FULL_MODEL_OPTIONS runs the one period, and U_T^n
+    comes from repeated squaring.  Every other schedule is stepped whole.
+    Steps never straddle the start or end of a play.
     """
-    bare = FrameSpec.bare(p)
     plays = schedule.plays()
-    if len(plays) != 1 or not isinstance(plays[0].shape, GaussianSquare) or plays[0].carrier_freq <= 0:
-        prov = rotating_frame_hamiltonian(p, bare, schedule, rwa=False)
-        return evolve_unitary(prov, 0.0, schedule.duration, FULL_MODEL_OPTIONS)
-    play = plays[0]
-    drive = FrameSpec(play.carrier_freq, play.carrier_freq)
+    drive = _drive_frame(p, plays)
     prov = rotating_frame_hamiltonian(p, drive, schedule, rwa=False)
-    period = 0.5 / play.carrier_freq
-    a = play.start + play.shape.risefall
-    b = a + play.shape.width
-    n = int(play.shape.width // period)
-    while n and a + n * period > b:  # roundoff at widths that are whole periods
-        n -= 1
-    u = evolve_unitary(prov, 0.0, a, FULL_MODEL_OPTIONS)
-    if n:
-        u = np.linalg.matrix_power(evolve_unitary(prov, a, a + period, FULL_MODEL_OPTIONS), n) @ u
-    u = evolve_unitary(prov, a + n * period, b, FULL_MODEL_OPTIONS) @ u
-    u = evolve_unitary(prov, b, schedule.duration, FULL_MODEL_OPTIONS) @ u
-    return reframe(u, drive, bare, schedule.duration)
-
+    edges = sorted({t for play in plays for t in (play.start, play.end)})
+    if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare) and plays[0].carrier_freq > 0:
+        play = plays[0]
+        period = 0.5 / play.carrier_freq
+        a = play.start + play.shape.risefall
+        b = a + play.shape.width
+        n = int(play.shape.width // period)
+        while n and a + n * period > b:  # roundoff at widths that are whole periods
+            n -= 1
+        u = _full_model_steps(prov, 0.0, a, edges)
+        if n:
+            u = np.linalg.matrix_power(evolve_unitary(prov, a, a + period, FULL_MODEL_OPTIONS), n) @ u
+        u = _full_model_steps(prov, a + n * period, b, edges) @ u
+        u = _full_model_steps(prov, b, schedule.duration, edges) @ u
+    else:
+        u = _full_model_steps(prov, 0.0, schedule.duration, edges)
+    return reframe(u, drive, FrameSpec.bare(p), schedule.duration)

@@ -50,6 +50,18 @@ def test_rabi_rejects_too_few_points(runner, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_rabi_rejects_a_non_finite_t_max(runner, tmp_path, t_max):
+    res = runner.invoke(
+        main,
+        ["rabi", "--subspace", "01", "--control", "0", "--t-max-ns", t_max, "--out", str(tmp_path)],
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error:" in res.output and "Traceback" not in res.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bell_requires_matching_store(runner, tmp_path):
     store = tmp_path / "cal.json"
     store.write_text(json.dumps({"fingerprint": "stale", "gates": {}}))

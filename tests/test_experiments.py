@@ -117,6 +117,18 @@ class TestCmdRabi:
         with pytest.raises(InvalidParams):
             cmd_rabi(config, "01", (0,), t_max=10.0, points=24, out_dir=str(tmp_path))
 
+    def test_unknown_subspace_rejected_before_any_file(self, config, tmp_path):
+        with pytest.raises(InvalidParams, match="subspace"):
+            cmd_rabi(config, "02", (0,), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_time_column_parses_back_to_the_simulated_time(self, config, tmp_path):
+        cmd_rabi(config, "12", (0,), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path))
+        rows = np.loadtxt(tmp_path / "rabi_12_c0.csv", delimiter=",", skiprows=1)
+        t0 = 2.0 * config.risefall
+        expected = np.linspace(0.0, 300.0 - t0, 24) + t0
+        assert np.all(np.abs(rows[:, 0] - expected) <= np.spacing(expected))
+
 
 class TestCmdBell:
     @pytest.fixture(scope="class")

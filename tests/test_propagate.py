@@ -13,7 +13,6 @@ from qutritcr.device import DeviceParams, FrameSpec, transition_frequencies
 from qutritcr.hamiltonian import rotating_frame_hamiltonian
 from qutritcr.linalg import expm_unitary, ket2
 from qutritcr.propagate import (
-    FULL_MODEL_OPTIONS,
     EvolveOptions,
     evolve_state,
     evolve_trace,
@@ -31,7 +30,9 @@ _DEVICE = DeviceParams()
 _PERIOD = {sub: 0.5 / transition_frequencies(_DEVICE, dressed=True).of(2, sub) for sub in ("01", "12")}
 ORACLE_OPTIONS = EvolveOptions(rel_tol=1e-11, abs_tol=1e-13)
 EDGE_ORACLE_OPTIONS = EvolveOptions(rel_tol=1e-12, abs_tol=1e-14)
-# max |U - U_oracle| of the bare-frame DOP853 at FULL_MODEL_OPTIONS on the default cr01_pi
+# max |U - U_oracle| of full_model_unitary on a CR play: the DOP853 period's
+# error, raised to the n-th power (the stored cr01_pi reads 2.5e-8; the
+# whole-schedule DOP853 that preceded it read 4.9e-8)
 FULL_MODEL_ERR = 4.9e-8
 
 
@@ -149,10 +150,27 @@ class TestTraceAndPopulations:
 
 
 def _traced_pieces(p, sched):
-    """full_model_unitary's propagator and the [t0, t1] of every DOP853 piece it ran."""
-    with mock.patch.object(propagate, "evolve_unitary", wraps=propagate.evolve_unitary) as spy:
+    """full_model_unitary's propagator, the [t0, t1] of every Magnus piece it
+    stepped and of every DOP853 piece it ran."""
+    with (
+        mock.patch.object(propagate, "_stepped_unitary", wraps=propagate._stepped_unitary) as magnus,
+        mock.patch.object(propagate, "evolve_unitary", wraps=propagate.evolve_unitary) as dop853,
+    ):
         u = full_model_unitary(p, sched)
-    return u, [call.args[1:3] for call in spy.call_args_list]
+    return u, [call.args[1:3] for call in magnus.call_args_list], [call.args[1:3] for call in dop853.call_args_list]
+
+
+def _other_schedule(case):
+    """A DRAG gate, two plays on two channels, or two DRAG gates in a row."""
+    carrier = transition_frequencies(_DEVICE, dressed=True)
+    drag = Schedule((Play(1, 0.0, DragGaussian(0.06, 2.0, 8.0, 0.4), carrier.w01_1),))
+    if case == "drag":
+        return drag
+    if case == "two_plays":
+        square = GaussianSquare(0.3, 1.5, 3.0, 2.0)
+        return Schedule((Play(1, 0.0, square, carrier.w01_2), Play(2, 1.0, DragGaussian(0.05, 2.0, 8.0), carrier.w01_2)))
+    second = Schedule((Play(1, 0.0, DragGaussian(0.08, 2.0, 8.0, -0.3), carrier.w12_1),))
+    return concat(drag, second)
 
 
 @st.composite
@@ -191,39 +209,64 @@ class TestFullModelUnitary:
     @example(("01", 0.3, -2.0, 0.0, 2.0, 37 * _PERIOD["01"]))
     @example(("01", 0.3, 2.0, 2.5, 2.0, 37 * _PERIOD["01"] + 1e-12))
     @example(("12", 0.2, 0.5, 0.0, 6.0, 23 * _PERIOD["12"] - 1e-12))
+    @example(("01", 0.5, 0.0, 0.75, 2.1875, 0.0))  # 9.2e-8 with a step across the play start
     def test_matches_the_bare_frame_oracle(self, case):
         sub, amp, phase, start, risefall, width = case
         sched = build_cr_schedule(_DEVICE, sub, amp, width, risefall, phase).shifted(start)
-        u, pieces = _traced_pieces(_DEVICE, sched)
+        u, magnus, dop853 = _traced_pieces(_DEVICE, sched)
         u_oracle = evolve_unitary(
             rotating_frame_hamiltonian(_DEVICE, FrameSpec.bare(_DEVICE), sched, rwa=False),
             0.0, sched.duration, ORACLE_OPTIONS,
         )
         assert np.max(np.abs(u - u_oracle)) <= FULL_MODEL_ERR
 
-        # rise, [one period,] remainder, fall: they tile [0, duration] and the
-        # n whole periods never pass the plateau end
+        # Magnus steps the rise (split where the play starts), remainder and
+        # fall; DOP853 runs at most one period, which the n whole periods
+        # follow; they tile [0, duration] and never pass the plateau end
         a, b, period = start + risefall, start + risefall + width, _PERIOD[sub]
-        assert pieces[0] == (0.0, a) and pieces[-1] == (b, sched.duration)
-        rest_start, rest_end = pieces[-2]
-        assert rest_end == b and a <= rest_start <= b and b - rest_start < period + 1e-9
-        assert len(pieces) == 3 or pieces[1] == (a, a + period)
+        *rise, rest, fall = magnus
+        assert rise == ([(0.0, start), (start, a)] if start else [(0.0, a)])
+        assert rest[1] == b and fall == (b, sched.duration)
+        assert a <= rest[0] <= b and b - rest[0] < period + 1e-9
+        assert dop853 == ([(a, a + period)] if rest[0] > a else [])
 
     @pytest.mark.parametrize("case", ["drag", "two_plays", "h3_concat"])
-    def test_other_schedules_fall_back_bit_identically(self, case):
-        carrier = transition_frequencies(_DEVICE, dressed=True)
-        drag = Schedule((Play(1, 0.0, DragGaussian(0.06, 2.0, 8.0, 0.4), carrier.w01_1),))
-        if case == "drag":
-            sched = drag
-        elif case == "two_plays":
-            square = GaussianSquare(0.3, 1.5, 3.0, 2.0)
-            sched = Schedule((Play(1, 0.0, square, carrier.w01_2), Play(2, 1.0, DragGaussian(0.05, 2.0, 8.0), carrier.w01_2)))
-        else:
-            second = Schedule((Play(1, 0.0, DragGaussian(0.08, 2.0, 8.0, -0.3), carrier.w12_1),))
-            sched = concat(drag, second)
+    def test_other_schedules_are_stepped_whole(self, case):
+        # the whole-schedule DOP853 that preceded Magnus reads 2.1e-10, 1.8e-9
+        # and 7.0e-10 here.  two_plays drives the control with a 0.3 GHz
+        # square; there the rel-1e-11 oracle is itself 2.8e-10 off a rel-1e-13
+        # one, and Magnus 1.9e-9 (DOP853 1.5e-9)
+        bound = {"drag": 1e-10, "two_plays": 2.5e-9, "h3_concat": 1e-10}[case]
+        # no DOP853, and a step boundary at every play's start and end
+        pieces = {"drag": [(0.0, 8.0)], "two_plays": [(0.0, 1.0), (1.0, 8.0), (8.0, 9.0)], "h3_concat": [(0.0, 8.0), (8.0, 16.0)]}
+        sched = _other_schedule(case)
+        u, magnus, dop853 = _traced_pieces(_DEVICE, sched)
+        assert magnus == pieces[case] and dop853 == []
         prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec.bare(_DEVICE), sched, rwa=False)
-        u_bare = evolve_unitary(prov, 0.0, sched.duration, FULL_MODEL_OPTIONS)
-        assert np.array_equal(full_model_unitary(_DEVICE, sched), u_bare)
+        u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
+        assert np.max(np.abs(u - u_oracle)) <= bound
+
+    def test_magnus_error_falls_as_the_sixth_power_of_the_step(self, monkeypatch):
+        # doubling the step to 0.01 ns raises a sixth-order error 64x
+        sched = _other_schedule("drag")
+        prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec.bare(_DEVICE), sched, rwa=False)
+        u_oracle = evolve_unitary(prov, 0.0, sched.duration, EDGE_ORACLE_OPTIONS)
+        errors = []
+        for step in (2.0 * propagate._FULL_MODEL_STEP, propagate._FULL_MODEL_STEP):
+            monkeypatch.setattr(propagate, "_FULL_MODEL_STEP", step)
+            errors.append(np.max(np.abs(full_model_unitary(_DEVICE, sched) - u_oracle)))
+        assert errors[0] >= 32.0 * errors[1]
+
+    def test_stored_gates_match_the_bare_frame_oracle(self, device, cal_store):
+        # the whole-schedule DOP853 that preceded Magnus read 2.4e-10 on
+        # x01_pi_1, 2.2e-10 on h3_1, 3.6e-8 on cr01_pi and 8.7e-9 on csx12
+        bounds = {"cr01_pi": 3e-8, "csx12": 8.7e-9}
+        for name in GATE_SET:
+            sched = cal_store.get(name).schedule
+            prov = rotating_frame_hamiltonian(device, FrameSpec.bare(device), sched, rwa=False)
+            u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
+            err = np.max(np.abs(full_model_unitary(device, sched) - u_oracle))
+            assert err <= bounds.get(name, 1e-10), (name, err)
 
 
 class TestRWAUnitary:
