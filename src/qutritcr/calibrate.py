@@ -538,7 +538,11 @@ def refine_full_model(
 # csx12's width by 2e-6 ns) and fidelities move <= 1.6e-10.
 # 5: sixth-order Magnus for the full model (full_model_unitary); DOP853 runs
 # only the CR drive period, and every refined gate moves by <= ~1e-8.
-CALIBRATION_VERSION = 5
+# 6: a [9/9] Pade exponential for each Magnus step and np.exp for every
+# envelope sample; propagators move by roundoff, fidelities by <= 6e-13 from
+# the same tune-ups, and a live tune-up can stop elsewhere within its
+# tolerance (a cold csx12 moved -2.7e-10).
+CALIBRATION_VERSION = 6
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

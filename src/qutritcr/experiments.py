@@ -29,10 +29,11 @@ from .calibrate import (
 from .device import DeviceParams
 from .effective import bell_state, ideal_ucr, rx_subspace
 from .errors import BadDistribution, InvalidParams, NoOscillation
-from .fitting import MIN_SAMPLES, fit_rabi
+from .fitting import MAX_SAMPLES, MIN_SAMPLES, fit_rabi
 from .linalg import ket2, kron
 from .metrics import MetricReport, concurrence, state_fidelity
 from .propagate import full_model_unitary, rwa_unitary
+from .pulses import AMP_CAP_GHZ
 
 H3_THETA1 = 2.0 * np.arccos(1.0 / np.sqrt(3.0))
 
@@ -374,6 +375,10 @@ def cmd_rabi(
     t0 = 2.0 * config.risefall
     if not np.isfinite(t_max) or t_max <= t0 or points < MIN_SAMPLES:
         raise InvalidParams(f"need a finite t_max > {t0} ns and at least {MIN_SAMPLES} points")
+    if points > MAX_SAMPLES:
+        raise InvalidParams(f"at most {MAX_SAMPLES} points, got {points}")
+    if not abs(amp) <= AMP_CAP_GHZ:
+        raise InvalidParams(f"amp must be finite with |amp| <= {AMP_CAP_GHZ} GHz, got {amp}")
     widths = np.linspace(0.0, t_max - t0, int(points))
     os.makedirs(out_dir, exist_ok=True)
 

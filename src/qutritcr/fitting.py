@@ -15,6 +15,9 @@ PEAK_OVER_MEDIAN = 3.0
 # Fewest samples fit_rabi accepts for a frequency estimate.
 MIN_SAMPLES = 16
 
+# Most points a Rabi sweep takes (cmd_rabi): ~100 MB of states and fits.
+MAX_SAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class FitResult:

@@ -58,6 +58,18 @@ class _Window:
     terms: tuple[_OscTerm, ...]
 
 
+def _scaled(env: np.ndarray, term: _OscTerm) -> np.ndarray:
+    """(conj(env) if term.conj else env) * term.scale for an array of envelope
+    samples, each rounded as Python rounds that complex product.  numpy's
+    complex multiply may fuse it (FMA) and differ in the last bit."""
+    er, ei = env.real, (-env.imag if term.conj else env.imag)
+    sr, si = term.scale.real, term.scale.imag
+    c = np.empty(len(er), dtype=complex)
+    c.real = er * sr - ei * si
+    c.imag = er * si + ei * sr
+    return c
+
+
 def _nearest_subspace(p: DeviceParams, channel: int, carrier: float) -> str:
     """Which virtual-phase frame a pulse belongs to, by carrier proximity."""
     w01 = p.omega1 if channel == 1 else p.omega2
@@ -117,11 +129,15 @@ class RotatingFrameHamiltonian:
     def __call__(self, t):
         """H_rot(t) for a float t; for a 1-d numpy array of times, the (n, 9, 9) stack.
 
-        Both paths sum the same operator coefficients, with each envelope
-        sampled by its scalar ``sample``, and go through the same product, so
-        every matrix of the stack equals the scalar evaluation at that time
-        up to the last bit of the oscillation factors (bit-identical when all
-        of them are 1, as in a drive frame under the RWA).
+        Both paths take each envelope from the same ``sample``: the float path
+        one float at a time, the stack once per window on all its nodes, with
+        the same exp and operations, so the samples agree bit for bit.  The
+        stack scales them by each term's factor as Python rounds a complex
+        product, and both paths sum the same operator coefficients through
+        the same product.  Every matrix of the stack therefore equals the
+        float evaluation at that time up to the last bit of the oscillation
+        factors (bit-identical when all of them are 1, as in a drive frame
+        under the RWA).
         """
         if isinstance(t, np.ndarray) and t.ndim:
             return self._stack(t.astype(float, copy=False))
@@ -148,12 +164,11 @@ class RotatingFrameHamiltonian:
             # a window open at every node takes the basic slice: no gather/scatter copies
             rows = slice(None) if on.all() else on
             t_on = ts[rows]
-            envs = None if w.shape is None else [w.shape.sample(x) for x in s[rows].tolist()]
+            env = None if w.shape is None else w.shape.sample(s[rows])
             for term in w.terms:
                 coef = np.exp(-2j * np.pi * term.freq * t_on)
-                if envs is not None:
-                    c = [(e.conjugate() if term.conj else e) * term.scale for e in envs]
-                    coef = np.array(c, dtype=complex) * coef
+                if env is not None:
+                    coef = _scaled(env, term) * coef
                 z[rows, term.op] += coef
         return self._assemble(z)
 

@@ -2,9 +2,12 @@
 
 ``rwa_unitary`` and ``full_model_unitary`` both integrate with fixed-step
 sixth-order Magnus (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
-in the drive frame; each step is the exponential of an anti-Hermitian
-matrix, so the propagators are unitary by construction.  Without the RWA the
-step resolves the counter-rotating drive at twice the carrier.  The
+in the drive frame.  Each step is the exponential of an anti-Hermitian
+matrix, taken as a [9/9] diagonal Pade approximant with scaling and squaring
+(Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)); for anti-Hermitian
+arguments that approximant is itself unitary, so the propagators are unitary
+by construction, up to roundoff.  Without the RWA the step resolves the
+counter-rotating drive at twice the carrier.  The
 ``evolve_*`` functions wrap scipy's adaptive DOP853 (order 8, embedded error
 control); the full model uses it only for the one drive period of a CR flat
 top that is raised to a power.  States are never silently renormalized; norm
@@ -139,13 +142,54 @@ def _commutator(a, b):
     return a @ b - b @ a
 
 
+# Numerator coefficients b_0..b_9 of the [9/9] Pade approximant to exp, and
+# the largest 1-norm theta_9 at which its backward error stays below double
+# precision's unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+# (2005), table 2.3).
+_PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)
+_THETA9 = 2.097847961257068
+
+
+def _unitary_exp(omega: np.ndarray) -> np.ndarray:
+    """exp of each anti-Hermitian matrix in an (n, d, d) stack.
+
+    The [9/9] diagonal Pade approximant r(A) = p(-A)^-1 p(A) with scaling and
+    squaring.  Its coefficients are real, so for anti-Hermitian A,
+    p(-A) = p(A)^dagger and each eigenvalue i lambda maps to
+    p(i lambda) / conj(p(i lambda)), of modulus 1: the step is unitary by
+    construction, up to roundoff.  A matrix whose 1-norm exceeds theta_9 is
+    scaled by 2^-s and its approximant squared s times; s comes from that
+    matrix alone, so each result is the same whichever stack it rides in.
+    """
+    b = _PADE9
+    s = np.maximum(np.frexp(np.abs(omega).sum(axis=-2).max(axis=-1) / _THETA9)[1], 0)
+    a = omega if not s.any() else omega * np.ldexp(1.0, -s)[:, None, None]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    a8 = a4 @ a4
+    eye = np.eye(a.shape[-1])
+    odd = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    even = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(even - odd, even + odd)
+    for k in range(s.max()):
+        big = s > k
+        r[big] = r[big] @ r[big]
+    return r
+
+
 def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> np.ndarray:
     """Sixth-order Magnus propagator over [t0, t1] (three-point Gauss nodes).
 
     Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 4: with
     A_i = -i H at the nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
     step h, each step is exp(Omega).  The step is at most ``step`` ns,
-    ``_MAGNUS_STEP`` by default.
+    ``_MAGNUS_STEP`` by default.  Omega is anti-Hermitian, and its
+    exponential is the [9/9] Pade approximant of ``_unitary_exp``, which maps
+    every eigenvalue i lambda onto the unit circle: each step is unitary by
+    construction.  On the default device an RWA step's 1-norm reaches ~1.1
+    and a full-model step's ~0.08, both below theta_9 = 2.1, so no step is
+    squared.
     """
     n = max(int(np.ceil((t1 - t0) / (_MAGNUS_STEP if step is None else step))), 1)
     dt = (t1 - t0) / n
@@ -163,9 +207,7 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
         c1 = _commutator(alpha1, alpha2)
         c2 = _commutator(alpha1, 2.0 * alpha3 + c1) / -60.0
         omega = alpha1 + alpha3 / 12.0 + _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
-        # exp(Omega) = exp(-i M) with M = i Omega Hermitian
-        w, v = np.linalg.eigh(1j * omega)
-        for step in np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w), v.conj()):
+        for step in _unitary_exp(omega):
             u = step if u is None else step @ u
     return u
 

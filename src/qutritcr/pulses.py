@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -25,14 +26,37 @@ AMP_CAP_GHZ = 1.0
 DEFAULT_RISEFALL_NS = 20.0
 
 
-def _lifted_gaussian(t, center, sigma, cutoff):
-    """exp(-(t-center)^2 / 2 sigma^2), lifted so it is 0 at distance ``cutoff``."""
-    edge = np.exp(-(cutoff**2) / (2.0 * sigma**2))
-    return (np.exp(-((t - center) ** 2) / (2.0 * sigma**2)) - edge) / (1.0 - edge)
+def _gaussian(d, var2):
+    """exp(-d^2 / var2) for an offset d from the center and var2 = 2 sigma^2.
+
+    ``d`` is a float or an array, and both take ``np.exp`` and the same
+    operations: an array sample then equals the float samples bit for bit,
+    which ``math.exp`` would not promise (it differs from ``np.exp`` in the
+    last bit on some inputs).  A float stays a Python float.
+    """
+    g = np.exp(-(d * d) / var2)
+    return g if isinstance(d, np.ndarray) else float(g)
+
+
+class _Lifted:
+    """The lifted Gaussian amp (exp(-d^2 / 2 sigma^2) - edge) / (1 - edge),
+    with edge its value at the offset ``_reach`` from the center, where it is
+    lifted to 0."""
+
+    @cached_property
+    def _var2(self) -> float:
+        return 2.0 * self.sigma * self.sigma
+
+    @cached_property
+    def _edge(self) -> float:
+        return _gaussian(self._reach, self._var2)
+
+    def _lifted(self, d):
+        return self.amp * (_gaussian(d, self._var2) - self._edge) / (1.0 - self._edge)
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Lifted):
     """Plain Gaussian envelope; amp in GHz, sigma/duration in ns."""
 
     amp: float
@@ -42,15 +66,18 @@ class Gaussian:
     def __post_init__(self):
         _check_shape(self.amp, self.sigma, self.duration)
 
-    def sample(self, t: float) -> complex:
+    @cached_property
+    def _reach(self) -> float:
+        return self.duration / 2.0
+
+    def sample(self, t):
+        """Envelope at t ns (a float, or an array of them) inside [0, duration]."""
         _check_window(t, self.duration)
-        c = self.duration / 2.0
-        edge = math.exp(-(c * c) / (2.0 * self.sigma**2))
-        return self.amp * (math.exp(-((t - c) ** 2) / (2.0 * self.sigma**2)) - edge) / (1.0 - edge)
+        return self._lifted(t - self._reach)
 
 
 @dataclass(frozen=True)
-class GaussianSquare:
+class GaussianSquare(_Lifted):
     """Flat-top envelope with lifted-Gaussian rise and fall edges."""
 
     amp: float
@@ -59,32 +86,38 @@ class GaussianSquare:
     width: float
 
     def __post_init__(self):
-        if self.risefall <= 0 or self.width < 0:
-            raise InvalidParams("risefall must be > 0 and width >= 0")
+        if not (0.0 < self.risefall < math.inf and 0.0 <= self.width < math.inf):
+            raise InvalidParams("risefall must be finite and > 0, and width finite and >= 0")
         _check_shape(self.amp, self.sigma, self.duration)
 
     @property
     def duration(self) -> float:
         return self.width + 2.0 * self.risefall
 
-    def sample(self, t: float) -> complex:
+    @cached_property
+    def _reach(self) -> float:
+        return self.risefall
+
+    def sample(self, t):
+        """Envelope at t ns (a float, or an array of them) inside [0, duration]."""
         _check_window(t, self.duration)
-        if self.risefall < t < self.risefall + self.width:
+        fall = self.risefall + self.width
+        if isinstance(t, np.ndarray):
+            d = np.where(t <= self.risefall, t - self.risefall, t - fall)
+            return np.where((self.risefall < t) & (t < fall), complex(self.amp), self._lifted(d))
+        if self.risefall < t < fall:
             return complex(self.amp)
-        center = self.risefall if t <= self.risefall else self.risefall + self.width
-        edge = math.exp(-(self.risefall**2) / (2.0 * self.sigma**2))
-        g = math.exp(-((t - center) ** 2) / (2.0 * self.sigma**2))
-        return self.amp * (g - edge) / (1.0 - edge)
+        return self._lifted(t - self.risefall if t <= self.risefall else t - fall)
 
     def area(self) -> float:
         """Integral of the envelope over its duration (GHz*ns)."""
         edge = np.linspace(0.0, self.risefall, 201)
-        rise = self.amp * _lifted_gaussian(edge, self.risefall, self.sigma, self.risefall)
+        rise = self.amp * ((_gaussian(edge - self.risefall, self._var2) - self._edge) / (1.0 - self._edge))
         return 2.0 * float(np.trapezoid(rise, edge)) + self.amp * self.width
 
 
 @dataclass(frozen=True)
-class DragGaussian:
+class DragGaussian(_Lifted):
     """Gaussian with a quadrature-derivative component: g(t) + i beta g'(t).
 
     Only the in-phase g is lifted to zero at the window edges.  The
@@ -100,34 +133,44 @@ class DragGaussian:
 
     def __post_init__(self):
         _check_shape(self.amp, self.sigma, self.duration)
+        if not math.isfinite(self.beta):
+            raise InvalidParams(f"beta must be finite, got {self.beta}")
 
-    def sample(self, t: float) -> complex:
+    @cached_property
+    def _reach(self) -> float:
+        return self.duration / 2.0
+
+    def sample(self, t):
+        """Envelope at t ns (a float, or an array of them) inside [0, duration]."""
         _check_window(t, self.duration)
-        c = self.duration / 2.0
-        edge = math.exp(-(c * c) / (2.0 * self.sigma**2))
-        bare = math.exp(-((t - c) ** 2) / (2.0 * self.sigma**2))
-        g = self.amp * (bare - edge) / (1.0 - edge)
-        dg = self.amp * bare * (-(t - c) / self.sigma**2) / (1.0 - edge)
-        return g + 1j * self.beta * dg
+        d = t - self._reach
+        bare = _gaussian(d, self._var2)
+        g = self.amp * (bare - self._edge) / (1.0 - self._edge)
+        dg = self.amp * bare * (-d / (self.sigma * self.sigma)) / (1.0 - self._edge)
+        return g + 1j * (self.beta * dg)
 
     def area(self) -> float:
         grid = np.linspace(0.0, self.duration, 801)
-        vals = np.array([self.sample(t).real for t in grid])
-        return float(np.trapezoid(vals, grid))
+        return float(np.trapezoid(self.sample(grid).real, grid))
 
 
 PulseShape = Union[Gaussian, GaussianSquare, DragGaussian]
 
 
 def _check_shape(amp, sigma, duration):
-    if duration <= 0 or sigma <= 0:
-        raise InvalidParams("sigma and duration must be positive")
-    if abs(amp) > AMP_CAP_GHZ:
-        raise InvalidParams(f"|amp| = {abs(amp):.3f} GHz exceeds the {AMP_CAP_GHZ} GHz cap")
+    if not (0.0 < duration < math.inf and 0.0 < sigma < math.inf):
+        raise InvalidParams("sigma and duration must be finite and positive")
+    if not abs(amp) <= AMP_CAP_GHZ:
+        raise InvalidParams(f"|amp| = {abs(amp):.3f} GHz: amp must be finite, within the {AMP_CAP_GHZ} GHz cap")
 
 
 def _check_window(t, duration):
-    if t < 0.0 or t > duration:
+    """Raise OutOfRange unless t (a float, or every entry of an array) is in [0, duration]."""
+    if isinstance(t, np.ndarray):
+        out = (t < 0.0) | (t > duration)
+        if out.any():
+            raise OutOfRange(f"t = {t[out][0]} ns outside [0, {duration}] ns")
+    elif t < 0.0 or t > duration:
         raise OutOfRange(f"t = {t} ns outside [0, {duration}] ns")
 
 

@@ -62,6 +62,32 @@ def test_rabi_rejects_a_non_finite_t_max(runner, tmp_path, t_max):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("amp", ["nan", "inf", "-inf"])
+def test_rabi_rejects_a_non_finite_amp_before_any_directory(runner, tmp_path, amp):
+    out = tmp_path / "out"
+    res = runner.invoke(
+        main,
+        ["rabi", "--subspace", "01", "--control", "0", "--amp-ghz", amp, "--out", str(out)],
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error:" in res.output and "Traceback" not in res.output
+    assert not out.exists()
+
+
+def test_rabi_rejects_too_many_points_before_allocating(runner, tmp_path):
+    # 1e11 points would ask np.linspace for 745 GiB
+    out = tmp_path / "out"
+    res = runner.invoke(
+        main,
+        ["rabi", "--subspace", "01", "--control", "0", "--points", "100000000000", "--out", str(out)],
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error:" in res.output and "Traceback" not in res.output
+    assert not out.exists()
+
+
 def test_bell_requires_matching_store(runner, tmp_path):
     store = tmp_path / "cal.json"
     store.write_text(json.dumps({"fingerprint": "stale", "gates": {}}))

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from qutritcr import propagate
 from qutritcr.crpulse import FlatTopCRPulse
 from qutritcr.device import DeviceParams, FrameSpec, transition_frequencies
 from qutritcr.hamiltonian import rotating_frame_hamiltonian
-from qutritcr.linalg import expm_unitary, ket2
+from qutritcr.linalg import expm_unitary, ket2, unitary_defect
 from qutritcr.propagate import (
     EvolveOptions,
     evolve_state,
@@ -336,6 +337,30 @@ class TestRWAUnitary:
             monkeypatch.setattr(propagate, "_MAGNUS_STEP", step)
             errors.append(np.max(np.abs(propagate._stepped_unitary(prov, 0.0, 20.0) - rise)))
         assert errors[0] >= 32.0 * errors[1]
+
+
+def _anti_hermitian_stack(rng, norms):
+    """-i H for random Hermitian 9x9 H, one per 1-norm in ``norms``."""
+    a = rng.normal(size=(len(norms), 9, 9)) + 1j * rng.normal(size=(len(norms), 9, 9))
+    omega = -0.5j * (a + a.conj().transpose(0, 2, 1))
+    return omega * (np.asarray(norms) / np.abs(omega).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+class TestUnitaryExp:
+    def test_matches_scipy_expm(self, rng):
+        # 1-norms past theta_9 = 2.1 are scaled and squared (8 takes two squarings)
+        omega = _anti_hermitian_stack(rng, np.repeat(np.geomspace(1e-3, 8.0, 12), 4))
+        got = propagate._unitary_exp(omega)
+        for r, om in zip(got, omega):
+            assert np.max(np.abs(r - scipy.linalg.expm(om))) <= 1e-14
+            assert unitary_defect(r) <= 1e-14
+
+    def test_each_step_is_independent_of_its_stack(self, rng):
+        # one step that needs squaring among steps that do not
+        omega = _anti_hermitian_stack(rng, [0.08, 1.13, 6.0, 0.08, 2.0])
+        stacked = propagate._unitary_exp(omega)
+        for k in range(len(omega)):
+            assert np.array_equal(stacked[k], propagate._unitary_exp(omega[k : k + 1])[0])
 
 
 def test_end_state_only_matches_the_full_history(device, cal_store, monkeypatch):

@@ -91,6 +91,61 @@ class TestEnvelopes:
         assert all(b > a for a, b in zip(es, es[1:]))
 
 
+_SHAPES = {
+    "gaussian": Gaussian(amp=0.02, sigma=8.0, duration=32.0),
+    "square": GaussianSquare(amp=-0.3, sigma=10.0, risefall=20.0, width=60.0),
+    "drag": DragGaussian(amp=0.06, sigma=8.0, duration=32.0, beta=0.4),
+}
+
+
+class TestArraySampling:
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    def test_array_equals_the_float_samples(self, name, rng):
+        shape = _SHAPES[name]
+        rf = getattr(shape, "risefall", shape.duration / 2.0)
+        width = getattr(shape, "width", 0.0)
+        ts = np.concatenate([[0.0, rf, rf + width, shape.duration], rng.uniform(0.0, shape.duration, 200)])
+        want = [shape.sample(t) for t in ts.tolist()]
+        assert np.array_equal(shape.sample(ts), np.array(want))
+
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    @pytest.mark.parametrize("outside", [-1e-9, 1e-9])
+    def test_one_point_outside_raises(self, name, outside):
+        shape = _SHAPES[name]
+        ts = np.linspace(0.0, shape.duration, 17)
+        ts[5] = outside if outside < 0.0 else shape.duration + outside
+        with pytest.raises(OutOfRange):
+            shape.sample(ts)
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: Gaussian(amp=x, sigma=8.0, duration=32.0),
+            lambda x: Gaussian(amp=0.02, sigma=x, duration=32.0),
+            lambda x: Gaussian(amp=0.02, sigma=8.0, duration=x),
+            lambda x: GaussianSquare(amp=x, sigma=10.0, risefall=20.0, width=60.0),
+            lambda x: GaussianSquare(amp=0.3, sigma=x, risefall=20.0, width=60.0),
+            lambda x: GaussianSquare(amp=0.3, sigma=10.0, risefall=x, width=60.0),
+            lambda x: GaussianSquare(amp=0.3, sigma=10.0, risefall=20.0, width=x),
+            lambda x: DragGaussian(amp=x, sigma=8.0, duration=32.0),
+            lambda x: DragGaussian(amp=0.06, sigma=x, duration=32.0),
+            lambda x: DragGaussian(amp=0.06, sigma=8.0, duration=x),
+            lambda x: DragGaussian(amp=0.06, sigma=8.0, duration=32.0, beta=x),
+        ],
+        ids=[
+            "gaussian.amp", "gaussian.sigma", "gaussian.duration",
+            "square.amp", "square.sigma", "square.risefall", "square.width",
+            "drag.amp", "drag.sigma", "drag.duration", "drag.beta",
+        ],
+    )
+    def test_rejected(self, make, bad):
+        with pytest.raises(InvalidParams):
+            make(bad)
+
+
 class TestSchedule:
     def test_width_zero_duration(self, device):
         # [TRIVIAL: definition] width=0 edge case
