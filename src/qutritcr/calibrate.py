@@ -52,22 +52,32 @@ _PHASE_WEIGHTS = np.hstack([
     (_EXCITATIONS[None, :] - _EXCITATIONS[:, None]).reshape(81, 1),
 ]).astype(float)
 
-# Newton polish of the phase correction: at most _NEWTON_STEPS steps, on
-# Hessian eigendirections above _CURVATURE_FLOOR times the largest (F's flat
-# directions sit at roundoff, ~1e-16 of it; the carrier phase of a target
-# rotated by 1e-5 rad at 3e-11), while the predicted rise in F exceeds
-# _NEWTON_GAIN.
-_NEWTON_STEPS = 8
-_CURVATURE_FLOOR = 1e-12
-_NEWTON_GAIN = 1e-15
+# Newton ascent of the phase correction: Hessian eigendirections whose
+# curvature is below _CURVATURE_FLOOR times the largest are left alone.  F's
+# flat directions sit at roundoff there, <= ~3e-16; the carrier phase of a
+# target 1e-5 rad from a pi rotation at ~3e-12, and F loses ~2e-11 if it is
+# left alone.  A run ends at a step that moves no phase by more than
+# _PHASE_TOL rad, or after _NEWTON_STEPS steps; a trial step is halved while
+# F falls by more than _F_ROUNDOFF, F's own rounding error.
+_CURVATURE_FLOOR = 1e-14
+_PHASE_TOL = 1e-13
+_NEWTON_STEPS = 50
+_F_ROUNDOFF = 1e-15
+# The free solve (carrier phase too) replaces the pinned one (carrier phase 0)
+# only when it rises F by more than this.
+_FREE_GAIN = 1e-13
+# The second fixed start of the pinned solve, (zc1, zc2, zt1, zt2).
+_FIXED_START = np.array([0.1, -0.1, 0.1, -0.1])
 
 SINGLE_QUTRIT_MIN_FID = 0.999
 CR_MIN_FID = 0.95
 
-# Largest unitarity defect a gate read from a store may carry.  Full-model
-# gates keep the DOP853 propagator's defect (up to propagate's 1e-7 drift
-# limit per pulse; 6e-8 for the default cr01_pi) and composites multiply
-# parts, so the bound sits above that and far below a corrupted matrix.
+# Largest unitarity defect a gate read from a store may carry.  Magnus
+# propagators are unitary to roundoff (<= 1e-12 for the default DRAG gates
+# and h3_1), but a full-model CR gate keeps the defect of its DOP853 drive
+# period raised to a power (1.7e-8 for the default cr01_pi, 7e-9 for csx12),
+# and composites multiply parts, so the bound sits above that and far below
+# a corrupted matrix.
 STORED_UNITARY_TOL = 1e-6
 
 
@@ -144,55 +154,85 @@ def _correction_phases(x: np.ndarray):
 def _overlap_terms(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The 81 terms w_jk = exp(i g_jk . x) m_jk of the trace overlap S, with
     g_jk the row j*9 + k of _PHASE_WEIGHTS."""
-    return _apply_phases(m, *_correction_phases(x)).reshape(PAIR_DIM * PAIR_DIM)
+    return m.reshape(PAIR_DIM * PAIR_DIM) * np.exp(1j * (_PHASE_WEIGHTS @ x))
 
 
-def _fidelity_and_gradient(m: np.ndarray, x: np.ndarray):
-    """Corrected fidelity F(x) and its gradient, with m = u * target.conj().
+def _fidelity_derivatives(m: np.ndarray, x: np.ndarray):
+    """Corrected fidelity F(x), its gradient and its Hessian, with
+    m = u * target.conj().
 
     F = (|S|^2 + 9) / 90 with the trace overlap S = sum_jk w_jk (see
-    _overlap_terms), so dS = i G^T w with G = _PHASE_WEIGHTS.
+    _overlap_terms), so dS = i G^T w and d2S = -G^T diag(w) G with
+    G = _PHASE_WEIGHTS, and 90 dF = 2 Re(conj(S) dS),
+    90 d2F = 2 Re(conj(S) d2S + dS dS^H); every product with G is taken on
+    real and imaginary parts apart.
     """
     w = _overlap_terms(m, x)
     s = w.sum()
-    ds = 1j * (w @ _PHASE_WEIGHTS)
-    return (abs(s) ** 2 + 9.0) / 90.0, 2.0 * np.real(np.conj(s) * ds) / 90.0
+    c = np.conj(s) * w
+    gw = w.view(float).reshape(-1, 2).T @ _PHASE_WEIGHTS  # rows Re, Im of G^T w
+    grad = -(c.imag @ _PHASE_WEIGHTS)
+    hess = gw.T @ gw - (_PHASE_WEIGHTS.T * c.real) @ _PHASE_WEIGHTS
+    return (abs(s) ** 2 + 9.0) / 90.0, grad / 45.0, hess / 45.0
+
+
+def _fidelity_and_gradient(m: np.ndarray, x: np.ndarray):
+    """F(x) and its gradient; see _fidelity_derivatives."""
+    return _fidelity_derivatives(m, x)[:2]
 
 
 def _fidelity_hessian(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Hessian of F(x) of _fidelity_and_gradient: with d2S = -G^T diag(w) G,
-    90 d2F = 2 Re(conj(S) d2S + dS dS^H)."""
-    w = _overlap_terms(m, x)
-    ds = 1j * (w @ _PHASE_WEIGHTS)
-    d2s = -(_PHASE_WEIGHTS.T * w) @ _PHASE_WEIGHTS
-    return 2.0 * np.real(np.conj(w.sum()) * d2s + np.outer(ds, ds.conj())) / 90.0
+    """Hessian of F(x); see _fidelity_derivatives."""
+    return _fidelity_derivatives(m, x)[2]
 
 
-def _newton_descent(fun, x0, **_):
-    """minimize() method: Newton steps on the directions of positive curvature.
+def _newton(fun, x0, **_):
+    """minimize() method: Newton steps on the exact Hessian.
 
     fun(x) returns (f, gradient, Hessian).  Each step solves the Newton
-    system on the Hessian's eigendirections above a relative floor (flat
-    directions are left alone) and is kept only if f falls; the walk stops
-    when the predicted fall drops below _NEWTON_GAIN.  Newton steps do not
-    depend on the scale of f along a direction, unlike BFGS's gradient test.
+    system with |lambda| on the Hessian's eigendirections above a relative
+    floor, so it descends where f is not convex and leaves flat directions
+    alone, and is halved while f rises by more than _F_ROUNDOFF.  The run
+    stops at a step that moves no coordinate by more than _PHASE_TOL: F
+    fixes the phases only to ~sqrt(eps), its gradient and Hessian to ~eps.
     """
     x = np.asarray(x0, dtype=float)
     f, grad, hess = fun(x)
     nfev = 1
     for _ in range(_NEWTON_STEPS):
         lam, vec = np.linalg.eigh(hess)
-        keep = lam > _CURVATURE_FLOOR * np.abs(lam).max()
-        proj = vec[:, keep].T @ grad
-        if 0.5 * proj @ (proj / lam[keep]) < _NEWTON_GAIN:
-            break
-        trial = x - vec[:, keep] @ (proj / lam[keep])
-        f_trial, grad_trial, hess_trial = fun(trial)
-        nfev += 1
-        if not f_trial < f:
-            break
+        keep = np.abs(lam) > _CURVATURE_FLOOR * np.abs(lam).max()
+        step = -vec[:, keep] @ ((vec[:, keep].T @ grad) / np.abs(lam[keep]))
+        while True:
+            if np.abs(step).max(initial=0.0) <= _PHASE_TOL:
+                return OptimizeResult(x=x, fun=f, nfev=nfev, success=True)
+            trial = x + step
+            f_trial, grad_trial, hess_trial = fun(trial)
+            nfev += 1
+            if f_trial <= f + _F_ROUNDOFF:
+                break
+            step = step / 2.0
         x, f, grad, hess = trial, f_trial, grad_trial, hess_trial
-    return OptimizeResult(x=x, fun=f, nfev=nfev, success=True)
+    return OptimizeResult(x=x, fun=f, nfev=nfev, success=False)
+
+
+def _wrap(x: np.ndarray) -> np.ndarray:
+    """Angles mapped into (-pi, pi]."""
+    return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
+
+
+def _aligned_start(m: np.ndarray) -> np.ndarray:
+    """Pinned start (zc1, zc2, zt1, zt2) in closed form, per transmon as
+    calibrate_virtual_phases does for the control: with the carrier phase at
+    0, S = sum_ab exp(i (zc_a + zt_b)) r_ab for the row sums r of m, and
+    each level's sum over the other transmon is turned into phase with its
+    level-0 sum.  Zeros when a sum vanishes.
+    """
+    r = m.sum(axis=1).reshape(3, 3)
+    sums = np.concatenate([r.sum(axis=1), r.sum(axis=0)])
+    if np.abs(sums).min() < 1e-12:
+        return np.zeros(4)
+    return np.angle(sums[[0, 0, 3, 3]] * sums[[1, 2, 4, 5]].conj())
 
 
 def phase_corrected_fidelity(u: np.ndarray, target: np.ndarray, x: np.ndarray) -> float:
@@ -206,32 +246,40 @@ def phase_corrected_fidelity(u: np.ndarray, target: np.ndarray, x: np.ndarray) -
 
 
 def optimize_phase_correction(u: np.ndarray, target: np.ndarray):
-    """Best virtual-phase correction of u toward target.
+    """Best virtual-phase correction of u toward target, as a function of u.
 
-    BFGS on the exact gradient from two fixed starts (the first start wins
-    ties), then Newton steps on the exact Hessian.  Returns (fidelity,
+    F has flat directions (2 pi shifts; for a target that permutes levels, a
+    carrier phase that the Z phases absorb), so a gauge is fixed: Newton
+    ascent (``_newton``) first with the carrier phase pinned to 0, from
+    zeros, a fixed start and the closed-form ``_aligned_start`` (the first
+    start wins ties within _FREE_GAIN), then with all five phases free from
+    that winner.  The free result is kept only if it rises F by more than
+    _FREE_GAIN.  The phases are wrapped into (-pi, pi].  Returns (fidelity,
     pre_phases, post_phases) with the carrier-phase conjugation folded into
     the two diagonals.
     """
     m = u * target.conj()
 
     def neg(x):
-        f, grad = _fidelity_and_gradient(m, x)
-        return -f, -grad
+        f, grad, hess = _fidelity_derivatives(m, x)
+        return -f, -grad, -hess
 
-    # gtol 1e-8 leaves F within ~1e-16 of its stationary value; tighter
-    # tolerances end in line-search precision loss and only add evaluations.
+    def pinned(y):
+        f, grad, hess = neg(np.append(y, 0.0))
+        return f, grad[:4], hess[:4, :4]
+
     best = None
-    for x0 in (np.zeros(5), np.array([0.1, -0.1, 0.1, -0.1, 0.0])):
-        res = minimize(neg, x0, jac=True, method="BFGS", options={"gtol": 1e-8})
-        if best is None or res.fun < best.fun:
+    for y0 in (np.zeros(4), _FIXED_START, _aligned_start(m)):
+        res = minimize(pinned, y0, method=_newton)
+        if best is None or res.fun < best.fun - _FREE_GAIN:
             best = res
-    # Where F depends on a phase only at second order in a small rotation
-    # angle (the carrier phase of a near-identity target), its gradient is
-    # below gtol from the start; Newton steps on the exact Hessian finish it.
-    best = minimize(lambda x: (*neg(x), -_fidelity_hessian(m, x)), best.x, method=_newton_descent)
-    pre, post = _correction_phases(best.x)
-    return -best.fun, pre, post
+    x, f = np.append(best.x, 0.0), -best.fun
+    free = minimize(neg, x, method=_newton)
+    if -free.fun > f + _FREE_GAIN:
+        x = free.x
+    x = _wrap(x)
+    pre, post = _correction_phases(x)
+    return _fidelity_and_gradient(m, x)[0], pre, post
 
 
 def calibrate_virtual_phases(achieved: np.ndarray, target: np.ndarray):
@@ -542,7 +590,11 @@ def refine_full_model(
 # envelope sample; propagators move by roundoff, fidelities by <= 6e-13 from
 # the same tune-ups, and a live tune-up can stop elsewhere within its
 # tolerance (a cold csx12 moved -2.7e-10).
-CALIBRATION_VERSION = 6
+# 7: a canonical phase correction (Newton with the carrier phase pinned to 0
+# first, phases wrapped into (-pi, pi]); the pi rotations' phases move along
+# F's flat directions to pre_phases = 0, and fidelities move <= ~1e-14 from
+# the same pulses.
+CALIBRATION_VERSION = 7
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

@@ -6,6 +6,7 @@ only cheap or targeted calibrations run fresh here.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
@@ -126,8 +127,22 @@ _PHASES = st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=5, max
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+_KINDS = st.sampled_from(["ucr01", "ucr12", "rx01_1", "rx12_1", "rx01_2", "rx12_2"])
+# a correction of up to 1.5 rad per phase, carrier phase included
+_SPOILS = st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=5, max_size=5).map(np.array)
+
+
 def _random_unitary(seed):
     return unitary_group.rvs(9, random_state=np.random.default_rng(seed))
+
+
+def _target(kind, theta):
+    """ideal_ucr ("ucr01", "ucr12") or a one-transmon rx_subspace
+    ("rx<subspace>_<channel>")."""
+    if kind.startswith("ucr"):
+        return ideal_ucr(kind[3:], theta)
+    rot = rx_subspace(kind[2:4], theta)
+    return kron(rot, np.eye(3)) if kind.endswith("1") else kron(np.eye(3), rot)
 
 
 class TestPhaseSolver:
@@ -143,30 +158,55 @@ class TestPhaseSolver:
         ]
         assert np.max(np.abs(grad - fd)) <= 1e-7
 
-    # Both fixed starts sit near x = 0, and F has local maxima: spoils of
-    # 1.5 rad per component can already end on one, so the range checked
-    # here is +/- 1 rad.
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.sampled_from(["ucr01", "ucr12", "rx01_1", "rx12_1", "rx01_2", "rx12_2"]),
-        st.floats(min_value=-np.pi, max_value=np.pi),
-        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=5, max_size=5).map(np.array),
-    )
+    @settings(max_examples=150, deadline=None)
+    @given(_KINDS, st.floats(min_value=-np.pi, max_value=np.pi), _SPOILS)
     # near-identity targets: F depends on the carrier phase only at O(theta^2)
     @example("ucr01", 1e-05, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
     @example("ucr01", 1e-04, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
     @example("rx12_2", -1e-05, np.array([0.3, -0.2, 0.0, 0.0, -1.0]))
     def test_recovers_spoiled_target(self, kind, theta, x):
-        if kind.startswith("ucr"):
-            t = ideal_ucr(kind[3:], theta)
-        else:
-            rot = rx_subspace(kind[2:4], theta)
-            t = kron(rot, np.eye(3)) if kind.endswith("1") else kron(np.eye(3), rot)
+        t = _target(kind, theta)
         pre, post = _correction_phases(x)
         u = _apply_phases(t, -pre, -post)
         f, pre_fit, post_fit = optimize_phase_correction(u, t)
         assert f >= 1.0 - 1e-12
         assert average_gate_fidelity(_apply_phases(u, pre_fit, post_fit), t) >= 1.0 - 1e-12
+
+    # Within ~0.04 rad of pi, a one-transmon rotation's carrier phase is
+    # nearly flat (curvature ~ (pi - theta)^2), so the optimum itself moves
+    # by up to ~eps / (pi - theta)^2: 8e-9 at 1e-3 rad from pi.  Pi itself
+    # is flat, and the pinned carrier phase fixes the gauge there.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _KINDS,
+        st.one_of(st.floats(min_value=0.1, max_value=3.1), st.just(np.pi)),
+        st.sampled_from([1.0, -1.0]),
+        _SPOILS,
+        _SEEDS,
+    )
+    def test_phases_are_a_function_of_the_gate(self, kind, theta, sign, x, seed):
+        # a 1e-12 perturbation exp(i eps G) of the gate, G random Hermitian,
+        # moves the returned phases by O(eps), never along a flat direction
+        t = _target(kind, sign * theta)
+        pre, post = _correction_phases(x)
+        u = _apply_phases(t, -pre, -post)
+        a = np.random.default_rng(seed).normal(size=(2, 9, 9))
+        g = (a[0] + 1j * a[1]) + (a[0] + 1j * a[1]).conj().T
+        _, pre1, post1 = optimize_phase_correction(u, t)
+        _, pre2, post2 = optimize_phase_correction(u @ scipy.linalg.expm(1e-12j * g), t)
+        for p1, p2 in ((pre1, pre2), (post1, post2)):
+            assert np.max(np.abs(np.angle(np.exp(1j * (p1 - p2))))) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["rx01_1", "rx12_1", "rx01_2", "rx12_2"]), st.sampled_from([np.pi, -np.pi]), _SPOILS)
+    def test_pi_rotations_need_no_pre_phases(self, kind, theta, x):
+        # a one-transmon pi rotation maps any diagonal to a diagonal, so the
+        # post phases alone absorb a carrier phase: the pinned gauge keeps it 0
+        t = _target(kind, theta)
+        pre, post = _correction_phases(x)
+        f, pre_fit, _ = optimize_phase_correction(_apply_phases(t, -pre, -post), t)
+        assert f >= 1.0 - 1e-12
+        assert np.array_equal(pre_fit, np.zeros(9))
 
     @settings(max_examples=20, deadline=None)
     @given(_SEEDS, _PHASES)
