@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 
 from .crpulse import cr_pulse
-from .device import DeviceParams, FrameSpec, transition_frequencies
+from .device import EXCITATIONS, DeviceParams, FrameSpec, transition_frequencies
 from .effective import ideal_ucr, rx_subspace
 from .errors import CalibrationFailed, InvalidParams
 from .fitting import fit_rabi
@@ -39,17 +39,12 @@ from .pulses import (
     schedule_to_dicts,
 )
 
-# Total excitation number per basis index; a global carrier-phase shift phi is
-# equivalent to conjugation by diag(exp(-i phi N)) because the coupling
-# conserves N.
-_EXCITATIONS = np.add.outer(np.arange(3), np.arange(3)).reshape(9).astype(float)
-
 # d(phase of term jk of the trace overlap S)/dx, row j*9 + k with j = 3a + b:
 # the post Z phases of control level a and target level b, and the
 # carrier-phase weight N_k - N_j.
 _PHASE_WEIGHTS = np.hstack([
     np.repeat([[a == 1, a == 2, b == 1, b == 2] for a in range(3) for b in range(3)], 9, axis=0),
-    (_EXCITATIONS[None, :] - _EXCITATIONS[:, None]).reshape(81, 1),
+    (EXCITATIONS[None, :] - EXCITATIONS[:, None]).reshape(81, 1),
 ]).astype(float)
 
 # Newton ascent of the phase correction: Hessian eigendirections whose
@@ -148,7 +143,7 @@ def _correction_phases(x: np.ndarray):
     """(pre, post) diagonals of the virtual correction x; see
     phase_corrected_fidelity for its five components."""
     theta = np.add.outer(np.array([0.0, x[0], x[1]]), np.array([0.0, x[2], x[3]])).reshape(9)
-    return x[4] * _EXCITATIONS, theta - x[4] * _EXCITATIONS
+    return x[4] * EXCITATIONS, theta - x[4] * EXCITATIONS
 
 
 def _overlap_terms(m: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ In the frame rotating at the drive carrier on both transmons, every retained
 term of the RWA Hamiltonian is oscillation-free, so during the flat top the
 Hamiltonian is a constant matrix: that section integrates exactly by
 eigendecomposition, and only the two short Gaussian edges need time steps
-(``propagate._rwa_flat_top``, as in ``propagate.rwa_unitary``).  The edge
-propagators are width-independent, so amplitude/width sweeps cost one pair
-of edge integrations plus diagonal phase arithmetic per point.  ``cr_pulse``
-hands out one shared pulse per setting, so scans and tune-ups at the same
-amplitude integrate its edges once.
+(``propagate._rwa_flat_top``, as in ``propagate.rwa_unitary``), and of
+those only the rise is integrated: the fall is its mirror image.  The edge
+propagators are width-independent, so amplitude/width sweeps cost one edge
+integration plus diagonal phase arithmetic per point.  ``cr_pulse`` hands
+out one shared pulse per setting, so scans and tune-ups at the same
+amplitude integrate its rise once.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def cr_pulse(
 
     A pulse is a deterministic function of its settings, so callers that
     drive the same tone (every control state of a Rabi sweep, a CR tune-up's
-    rate scan and its search) share one pair of edge integrations.  The
+    rate scan and its search) share one edge integration.  The
     returned pulse is shared: treat it as read-only.
     """
     return FlatTopCRPulse(p, subspace, amp, risefall, phase)

@@ -132,6 +132,12 @@ def drive_operator(p: DeviceParams, which: int) -> np.ndarray:
     return low + dag(low)
 
 
+# Total excitation number n1 + n2 per basis index 3 q1 + q2.  The coupling
+# conserves it, so a carrier-phase shift phi on both transmons is
+# conjugation by diag(exp(-i phi N)).
+EXCITATIONS = np.add.outer(np.arange(QUTRIT_DIM), np.arange(QUTRIT_DIM)).reshape(PAIR_DIM).astype(float)
+
+
 def number_diagonal(frame: FrameSpec) -> np.ndarray:
     """Diagonal of frame1*n1 + frame2*n2 over the 9 basis states (GHz)."""
     n = np.arange(QUTRIT_DIM, dtype=float)

@@ -77,6 +77,13 @@ def _nearest_subspace(p: DeviceParams, channel: int, carrier: float) -> str:
     return "01" if abs(carrier - w01) <= abs(carrier - w12) else "12"
 
 
+def play_phase(p: DeviceParams, schedule: Schedule, instr: Play) -> float:
+    """Drive phase of a play for its whole window: its carrier phase plus the
+    virtual phase of its nearest subspace accumulated by its start."""
+    sub = _nearest_subspace(p, instr.channel, instr.carrier_freq)
+    return instr.carrier_phase + schedule.virtual_phase(instr.channel, sub, instr.start)
+
+
 class RotatingFrameHamiltonian:
     """Callable t (ns) -> 9x9 Hermitian H_rot(t) in rad/ns; an array of n times
     gives the (n, 9, 9) stack."""
@@ -115,10 +122,8 @@ class RotatingFrameHamiltonian:
             self._windows.append(_Window(shape, t0, span, kept))
 
     def _add_play(self, instr: Play):
-        p = self.params
         f_ch = self.frame.frame1 if instr.channel == 1 else self.frame.frame2
-        sub = _nearest_subspace(p, instr.channel, instr.carrier_freq)
-        phase = instr.carrier_phase + self.schedule.virtual_phase(instr.channel, sub, instr.start)
+        phase = play_phase(self.params, self.schedule, instr)
         # Lab drive 2pi Re[env e^{-i(2pi f_c t + phase)}] (a + a†); in the frame the
         # lowering part rotates at -f_ch.  Split into co- and counter-rotating pieces.
         op = instr.channel

@@ -22,10 +22,10 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .device import DeviceParams, FrameSpec, reframe
+from .device import EXCITATIONS, DeviceParams, FrameSpec, reframe
 from .errors import NormDrift, StepFailure
-from .hamiltonian import RWA_CUTOFF_GHZ, rotating_frame_hamiltonian
-from .linalg import PAIR_DIM, dag, unitary_defect
+from .hamiltonian import RWA_CUTOFF_GHZ, play_phase, rotating_frame_hamiltonian
+from .linalg import PAIR_DIM, dag, expm_unitary, unitary_defect
 from .pulses import GaussianSquare, Schedule
 
 NORM_DRIFT_LIMIT = 1e-6
@@ -215,15 +215,30 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
 def _rwa_flat_top(p: DeviceParams, schedule: Schedule):
     """(u_rise, u_fall, w, v) of a schedule whose lone play is a Gaussian
     square at carrier c, 2c above the RWA cutoff: in the frame rotating at c,
-    Magnus over [0, flat-top start] and [flat-top end, duration], and the
-    flat top's constant Hamiltonian v diag(w) v^dagger.
+    the propagators over [0, flat-top start] and [flat-top end, duration],
+    and the flat top's constant Hamiltonian v diag(w) v^dagger.
+
+    Every retained term is static in that frame, so H(t) = Z^dagger H0(t) Z
+    with H0(t) real symmetric, Z = diag(exp(i phi N)), N the total excitation
+    number and phi the play's phase (``play_phase``), and H0's envelope is
+    even about the flat top's middle.  Magnus steps only the rise; its
+    symmetric three-node step is time-reversible (Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470, 151 (2009)), which makes the fall Z2^dagger u_rise^T Z2
+    with Z2 = Z^2.  Idle stretches before and after the play are
+    exponentiated exactly, so the stepped rise mirrors the fall.
     """
     play = schedule.plays()[0]
     prov = rotating_frame_hamiltonian(p, FrameSpec(play.carrier_freq, play.carrier_freq), schedule, rwa=True)
     a = play.start + play.shape.risefall
-    b = a + play.shape.width
     w, v = scipy.linalg.eigh(prov(a + play.shape.width / 2.0))
-    return _stepped_unitary(prov, 0.0, a), _stepped_unitary(prov, b, schedule.duration), w, v
+    u_rise = _stepped_unitary(prov, play.start, a)
+    z2 = np.exp(2j * play_phase(p, schedule, play) * EXCITATIONS)
+    u_fall = z2.conj()[:, None] * u_rise.T * z2
+    if play.start > 0.0:
+        u_rise = u_rise @ expm_unitary(prov(0.0), play.start)
+    if schedule.duration > play.end:
+        u_fall = expm_unitary(prov(schedule.duration), schedule.duration - play.end) @ u_fall
+    return u_rise, u_fall, w, v
 
 
 def _drive_frame(p: DeviceParams, plays) -> FrameSpec:

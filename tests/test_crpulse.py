@@ -181,7 +181,7 @@ class TestPulseReuse:
     def test_rabi_sweep_integrates_edges_once(self, config, tmp_path, monkeypatch):
         calls = _count_magnus(monkeypatch)
         cmd_rabi(config, "01", (0, 1, 2), 0.37, 300.0, 32, str(tmp_path))
-        assert len(calls) == 2  # rise and fall, shared by the three control states
+        assert len(calls) == 1  # the rise, shared by the three control states; the fall mirrors it
 
     def test_cr_tuneup_shares_rate_scan_pulse(self, device, monkeypatch):
         # max_evals=1: stage 1 plus one Nelder-Mead evaluation at amp_default
@@ -190,7 +190,7 @@ class TestPulseReuse:
             calibrate_cr_gate(device, "01", np.pi, 0.35, max_evals=1)
         except CalibrationFailed:
             pass
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_same_settings_same_pulse(self, device):
         assert crpulse.cr_pulse(device, "12", 0.2, 20.0) is crpulse.cr_pulse(device, "12", 0.2, 20.0)
