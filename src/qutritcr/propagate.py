@@ -139,7 +139,11 @@ def evolve_unitary(hprov, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OP
 
 
 def _commutator(a, b):
-    return a @ b - b @ a
+    """[a, b] for anti-Hermitian a and b (or stacks of them).  Then
+    (ab)^dagger = ba, so one product does, and the result is exactly
+    anti-Hermitian."""
+    ab = a @ b
+    return ab - ab.conj().swapaxes(-1, -2)
 
 
 # Numerator coefficients b_0..b_9 of the [9/9] Pade approximant to exp, and

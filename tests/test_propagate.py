@@ -373,6 +373,13 @@ def _anti_hermitian_stack(rng, norms):
     return omega * (np.asarray(norms) / np.abs(omega).sum(axis=-2).max(axis=-1))[:, None, None]
 
 
+def test_one_product_commutator_matches_two(rng):
+    a, b = _anti_hermitian_stack(rng, np.geomspace(1e-3, 2.0, 8)), _anti_hermitian_stack(rng, np.geomspace(2.0, 1e-3, 8))
+    got, want = propagate._commutator(a, b), a @ b - b @ a
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(got, -got.conj().transpose(0, 2, 1))
+
+
 class TestUnitaryExp:
     def test_matches_scipy_expm(self, rng):
         # 1-norms past theta_9 = 2.1 are scaled and squared (8 takes two squarings)
