@@ -373,6 +373,15 @@ def _anti_hermitian_stack(rng, norms):
     return omega * (np.asarray(norms) / np.abs(omega).sum(axis=-2).max(axis=-1))[:, None, None]
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 128])
+def test_pairwise_product_matches_the_loop(rng, n):
+    steps = propagate._unitary_exp(_anti_hermitian_stack(rng, np.full(n, 1.0)))
+    want = steps[0]
+    for step in steps[1:]:
+        want = step @ want
+    assert np.max(np.abs(propagate._ordered_product(steps) - want)) <= 1e-14
+
+
 def test_one_product_commutator_matches_two(rng):
     a, b = _anti_hermitian_stack(rng, np.geomspace(1e-3, 2.0, 8)), _anti_hermitian_stack(rng, np.geomspace(2.0, 1e-3, 8))
     got, want = propagate._commutator(a, b), a @ b - b @ a
