@@ -52,11 +52,12 @@ _PHASE_WEIGHTS = np.hstack([
 # flat directions sit at roundoff there, <= ~3e-16; the carrier phase of a
 # target 1e-5 rad from a pi rotation at ~3e-12, and F loses ~2e-11 if it is
 # left alone.  A run ends at a step that moves no phase by more than
-# _PHASE_TOL rad, or after _NEWTON_STEPS steps; a trial step is halved while
-# F falls by more than _F_ROUNDOFF, F's own rounding error.
+# _PHASE_TOL rad, or after _MAX_NEWTON_STEPS steps (roundoff keeps stepping
+# along a nearly flat direction); a trial step is halved while F falls by
+# more than _F_ROUNDOFF, F's own rounding error.
 _CURVATURE_FLOOR = 1e-14
 _PHASE_TOL = 1e-13
-_NEWTON_STEPS = 50
+_MAX_NEWTON_STEPS = 50
 _F_ROUNDOFF = 1e-15
 # The free solve (carrier phase too) replaces the pinned one (carrier phase 0)
 # only when it rises F by more than this.
@@ -194,7 +195,7 @@ def _newton(fun, x0, **_):
     x = np.asarray(x0, dtype=float)
     f, grad, hess = fun(x)
     nfev = 1
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_MAX_NEWTON_STEPS):
         lam, vec = np.linalg.eigh(hess)
         keep = np.abs(lam) > _CURVATURE_FLOOR * np.abs(lam).max()
         step = -vec[:, keep] @ ((vec[:, keep].T @ grad) / np.abs(lam[keep]))
@@ -587,8 +588,9 @@ def refine_full_model(
 # tolerance (a cold csx12 moved -2.7e-10).
 # 7: a canonical phase correction (Newton with the carrier phase pinned to 0
 # first, phases wrapped into (-pi, pi]); the pi rotations' phases move along
-# F's flat directions to pre_phases = 0, and fidelities move <= ~1e-14 from
-# the same pulses.
+# F's flat directions to pre_phases = 0, and fidelities move <= 1.1e-13 from
+# the same pulses.  The mirrored RWA fall edge and the pairwise Magnus step
+# product move propagators by roundoff, and a live tune-up's gate by <= 6e-10.
 CALIBRATION_VERSION = 7
 
 

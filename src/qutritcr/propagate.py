@@ -208,7 +208,8 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
     every eigenvalue i lambda onto the unit circle: each step is unitary by
     construction.  On the default device an RWA step's 1-norm reaches ~1.1
     and a full-model step's ~0.08, both below theta_9 = 2.1, so no step is
-    squared.
+    squared.  The steps are multiplied pairwise within each ``_GROUP``
+    (``_ordered_product``).
     """
     n = max(int(np.ceil((t1 - t0) / (_MAGNUS_STEP if step is None else step))), 1)
     dt = (t1 - t0) / n
@@ -276,7 +277,8 @@ def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
 
     Magnus runs in the drive frame (``_drive_frame``), where the retained
     terms do not oscillate.  A lone Gaussian-square play's flat top is then
-    constant once 2c exceeds the RWA cutoff, and is exponentiated exactly.
+    constant once 2c exceeds the RWA cutoff, and is exponentiated exactly;
+    its fall edge is its rise's mirror image (``_rwa_flat_top``).
     """
     plays = schedule.plays()
     drive = _drive_frame(p, plays)
