@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Times are in ns and frequencies in GHz throughout flags and files.  The
-QUTRITCR_SEED environment variable overrides the config seed.
+QUTRITCR_SEED environment variable overrides the config seed.  Errors,
+unwritable paths too, end in an ``Error:`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def rabi(subspace, control, amp_ghz, t_max_ns, points, config_path, out_dir):
     try:
         cfg = _load_config(config_path)
         sidecar = cmd_rabi(cfg, subspace, controls, amp_ghz, t_max_ns, points, out_dir)
-    except QutritCRError as exc:
+    except (QutritCRError, OSError) as exc:
         raise click.ClickException(str(exc))
     for name, fit in sorted(sidecar["fits"].items()):
         if "error" in fit:
@@ -87,7 +88,7 @@ def calibrate(config_path, store_path):
     try:
         cfg = _load_config(config_path)
         cmd_calibrate(cfg, store_path)
-    except QutritCRError as exc:
+    except (QutritCRError, OSError) as exc:
         raise click.ClickException(str(exc))
 
 
@@ -104,7 +105,7 @@ def bell(config_path, store_path, shots, seed, out_dir, method):
         cfg = _load_config(config_path, seed=seed, shots=shots)
         store = _require_store(store_path, cfg)
         res = cmd_bell(cfg, store, out_dir, method)
-    except QutritCRError as exc:
+    except (QutritCRError, OSError) as exc:
         raise click.ClickException(str(exc))
     for m in res.metrics:
         err = f" +/- {m.stderr:.4f}" if m.stderr is not None else ""
@@ -124,7 +125,7 @@ def gatefid(gate_name, store_path, config_path):
         cfg = _load_config(config_path)
         store = _require_store(store_path, cfg)
         cmd_gatefid(store, gate_name)
-    except QutritCRError as exc:
+    except (QutritCRError, OSError) as exc:
         raise click.ClickException(str(exc))
 
 

@@ -198,30 +198,33 @@ def cmd_calibrate(config: ExperimentConfig, store_path: str, verbose: bool = Tru
         if verbose:
             _print_table(store)
         return store
+    if not os.path.isdir(os.path.dirname(os.path.abspath(store_path))):
+        raise FileNotFoundError(f"cannot write the store {store_path}: its directory does not exist")
     store = CalibrationStore(path=store_path, fingerprint=fp)
 
     def single(channel, subspace, theta, name):
-        g = calibrate_single_qutrit(
-            p, channel, subspace, theta, config.sq_duration, config.sq_sigma, name=name
-        )
+        return calibrate_single_qutrit(p, channel, subspace, theta, config.sq_duration, config.sq_sigma, name=name)
+
+    def refined(channel, subspace, theta, name):
         rot = rx_subspace(subspace, theta)
         target = kron(rot, np.eye(3)) if channel == 1 else kron(np.eye(3), rot)
-        return refine_full_model(p, g, target, min_fidelity=SINGLE_QUTRIT_MIN_FID)
+        return refine_full_model(p, single(channel, subspace, theta, name), target, min_fidelity=SINGLE_QUTRIT_MIN_FID)
 
-    store.put(single(1, "01", np.pi, "x01_pi_1"))
-    store.put(single(2, "01", np.pi, "x01_pi_2"))
-    store.put(single(1, "12", np.pi, "x12_pi_1"))
-    store.put(single(2, "12", np.pi, "x12_pi_2"))
-    store.put(single(2, "12", -np.pi / 2.0, "v_2"))
+    store.put(refined(1, "01", np.pi, "x01_pi_1"))
+    store.put(refined(2, "01", np.pi, "x01_pi_2"))
+    store.put(refined(1, "12", np.pi, "x12_pi_1"))
+    store.put(refined(2, "12", np.pi, "x12_pi_2"))
+    store.put(refined(2, "12", -np.pi / 2.0, "v_2"))
 
     # qutrit-Hadamard equivalent on the control: two rotations whose phase
-    # mismatch with the exact H3 is absorbed downstream by virtual phases
+    # mismatch with the exact H3 is absorbed downstream by virtual phases.
+    # The parts are tuned alone; the composite is refined as one schedule.
     parts = [
         single(1, "01", H3_THETA1, "h3_r01_1"),
         single(1, "12", np.pi / 2.0, "h3_r12_1"),
     ]
     h3_target = kron(rx_subspace("12", np.pi / 2.0) @ rx_subspace("01", H3_THETA1), np.eye(3))
-    store.put(compose_calibrated("h3_1", h3_target, parts))
+    store.put(compose_calibrated(p, "h3_1", h3_target, parts))
 
     for subspace, theta, amp, name in (
         ("01", np.pi, config.cr01_amp, "cr01_pi"),

@@ -278,7 +278,9 @@ def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     Magnus runs in the drive frame (``_drive_frame``), where the retained
     terms do not oscillate.  A lone Gaussian-square play's flat top is then
     constant once 2c exceeds the RWA cutoff, and is exponentiated exactly;
-    its fall edge is its rise's mirror image (``_rwa_flat_top``).
+    its fall edge is its rise's mirror image (``_rwa_flat_top``).  Every
+    other schedule is stepped whole, split at its play edges as in the full
+    model (``_split_at_edges``).
     """
     plays = schedule.plays()
     drive = _drive_frame(p, plays)
@@ -286,19 +288,21 @@ def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
         u_rise, u_fall, w, v = _rwa_flat_top(p, schedule)
         u = u_fall @ (v * np.exp(-1j * w * plays[0].shape.width)) @ dag(v) @ u_rise
     else:
-        u = _stepped_unitary(rotating_frame_hamiltonian(p, drive, schedule, rwa=True), 0.0, schedule.duration)
+        u = _split_at_edges(rotating_frame_hamiltonian(p, drive, schedule, rwa=True), 0.0, schedule.duration, plays)
     return reframe(u, drive, FrameSpec.bare(p), schedule.duration)
 
 
-def _full_model_steps(prov, t0: float, t1: float, edges) -> np.ndarray:
-    """Magnus at ``_FULL_MODEL_STEP`` over [t0, t1], with a step boundary at
-    every play edge inside it: H(t) has a kink there, which a step that
-    straddles it resolves only to second order (a 0.5 GHz CR rise starting
-    0.75 ns in lands 9e-8 off; split, 2e-9)."""
-    bounds = [t0, *(t for t in edges if t0 < t < t1), t1]
-    u = _stepped_unitary(prov, bounds[0], bounds[1], _FULL_MODEL_STEP)
+def _split_at_edges(prov, t0: float, t1: float, plays, *step) -> np.ndarray:
+    """Magnus (``_stepped_unitary``, at ``step`` ns if given) over [t0, t1],
+    with a step boundary at every play edge inside it: H(t) has a kink
+    there, which a step that straddles it resolves only to second order (a
+    0.5 GHz CR rise starting 0.75 ns in lands 9e-8 off in the full model,
+    2e-9 split; two 32.1 ns DRAG plays 1.3e-4 off under the RWA, 1.9e-8
+    split)."""
+    bounds = [t0, *sorted({t for play in plays for t in (play.start, play.end) if t0 < t < t1}), t1]
+    u = _stepped_unitary(prov, bounds[0], bounds[1], *step)
     for lo, hi in zip(bounds[1:], bounds[2:]):
-        u = _stepped_unitary(prov, lo, hi, _FULL_MODEL_STEP) @ u
+        u = _stepped_unitary(prov, lo, hi, *step) @ u
     return u
 
 
@@ -313,12 +317,11 @@ def full_model_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     Phys. Rev. 138, B979 (1965)).  Magnus steps the rise, the remainder and
     the fall; DOP853 at FULL_MODEL_OPTIONS runs the one period, and U_T^n
     comes from repeated squaring.  Every other schedule is stepped whole.
-    Steps never straddle the start or end of a play.
+    Steps never straddle the start or end of a play (``_split_at_edges``).
     """
     plays = schedule.plays()
     drive = _drive_frame(p, plays)
     prov = rotating_frame_hamiltonian(p, drive, schedule, rwa=False)
-    edges = sorted({t for play in plays for t in (play.start, play.end)})
     if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare) and plays[0].carrier_freq > 0:
         play = plays[0]
         period = 0.5 / play.carrier_freq
@@ -327,11 +330,11 @@ def full_model_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
         n = int(play.shape.width // period)
         while n and a + n * period > b:  # roundoff at widths that are whole periods
             n -= 1
-        u = _full_model_steps(prov, 0.0, a, edges)
+        u = _split_at_edges(prov, 0.0, a, plays, _FULL_MODEL_STEP)
         if n:
             u = np.linalg.matrix_power(evolve_unitary(prov, a, a + period, FULL_MODEL_OPTIONS), n) @ u
-        u = _full_model_steps(prov, a + n * period, b, edges) @ u
-        u = _full_model_steps(prov, b, schedule.duration, edges) @ u
+        u = _split_at_edges(prov, a + n * period, b, plays, _FULL_MODEL_STEP) @ u
+        u = _split_at_edges(prov, b, schedule.duration, plays, _FULL_MODEL_STEP) @ u
     else:
-        u = _full_model_steps(prov, 0.0, schedule.duration, edges)
+        u = _split_at_edges(prov, 0.0, schedule.duration, plays, _FULL_MODEL_STEP)
     return reframe(u, drive, FrameSpec.bare(p), schedule.duration)

@@ -17,8 +17,7 @@ from qutritcr.calibrate import (
     _apply_phases,
     _correction_phases,
     _drag_schedule,
-    _fidelity_and_gradient,
-    _fidelity_hessian,
+    _fidelity_derivatives,
     calibrate_single_qutrit,
     calibrate_virtual_phases,
     config_fingerprint,
@@ -31,9 +30,10 @@ from qutritcr.crpulse import cr_pulse
 from qutritcr.device import FrameSpec, transition_frequencies
 from qutritcr.effective import ideal_ucr, rx_subspace, zdiag
 from qutritcr.errors import CalibrationFailed, InvalidParams
+from qutritcr.experiments import GATE_SET
 from qutritcr.linalg import ket2, kron, unitary_defect
 from qutritcr.metrics import average_gate_fidelity
-from qutritcr.propagate import rwa_unitary
+from qutritcr.propagate import full_model_unitary, rwa_unitary
 from qutritcr.pulses import Schedule
 
 
@@ -150,7 +150,7 @@ class TestPhaseSolver:
     @given(_SEEDS, _PHASES)
     def test_gradient_matches_finite_differences(self, seed, x):
         u, t = _random_unitary(seed), _random_unitary(seed + 1)
-        _, grad = _fidelity_and_gradient(u * t.conj(), x)
+        _, grad, _ = _fidelity_derivatives(u * t.conj(), x)
         h = 1e-6
         fd = [
             (phase_corrected_fidelity(u, t, x + h * e) - phase_corrected_fidelity(u, t, x - h * e)) / (2 * h)
@@ -213,8 +213,8 @@ class TestPhaseSolver:
     def test_hessian_matches_finite_differences(self, seed, x):
         m = _random_unitary(seed) * _random_unitary(seed + 1).conj()
         h = 1e-6
-        fd = [(_fidelity_and_gradient(m, x + h * e)[1] - _fidelity_and_gradient(m, x - h * e)[1]) / (2 * h) for e in np.eye(5)]
-        assert np.max(np.abs(_fidelity_hessian(m, x) - np.array(fd))) <= 1e-7
+        fd = [(_fidelity_derivatives(m, x + h * e)[1] - _fidelity_derivatives(m, x - h * e)[1]) / (2 * h) for e in np.eye(5)]
+        assert np.max(np.abs(_fidelity_derivatives(m, x)[2] - np.array(fd))) <= 1e-7
 
     @settings(max_examples=30, deadline=None)
     @given(_SEEDS)
@@ -258,6 +258,15 @@ class TestPhaseSolver:
             t = kron(np.eye(3), rx_subspace("01", np.pi / 2.0))
         f, _, _ = optimize_phase_correction(u, t)
         assert f >= optimum - 1e-12
+
+
+def test_stored_phases_and_schedule_reproduce_the_stored_unitary(device, cal_store):
+    # one path from pulse to stored gate: a composite too is its schedule's
+    # full-model propagator between its pre and post phases
+    for name in GATE_SET:
+        g = cal_store.get(name)
+        u = _apply_phases(full_model_unitary(device, g.schedule), g.pre_phases, g.post_phases)
+        assert np.max(np.abs(u - g.unitary)) <= 1e-9, name
 
 
 class TestCRGates:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from qutritcr import experiments
 from qutritcr.cli import main
 
 
@@ -110,6 +111,46 @@ def test_gatefid_and_bell_with_store(runner, cal_store, config, tmp_path, monkey
     assert res.exit_code == 0, res.output
     assert "bell_fidelity" in res.output
     assert (out / "bell_metrics.jsonl").exists()
+
+
+def _unwritable(tmp_path):
+    """A path whose parent is a regular file."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return blocker / "out"
+
+
+def _assert_error_exit(res):
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Error:" in res.output and "Traceback" not in res.output
+
+
+def test_calibrate_rejects_a_missing_store_directory_before_tuning(runner, tmp_path, monkeypatch):
+    def tuned(*args, **kwargs):
+        raise AssertionError("ran a tune-up")
+
+    monkeypatch.setattr(experiments, "calibrate_single_qutrit", tuned)
+    monkeypatch.setattr(experiments, "calibrate_cr_gate", tuned)
+    res = runner.invoke(main, ["calibrate", "--store", str(tmp_path / "missing" / "cal.json")])
+    _assert_error_exit(res)
+    assert "missing" in res.output
+
+
+def test_rabi_reports_an_unwritable_out_directory(runner, tmp_path):
+    res = runner.invoke(
+        main,
+        ["rabi", "--subspace", "01", "--control", "0", "--points", "16", "--out", str(_unwritable(tmp_path))],
+    )
+    _assert_error_exit(res)
+
+
+def test_bell_reports_an_unwritable_out_directory(runner, cal_store, tmp_path):
+    res = runner.invoke(
+        main,
+        ["bell", "--store", cal_store.path, "--method", "store", "--out", str(_unwritable(tmp_path))],
+    )
+    _assert_error_exit(res)
 
 
 def test_env_seed_override(runner, cal_store, config, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qutritcr.calibrate as calibrate
 import qutritcr.crpulse as crpulse
 import qutritcr.device as device_mod
 import qutritcr.propagate as propagate
@@ -184,10 +185,11 @@ class TestPulseReuse:
         assert len(calls) == 1  # the rise, shared by the three control states; the fall mirrors it
 
     def test_cr_tuneup_shares_rate_scan_pulse(self, device, monkeypatch):
-        # max_evals=1: stage 1 plus one Nelder-Mead evaluation at amp_default
+        # CR_MAX_EVALS = 1: stage 1 plus one Nelder-Mead evaluation at amp_default
         calls = _count_magnus(monkeypatch)
+        monkeypatch.setattr(calibrate, "CR_MAX_EVALS", 1)
         try:
-            calibrate_cr_gate(device, "01", np.pi, 0.35, max_evals=1)
+            calibrate_cr_gate(device, "01", np.pi, 0.35)
         except CalibrationFailed:
             pass
         assert len(calls) == 1

@@ -169,6 +169,12 @@ class TestCmdBell:
         assert payload["pipeline"] == "bell"
         assert payload["config_hash"] == config.fingerprint()
 
+    def test_full_and_store_methods_agree(self, config, cal_store, bell_result):
+        # every stored unitary is its schedule's full-model propagator
+        full = cmd_bell(config, cal_store, method="full")
+        for k in (0, 2):  # fidelity, concurrence
+            assert abs(full.metrics[k].value - bell_result.metrics[k].value) <= 1e-9
+
     def test_rwa_and_store_methods_agree(self, config, cal_store):
         # the stored phases are optimal for the full model, not the RWA
         # dynamics, so the RWA re-propagation carries a small residual

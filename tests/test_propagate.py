@@ -305,6 +305,16 @@ class TestRWAUnitary:
         u_oracle = evolve_unitary(prov, 0.0, 5.0, ORACLE_OPTIONS)
         assert np.max(np.abs(rwa_unitary(device, sched) - u_oracle)) <= 1e-9
 
+    def test_back_to_back_plays_are_stepped_apart(self, device):
+        # at 32.1 ns the edge between the plays falls inside a 0.08 ns step
+        # unless the steps split there: 1.3e-4 off when they straddle it
+        tf = transition_frequencies(device, dressed=True)
+        drag = DragGaussian(0.06, 8.0, 32.1, 0.4)
+        sched = Schedule((Play(1, 0.0, drag, tf.w01_1), Play(1, 32.1, drag, tf.w12_1)))
+        prov = rotating_frame_hamiltonian(device, FrameSpec.bare(device), sched, rwa=True)
+        u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
+        assert np.max(np.abs(rwa_unitary(device, sched) - u_oracle)) <= 1e-7
+
     def test_magnus_blocks_leave_the_product_bit_identical(self, device, monkeypatch):
         tf = transition_frequencies(device, dressed=True)
         drag = DragGaussian(0.06, 8.0, 32.0, 0.4)
