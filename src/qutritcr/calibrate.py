@@ -92,7 +92,7 @@ class CalibratedGate:
     post_phases: np.ndarray  # (9,) rad, applied after the pulse
     unitary: np.ndarray  # corrected bare-frame 9x9 propagator
     fidelity: float  # average gate fidelity to the ideal target
-    leakage: float = 0.0
+    leakage: float | None = None  # worst-case population out of a DRAG gate's subspace; None: not measured
 
     @property
     def duration(self) -> float:
@@ -107,7 +107,7 @@ class CalibratedGate:
             "unitary_re": np.round(self.unitary.real, 15).tolist(),
             "unitary_im": np.round(self.unitary.imag, 15).tolist(),
             "fidelity": float(self.fidelity),
-            "leakage": float(self.leakage),
+            "leakage": None if self.leakage is None else float(self.leakage),
         }
 
     @classmethod
@@ -119,14 +119,15 @@ class CalibratedGate:
             post_phases=np.array(d["post_phases"], dtype=float),
             unitary=np.array(d["unitary_re"]) + 1j * np.array(d["unitary_im"]),
             fidelity=float(d["fidelity"]),
-            leakage=float(d.get("leakage", 0.0)),
+            leakage=None if d.get("leakage") is None else float(d["leakage"]),
         )
 
 
 def _well_formed(g: CalibratedGate) -> bool:
     """Finite (9, 9) unitary within STORED_UNITARY_TOL, finite (9,) phases,
-    finite fidelity and leakage."""
-    arrays = (g.unitary, g.pre_phases, g.post_phases, np.array([g.fidelity, g.leakage]))
+    finite fidelity, and finite or unmeasured (None) leakage."""
+    leakage = [] if g.leakage is None else [g.leakage]
+    arrays = (g.unitary, g.pre_phases, g.post_phases, np.array([g.fidelity, *leakage]))
     return (
         g.unitary.shape == (PAIR_DIM, PAIR_DIM)
         and g.pre_phases.shape == g.post_phases.shape == (PAIR_DIM,)
@@ -329,7 +330,7 @@ def calibrate_single_qutrit(
     if name is None:
         name = f"r{subspace}_{channel}"
     if theta == 0.0:
-        return CalibratedGate(name, Schedule(()), np.zeros(9), np.zeros(9), np.eye(9, dtype=complex), 1.0)
+        return CalibratedGate(name, Schedule(()), np.zeros(9), np.zeros(9), np.eye(9, dtype=complex), 1.0, 0.0)
 
     elem = 1.0 if subspace == "01" else np.sqrt(2.0)
     unit_area = DragGaussian(amp=1.0, sigma=sigma, duration=duration, beta=0.0).area()
@@ -547,6 +548,9 @@ def refine_full_model(
     configuration the RWA-minus-full gap is 1.856e-3 for cr01_pi, -6.21e-5
     for csx12 and at most 6.90e-7 for the single-qutrit gates (x12_pi_1),
     with the full model's propagators within 2.5e-8 of a rel-1e-11 DOP853.
+    The refined gate's leakage is None: the RWA figure does not describe the
+    full-model unitary, and only the caller knows a DRAG gate's subspace
+    (``_subspace_leakage``).
     """
     if not gate.schedule.instructions:
         return gate
@@ -554,7 +558,7 @@ def refine_full_model(
     f, pre, post = optimize_phase_correction(u, target)
     if f < min_fidelity:
         raise CalibrationFailed(f"{gate.name}: full-model fidelity {f:.4f} < {min_fidelity}")
-    return CalibratedGate(gate.name, gate.schedule, pre, post, _apply_phases(u, pre, post), f, gate.leakage)
+    return CalibratedGate(gate.name, gate.schedule, pre, post, _apply_phases(u, pre, post), f)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +588,11 @@ def refine_full_model(
 # 8: h3_1 is its two DRAG pulses refined as one schedule, not the product
 # of its parts' corrected unitaries, so its schedule gives its unitary; its
 # fidelity moves 0.9995179 -> 0.9995222, and no other gate moves.
-CALIBRATION_VERSION = 8
+# 9: a degree-9 Taylor exponential for every Magnus step with a 1-norm below
+# 0.0896 (all full-model steps); the full-model propagators move by
+# roundoff, the RWA tune-ups are bit-identical, and a stored leakage is
+# measured from the stored unitary or None.
+CALIBRATION_VERSION = 9
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .calibrate import (
     refine_full_model,
     run_rabi_scan,
     SINGLE_QUTRIT_MIN_FID,
+    _subspace_leakage,
 )
 from .device import DeviceParams
 from .effective import bell_state, ideal_ucr, rx_subspace
@@ -208,7 +209,8 @@ def cmd_calibrate(config: ExperimentConfig, store_path: str, verbose: bool = Tru
     def refined(channel, subspace, theta, name):
         rot = rx_subspace(subspace, theta)
         target = kron(rot, np.eye(3)) if channel == 1 else kron(np.eye(3), rot)
-        return refine_full_model(p, single(channel, subspace, theta, name), target, min_fidelity=SINGLE_QUTRIT_MIN_FID)
+        g = refine_full_model(p, single(channel, subspace, theta, name), target, min_fidelity=SINGLE_QUTRIT_MIN_FID)
+        return replace(g, leakage=_subspace_leakage(g.unitary, channel, subspace))
 
     store.put(refined(1, "01", np.pi, "x01_pi_1"))
     store.put(refined(2, "01", np.pi, "x01_pi_2"))
@@ -239,11 +241,17 @@ def cmd_calibrate(config: ExperimentConfig, store_path: str, verbose: bool = Tru
     return store
 
 
+def _leakage_text(g: CalibratedGate) -> str:
+    """A gate's leakage as printed: n/a where none was measured (the CR
+    gates and the h3_1 composite)."""
+    return "n/a" if g.leakage is None else f"{g.leakage:.2e}"
+
+
 def _print_table(store: CalibrationStore) -> None:
     print(f"{'gate':<10} {'fidelity':>10} {'leakage':>10} {'duration_ns':>12}")
     for name in GATE_SET:
         g = store.get(name)
-        print(f"{name:<10} {g.fidelity:>10.6f} {g.leakage:>10.2e} {g.duration:>12.2f}")
+        print(f"{name:<10} {g.fidelity:>10.6f} {_leakage_text(g):>10} {g.duration:>12.2f}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,5 +428,5 @@ def cmd_rabi(
 
 def cmd_gatefid(store: CalibrationStore, gate_name: str) -> float:
     g = store.get(gate_name)
-    print(f"{g.name}: fidelity {g.fidelity:.6f}, leakage {g.leakage:.2e}, duration {g.duration:.2f} ns")
+    print(f"{g.name}: fidelity {g.fidelity:.6f}, leakage {_leakage_text(g)}, duration {g.duration:.2f} ns")
     return g.fidelity

@@ -3,10 +3,15 @@
 ``rwa_unitary`` and ``full_model_unitary`` both integrate with fixed-step
 sixth-order Magnus (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
 in the drive frame.  Each step is the exponential of an anti-Hermitian
-matrix, taken as a [9/9] diagonal Pade approximant with scaling and squaring
-(Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)); for anti-Hermitian
-arguments that approximant is itself unitary, so the propagators are unitary
-by construction, up to roundoff.  Without the RWA the step resolves the
+matrix, and each matrix picks its branch from its own 1-norm
+(``_unitary_exp``).  At most theta_9 = 0.0896 -- every full-model step on
+the default device -- it is the degree-9 Taylor polynomial (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)), which needs no linear solve
+and is unitary to its backward error, below the unit roundoff.  Above it --
+every RWA step -- it is a [9/9] diagonal Pade approximant with scaling and
+squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), itself
+unitary for anti-Hermitian arguments.  Either way the propagators are
+unitary up to roundoff.  Without the RWA the step resolves the
 counter-rotating drive at twice the carrier.  The
 ``evolve_*`` functions wrap scipy's adaptive DOP853 (order 8, embedded error
 control); the full model uses it only for the one drive period of a CR flat
@@ -16,6 +21,7 @@ drift is checked after every DOP853 run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,20 +164,36 @@ def _commutator(a, b):
 _PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)
 _THETA9 = 2.097847961257068
 
+# Coefficients 1/k! of the degree-9 Taylor polynomial T_9, and the largest
+# 1-norm at which its backward error stays below unit roundoff (Al-Mohy &
+# Higham, SIAM J. Sci. Comput. 33, 488 (2011), table 3.1).
+_TAYLOR9 = tuple(1.0 / math.factorial(k) for k in range(10))
+_THETA_TAYLOR9 = 0.0896
 
-def _unitary_exp(omega: np.ndarray) -> np.ndarray:
-    """exp of each anti-Hermitian matrix in an (n, d, d) stack.
 
-    The [9/9] diagonal Pade approximant r(A) = p(-A)^-1 p(A) with scaling and
-    squaring.  Its coefficients are real, so for anti-Hermitian A,
-    p(-A) = p(A)^dagger and each eigenvalue i lambda maps to
-    p(i lambda) / conj(p(i lambda)), of modulus 1: the step is unitary by
-    construction, up to roundoff.  A matrix whose 1-norm exceeds theta_9 is
-    scaled by 2^-s and its approximant squared s times; s comes from that
-    matrix alone, so each result is the same whichever stack it rides in.
-    """
+def _taylor9(a: np.ndarray) -> np.ndarray:
+    """T_9(A) of an (n, d, d) stack by Paterson-Stockmeyer,
+    I + A + A^2/2 + A^3 (c_3 I + c_4 A + c_5 A^2 + A^3 (c_6 I + c_7 A + c_8 A^2 + c_9 A^3))
+    with c_k = 1/k!: four matrix products and no solve.  The sums are taken
+    in place, which spares an (n, d, d) temporary each."""
+    c = _TAYLOR9
+    a2 = a @ a
+    a3 = a2 @ a
+    r = c[9] * a3
+    for k in (6, 3, 0):
+        if k < 6:
+            r = a3 @ r
+        r += c[k + 2] * a2
+        r += c[k + 1] * a
+        r.reshape(len(r), -1)[:, :: a.shape[-1] + 1] += c[k]
+    return r
+
+
+def _pade9(omega: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """[9/9] Pade approximant with scaling and squaring of an (n, d, d)
+    stack whose 1-norms are ``norm``."""
     b = _PADE9
-    s = np.maximum(np.frexp(np.abs(omega).sum(axis=-2).max(axis=-1) / _THETA9)[1], 0)
+    s = np.maximum(np.frexp(norm / _THETA9)[1], 0)
     a = omega if not s.any() else omega * np.ldexp(1.0, -s)[:, None, None]
     a2 = a @ a
     a4 = a2 @ a2
@@ -184,6 +206,37 @@ def _unitary_exp(omega: np.ndarray) -> np.ndarray:
     for k in range(s.max()):
         big = s > k
         r[big] = r[big] @ r[big]
+    return r
+
+
+def _unitary_exp(omega: np.ndarray) -> np.ndarray:
+    """exp of each anti-Hermitian matrix in an (n, d, d) stack.
+
+    Each matrix takes its branch from its own 1-norm, so each result is the
+    same whichever stack it rides in:
+
+    - 1-norm <= theta_9 = 0.0896: the degree-9 Taylor polynomial
+      (``_taylor9``), whose backward error is below unit roundoff u there
+      (Al-Mohy & Higham 2011).  It needs no linear solve.  It is not unitary
+      by construction, only to its backward error: exp(A + dA) with
+      |dA| <= u |A| is unitary to ~u.
+    - larger: the [9/9] diagonal Pade approximant r(A) = p(-A)^-1 p(A) with
+      scaling and squaring (``_pade9``).  Its coefficients are real, so for
+      anti-Hermitian A, p(-A) = p(A)^dagger and each eigenvalue i lambda
+      maps to p(i lambda) / conj(p(i lambda)), of modulus 1: the result is
+      unitary by construction, up to roundoff.  A matrix whose 1-norm
+      exceeds 2.1 is scaled by 2^-s and its approximant squared s times; s
+      comes from that matrix alone.
+    """
+    norm = np.abs(omega).sum(axis=-2).max(axis=-1)
+    taylor = norm <= _THETA_TAYLOR9
+    if taylor.all():
+        return _taylor9(omega)
+    if not taylor.any():
+        return _pade9(omega, norm)
+    r = np.empty_like(omega)
+    r[taylor] = _taylor9(omega[taylor])
+    r[~taylor] = _pade9(omega[~taylor], norm[~taylor])
     return r
 
 
@@ -203,11 +256,13 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
     Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 4: with
     A_i = -i H at the nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
     step h, each step is exp(Omega).  The step is at most ``step`` ns,
-    ``_MAGNUS_STEP`` by default.  Omega is anti-Hermitian, and its
-    exponential is the [9/9] Pade approximant of ``_unitary_exp``, which maps
-    every eigenvalue i lambda onto the unit circle: each step is unitary by
-    construction.  On the default device an RWA step's 1-norm reaches ~1.1
-    and a full-model step's ~0.08, both below theta_9 = 2.1, so no step is
+    ``_MAGNUS_STEP`` by default.  Omega is anti-Hermitian, and
+    ``_unitary_exp`` picks its exponential from its 1-norm.  On the default
+    device a full-model step's 1-norm is ~0.03-0.08, at most theta_9 =
+    0.0896, so it takes the degree-9 Taylor polynomial, unitary to its
+    backward error (<= the unit roundoff), not by construction.  An RWA
+    step's is ~0.45-1.1, so it takes the [9/9] Pade approximant, which maps
+    every eigenvalue i lambda onto the unit circle, and below 2.1 it is not
     squared.  The steps are multiplied pairwise within each ``_GROUP``
     (``_ordered_product``).
     """

@@ -18,6 +18,7 @@ from qutritcr.calibrate import (
     _correction_phases,
     _drag_schedule,
     _fidelity_derivatives,
+    _subspace_leakage,
     calibrate_single_qutrit,
     calibrate_virtual_phases,
     config_fingerprint,
@@ -65,6 +66,22 @@ class TestSingleQutrit:
         assert g.schedule.duration == 0.0
         assert g.fidelity == 1.0
         assert np.array_equal(g.unitary, np.eye(9))
+
+
+class TestLeakage:
+    # (channel, subspace) of each DRAG gate in the store
+    DRAG = {"x01_pi_1": (1, "01"), "x01_pi_2": (2, "01"), "x12_pi_1": (1, "12"), "x12_pi_2": (2, "12"), "v_2": (2, "12")}
+
+    def test_drag_leakage_is_measured_from_the_stored_unitary(self, cal_store):
+        for name, (channel, subspace) in self.DRAG.items():
+            g = cal_store.get(name)
+            assert g.leakage == _subspace_leakage(g.unitary, channel, subspace), name
+            assert g.leakage > 0.0, name
+
+    def test_gates_without_a_leakage_figure_store_none(self, cal_store):
+        assert set(GATE_SET) == set(self.DRAG) | {"h3_1", "cr01_pi", "csx12"}
+        for name in ("h3_1", "cr01_pi", "csx12"):
+            assert cal_store.get(name).leakage is None, name
 
 
 class TestPrepareControlState:
@@ -386,6 +403,36 @@ class TestStore:
         assert sorted(loaded.gates) == sorted(cal_store.gates)
         for name, g in cal_store.gates.items():
             assert np.max(np.abs(loaded.get(name).unitary - g.unitary)) <= 1e-14
+
+    def test_store_written_by_calibrate_reloads_with_unmeasured_leakage(self, cal_store, config):
+        loaded = CalibrationStore.load(cal_store.path, config.fingerprint())
+        assert loaded is not None
+        for name, g in cal_store.gates.items():
+            assert loaded.get(name).leakage == g.leakage, name
+        assert loaded.get("cr01_pi").leakage is None
+
+    @pytest.mark.parametrize("value", [None, 0.0, 2.5e-4])
+    def test_leakage_round_trips(self, tmp_path, value):
+        path = str(tmp_path / "cal.json")
+        store = CalibrationStore(path=path, fingerprint="aaa")
+        store.put(CalibratedGate("x", Schedule(()), np.zeros(9), np.zeros(9), np.eye(9, dtype=complex), 1.0, value))
+        store.save()
+        loaded = CalibrationStore.load(path, "aaa")
+        assert loaded is not None
+        assert loaded.get("x").leakage == value
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc"])
+    def test_malformed_leakage_discards_store(self, tmp_path, value):
+        import json
+
+        path = tmp_path / "cal.json"
+        store = CalibrationStore(path=str(path), fingerprint="aaa")
+        store.put(_empty_gate("x01_pi_2"))
+        store.save()
+        payload = json.loads(path.read_text())
+        payload["gates"]["x01_pi_2"]["leakage"] = value
+        path.write_text(json.dumps(payload))
+        assert CalibrationStore.load(str(path), "aaa") is None
 
     def test_missing_gate_raises(self, tmp_path):
         store = CalibrationStore(path=str(tmp_path / "c.json"), fingerprint="x")

@@ -113,6 +113,21 @@ def test_gatefid_and_bell_with_store(runner, cal_store, config, tmp_path, monkey
     assert (out / "bell_metrics.jsonl").exists()
 
 
+def test_leakage_is_printed_where_measured_and_na_elsewhere(runner, cal_store):
+    res = runner.invoke(main, ["calibrate", "--store", cal_store.path])
+    assert res.exit_code == 0, res.output
+    rows = {line.split()[0]: line.split()[2] for line in res.output.splitlines()[1:] if line.strip()}
+    assert sorted(rows) == sorted(experiments.GATE_SET)
+    for name, leak in rows.items():
+        g = cal_store.get(name)
+        assert leak == ("n/a" if g.leakage is None else f"{g.leakage:.2e}"), name
+    assert [rows[n] for n in ("h3_1", "cr01_pi", "csx12")] == ["n/a"] * 3
+    res = runner.invoke(main, ["gatefid", "--gate", "csx12", "--store", cal_store.path])
+    assert "leakage n/a," in res.output
+    res = runner.invoke(main, ["gatefid", "--gate", "x01_pi_1", "--store", cal_store.path])
+    assert f"leakage {cal_store.get('x01_pi_1').leakage:.2e}," in res.output
+
+
 def _unwritable(tmp_path):
     """A path whose parent is a regular file."""
     blocker = tmp_path / "blocker"

@@ -415,6 +415,48 @@ class TestUnitaryExp:
         for k in range(len(omega)):
             assert np.array_equal(stacked[k], propagate._unitary_exp(omega[k : k + 1])[0])
 
+    def test_taylor_branch_matches_scipy_expm(self, rng):
+        # every 1-norm up to theta_9 = 0.0896 takes the degree-9 Taylor branch
+        # (the top one a hair below it: rescaling to a norm rounds)
+        top = propagate._THETA_TAYLOR9 * (1.0 - 1e-12)
+        omega = _anti_hermitian_stack(rng, np.repeat(np.geomspace(1e-4, top, 12), 4))
+        got = propagate._unitary_exp(omega)
+        assert np.array_equal(got, propagate._taylor9(omega))
+        for r, om in zip(got, omega):
+            assert np.max(np.abs(r - scipy.linalg.expm(om))) <= 1e-15
+            assert unitary_defect(r) <= 1e-15
+
+    def test_each_matrix_takes_the_branch_of_its_own_norm(self, rng):
+        theta = propagate._THETA_TAYLOR9
+        norms = [theta * (1.0 + 1e-6), theta * (1.0 - 1e-6), 0.03, 1.1]
+        omega = _anti_hermitian_stack(rng, norms)
+        stacked = propagate._unitary_exp(omega)
+        for k, norm in enumerate(norms):
+            lone = omega[k : k + 1]
+            assert np.array_equal(stacked[k], propagate._unitary_exp(lone)[0])
+            want = propagate._taylor9(lone) if norm <= theta else propagate._pade9(lone, np.abs(lone).sum(axis=-2).max(axis=-1))
+            assert np.array_equal(stacked[k], want[0])
+
+
+def test_full_model_steps_take_the_taylor_branch_and_rwa_steps_do_not(device, cal_store, monkeypatch):
+    # on the default device a full-model step's 1-norm is ~0.03-0.08 and an
+    # RWA step's ~0.45-1.1; theta_9 = 0.0896 sits between them
+    norms = []
+    real = propagate._unitary_exp
+
+    def spy(omega):
+        norms.append(np.abs(omega).sum(axis=-2).max(axis=-1))
+        return real(omega)
+
+    monkeypatch.setattr(propagate, "_unitary_exp", spy)
+    for model, beyond_theta in ((full_model_unitary, False), (rwa_unitary, True)):
+        for name in GATE_SET:
+            norms.clear()
+            model(device, cal_store.get(name).schedule)
+            steps = np.concatenate(norms)
+            assert len(steps) > 0, name
+            assert np.all((steps > propagate._THETA_TAYLOR9) == beyond_theta), (model.__name__, name)
+
 
 def test_end_state_only_matches_the_full_history(device, cal_store, monkeypatch):
     # evolve_unitary asks solve_ivp for t1 alone instead of every step's state
