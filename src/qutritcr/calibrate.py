@@ -566,32 +566,10 @@ def refine_full_model(
 
 
 # Enters every store fingerprint.  Bump it whenever calibration can return
-# different gates for the same configuration, so older stores recalibrate.
-# 2: BFGS phase correction (its pre/post phases differ from Nelder-Mead's
-# along the objective's flat directions).
-# 3: full-model CR propagators from one drive period raised to a power
-# (full_model_unitary); the CR gates move by ~1e-8.
-# 4: sixth-order Magnus for the RWA tune-ups, and a Newton polish of the
-# phase correction; the tune-ups land elsewhere (DRAG beta by <= 1.8e-5,
-# csx12's width by 2e-6 ns) and fidelities move <= 1.6e-10.
-# 5: sixth-order Magnus for the full model (full_model_unitary); DOP853 runs
-# only the CR drive period, and every refined gate moves by <= ~1e-8.
-# 6: a [9/9] Pade exponential for each Magnus step and np.exp for every
-# envelope sample; propagators move by roundoff, fidelities by <= 6e-13 from
-# the same tune-ups, and a live tune-up can stop elsewhere within its
-# tolerance (a cold csx12 moved -2.7e-10).
-# 7: a canonical phase correction (Newton with the carrier phase pinned to 0
-# first, phases wrapped into (-pi, pi]); the pi rotations' phases move along
-# F's flat directions to pre_phases = 0, and fidelities move <= 1.1e-13 from
-# the same pulses.  The mirrored RWA fall edge and the pairwise Magnus step
-# product move propagators by roundoff, and a live tune-up's gate by <= 6e-10.
-# 8: h3_1 is its two DRAG pulses refined as one schedule, not the product
-# of its parts' corrected unitaries, so its schedule gives its unitary; its
-# fidelity moves 0.9995179 -> 0.9995222, and no other gate moves.
-# 9: a degree-9 Taylor exponential for every Magnus step with a 1-norm below
-# 0.0896 (all full-model steps); the full-model propagators move by
-# roundoff, the RWA tune-ups are bit-identical, and a stored leakage is
-# measured from the stored unitary or None.
+# different gates for the same configuration, so older stores recalibrate
+# (CHANGES.md records each bump).  9: a degree-9 Taylor exponential for every
+# Magnus step with a 1-norm below 0.0896, and a stored leakage measured from
+# the stored unitary or None.
 CALIBRATION_VERSION = 9
 
 
@@ -645,15 +623,17 @@ class CalibrationStore:
     def load(cls, path: str, fingerprint: str) -> "CalibrationStore | None":
         """Load a store if present, uncorrupted, and fingerprint-matched.
 
-        A store holding a malformed gate (see _well_formed) counts as
-        corrupted.
+        A file that is not a JSON object with a ``gates`` object, or that
+        holds a malformed gate (see _well_formed), counts as corrupted.
         """
         if not os.path.exists(path):
             return None
         try:
             with open(path) as f:
                 payload = json.load(f)
-            if payload.get("fingerprint") != fingerprint:
+            if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
+                return None
+            if not isinstance(payload["gates"], dict):
                 return None
             gates = {n: CalibratedGate.from_dict(d) for n, d in payload["gates"].items()}
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, InvalidParams):

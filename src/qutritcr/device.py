@@ -38,6 +38,19 @@ _CONFIG_KEYS = {
 }
 
 
+def read_json_object(path: str) -> dict:
+    """The JSON object in the config file at path; InvalidParams if the file
+    holds bad JSON or another JSON value."""
+    with open(path) as f:
+        try:
+            d = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise InvalidParams(f"config {path} must hold a JSON object")
+    return d
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Device parameters in cyclic GHz (omega_i = w_i/2pi, etc.)."""
@@ -77,18 +90,10 @@ class DeviceParams:
 
     @classmethod
     def from_json(cls, path: str) -> "DeviceParams":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json_object(path))
 
     def to_dict(self) -> dict:
-        return {
-            "omega1_ghz": self.omega1,
-            "omega2_ghz": self.omega2,
-            "delta1_ghz": self.delta1,
-            "delta2_ghz": self.delta2,
-            "j_ghz": self.coupling_j,
-            "levels": self.levels,
-        }
+        return {key: getattr(self, attr) for key, attr in _CONFIG_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,8 @@ class TransitionFrequencies:
     w12_2: float
 
     def of(self, which: int, subspace: str) -> float:
+        if which not in (1, 2) or subspace not in ("01", "12"):
+            raise InvalidParams(f"need transmon 1 or 2 and subspace '01' or '12', got {which!r}, {subspace!r}")
         return getattr(self, f"w{subspace}_{which}")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceParams, transition_frequencies
-from .errors import SingularDenominator, UnknownGate
+from .errors import InvalidParams, SingularDenominator, UnknownGate
 from .linalg import PAIR_DIM, QUTRIT_DIM, expm_unitary, ket2, kron, proj
 
 IDEAL_CSX_SIGNS = (1.0, 0.0, -1.0)
@@ -85,6 +85,8 @@ def effective_hamiltonian(p: DeviceParams, coeffs: CRCoefficients, omega_d: floa
 
 def rx_subspace(subspace: str, phi: float) -> np.ndarray:
     """3x3 rotation exp(-i (|a><b| + |b><a|) phi / 2) on levels a-b."""
+    if subspace not in ("01", "12"):
+        raise InvalidParams(f"subspace must be '01' or '12', got {subspace!r}")
     a, b = (0, 1) if subspace == "01" else (1, 2)
     gen = proj(a, b) + proj(b, a)
     return expm_unitary(gen, phi / 2.0)

@@ -27,7 +27,7 @@ from .calibrate import (
     SINGLE_QUTRIT_MIN_FID,
     _subspace_leakage,
 )
-from .device import DeviceParams
+from .device import DeviceParams, read_json_object
 from .effective import bell_state, ideal_ucr, rx_subspace
 from .errors import BadDistribution, InvalidParams, NoOscillation
 from .fitting import MAX_SAMPLES, MIN_SAMPLES, fit_rabi
@@ -114,14 +114,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path) as f:
-            try:
-                d = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(d, dict):
-            raise InvalidParams(f"config {path} must hold a JSON object")
-        return cls.from_dict(d)
+        return cls.from_dict(read_json_object(path))
 
     def calibration_defaults(self) -> dict:
         """Pulse-affecting defaults; seed and shots do not enter the hash."""

@@ -3,20 +3,13 @@
 ``rwa_unitary`` and ``full_model_unitary`` both integrate with fixed-step
 sixth-order Magnus (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
 in the drive frame.  Each step is the exponential of an anti-Hermitian
-matrix, and each matrix picks its branch from its own 1-norm
-(``_unitary_exp``).  At most theta_9 = 0.0896 -- every full-model step on
-the default device -- it is the degree-9 Taylor polynomial (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)), which needs no linear solve
-and is unitary to its backward error, below the unit roundoff.  Above it --
-every RWA step -- it is a [9/9] diagonal Pade approximant with scaling and
-squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), itself
-unitary for anti-Hermitian arguments.  Either way the propagators are
-unitary up to roundoff.  Without the RWA the step resolves the
-counter-rotating drive at twice the carrier.  The
-``evolve_*`` functions wrap scipy's adaptive DOP853 (order 8, embedded error
-control); the full model uses it only for the one drive period of a CR flat
-top that is raised to a power.  States are never silently renormalized; norm
-drift is checked after every DOP853 run.
+matrix, unitary up to roundoff; ``_unitary_exp`` explains how each step
+picks its exponential.  Without the RWA the step resolves the
+counter-rotating drive at twice the carrier.  The ``evolve_*`` functions
+wrap scipy's adaptive DOP853 (order 8, embedded error control); the full
+model uses it only for the one drive period of a CR flat top that is raised
+to a power.  States are never silently renormalized; norm drift is checked
+after every DOP853 run.
 """
 
 from __future__ import annotations
@@ -219,14 +212,16 @@ def _unitary_exp(omega: np.ndarray) -> np.ndarray:
       (``_taylor9``), whose backward error is below unit roundoff u there
       (Al-Mohy & Higham 2011).  It needs no linear solve.  It is not unitary
       by construction, only to its backward error: exp(A + dA) with
-      |dA| <= u |A| is unitary to ~u.
+      |dA| <= u |A| is unitary to ~u.  On the default device every
+      full-model Magnus step (1-norm ~0.03-0.08) takes this branch.
     - larger: the [9/9] diagonal Pade approximant r(A) = p(-A)^-1 p(A) with
-      scaling and squaring (``_pade9``).  Its coefficients are real, so for
-      anti-Hermitian A, p(-A) = p(A)^dagger and each eigenvalue i lambda
-      maps to p(i lambda) / conj(p(i lambda)), of modulus 1: the result is
-      unitary by construction, up to roundoff.  A matrix whose 1-norm
-      exceeds 2.1 is scaled by 2^-s and its approximant squared s times; s
-      comes from that matrix alone.
+      scaling and squaring (``_pade9``; Higham 2005).  Its coefficients are
+      real, so for anti-Hermitian A, p(-A) = p(A)^dagger and each
+      eigenvalue i lambda maps to p(i lambda) / conj(p(i lambda)), of
+      modulus 1: the result is unitary by construction, up to roundoff.  A
+      matrix whose 1-norm exceeds 2.1 is scaled by 2^-s and its approximant
+      squared s times; s comes from that matrix alone.  Every RWA Magnus
+      step (1-norm ~0.45-1.1) takes this branch unsquared.
     """
     norm = np.abs(omega).sum(axis=-2).max(axis=-1)
     taylor = norm <= _THETA_TAYLOR9
@@ -257,14 +252,8 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
     A_i = -i H at the nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
     step h, each step is exp(Omega).  The step is at most ``step`` ns,
     ``_MAGNUS_STEP`` by default.  Omega is anti-Hermitian, and
-    ``_unitary_exp`` picks its exponential from its 1-norm.  On the default
-    device a full-model step's 1-norm is ~0.03-0.08, at most theta_9 =
-    0.0896, so it takes the degree-9 Taylor polynomial, unitary to its
-    backward error (<= the unit roundoff), not by construction.  An RWA
-    step's is ~0.45-1.1, so it takes the [9/9] Pade approximant, which maps
-    every eigenvalue i lambda onto the unit circle, and below 2.1 it is not
-    squared.  The steps are multiplied pairwise within each ``_GROUP``
-    (``_ordered_product``).
+    ``_unitary_exp`` takes its exponential.  The steps are multiplied
+    pairwise within each ``_GROUP`` (``_ordered_product``).
     """
     n = max(int(np.ceil((t1 - t0) / (_MAGNUS_STEP if step is None else step))), 1)
     dt = (t1 - t0) / n

@@ -11,9 +11,9 @@ endpoints, so a DRAG drive switches on and off with a small jump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -300,81 +300,50 @@ def build_cr_schedule(p, subspace: str, amp: float, width: float, risefall: floa
 
 # --- serialization -----------------------------------------------------------
 
-def _shape_to_dict(shape: PulseShape) -> dict:
-    if isinstance(shape, Gaussian):
-        return {"kind": "gaussian", "amp_ghz": shape.amp, "sigma_ns": shape.sigma, "duration_ns": shape.duration}
-    if isinstance(shape, GaussianSquare):
-        return {
-            "kind": "gaussian_square",
-            "amp_ghz": shape.amp,
-            "sigma_ns": shape.sigma,
-            "risefall_ns": shape.risefall,
-            "width_ns": shape.width,
-        }
-    if isinstance(shape, DragGaussian):
-        return {
-            "kind": "drag_gaussian",
-            "amp_ghz": shape.amp,
-            "sigma_ns": shape.sigma,
-            "duration_ns": shape.duration,
-            "beta_ns": shape.beta,
-        }
-    raise InvalidParams(f"unknown pulse shape {type(shape).__name__}")
+# The stored schedule format.  A record holds each dataclass field of an
+# instruction or shape under its key here, one line per unit (fields not
+# listed keep their name), a Play's shape as a nested record, and the kind
+# of its type; a Play alone has no kind.
+_KEYS = {
+    "amp": "amp_ghz", "carrier_freq": "carrier_ghz",
+    "sigma": "sigma_ns", "duration": "duration_ns", "risefall": "risefall_ns", "width": "width_ns",
+    "beta": "beta_ns", "start": "start_ns",
+    "carrier_phase": "phase_rad", "angle": "angle_rad",
+}
+_KINDS = {
+    Gaussian: "gaussian", GaussianSquare: "gaussian_square", DragGaussian: "drag_gaussian",
+    PhaseShift: "phase_shift", Play: None,
+}
 
 
-def _shape_from_dict(d: dict) -> PulseShape:
-    kind = d.get("kind")
-    if kind == "gaussian":
-        return Gaussian(amp=d["amp_ghz"], sigma=d["sigma_ns"], duration=d["duration_ns"])
-    if kind == "gaussian_square":
-        return GaussianSquare(amp=d["amp_ghz"], sigma=d["sigma_ns"], risefall=d["risefall_ns"], width=d["width_ns"])
-    if kind == "drag_gaussian":
-        return DragGaussian(amp=d["amp_ghz"], sigma=d["sigma_ns"], duration=d["duration_ns"], beta=d["beta_ns"])
-    raise InvalidParams(f"unknown pulse shape kind {kind!r}")
+def _to_record(obj) -> dict:
+    if type(obj) not in _KINDS:
+        raise InvalidParams(f"cannot store a {type(obj).__name__}")
+    record = {_KEYS.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, Play):
+        record["shape"] = _to_record(obj.shape)
+    else:
+        record["kind"] = _KINDS[type(obj)]
+    return record
+
+
+def _from_record(record, union):
+    """The member of ``union`` (PulseShape or Instruction) stored in record."""
+    if not isinstance(record, dict):
+        raise InvalidParams(f"a schedule record must be a JSON object, got {type(record).__name__}")
+    kind = record.get("kind")
+    cls = next((c for c in get_args(union) if _KINDS[c] == kind), None)
+    if cls is None:
+        raise InvalidParams(f"unknown schedule record kind {kind!r}")
+    kwargs = {f.name: record[_KEYS.get(f.name, f.name)] for f in fields(cls)}
+    if cls is Play:
+        kwargs["shape"] = _from_record(kwargs["shape"], PulseShape)
+    return cls(**kwargs)
 
 
 def schedule_to_dicts(s: Schedule) -> list:
-    out = []
-    for i in s.instructions:
-        if isinstance(i, Play):
-            out.append(
-                {
-                    "channel": i.channel,
-                    "start_ns": i.start,
-                    "shape": _shape_to_dict(i.shape),
-                    "carrier_ghz": i.carrier_freq,
-                    "phase_rad": i.carrier_phase,
-                }
-            )
-        else:
-            out.append(
-                {
-                    "kind": "phase_shift",
-                    "channel": i.channel,
-                    "subspace": i.subspace,
-                    "angle_rad": i.angle,
-                    "start_ns": i.start,
-                }
-            )
-    return out
+    return [_to_record(i) for i in s.instructions]
 
 
 def schedule_from_dicts(items: list) -> Schedule:
-    instrs = []
-    for d in items:
-        if d.get("kind") == "phase_shift":
-            instrs.append(
-                PhaseShift(channel=d["channel"], subspace=d["subspace"], angle=d["angle_rad"], start=d["start_ns"])
-            )
-        else:
-            instrs.append(
-                Play(
-                    channel=d["channel"],
-                    start=d["start_ns"],
-                    shape=_shape_from_dict(d["shape"]),
-                    carrier_freq=d["carrier_ghz"],
-                    carrier_phase=d["phase_rad"],
-                )
-            )
-    return Schedule(tuple(instrs))
-
+    return Schedule(tuple(_from_record(d, Instruction) for d in items))

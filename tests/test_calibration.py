@@ -60,6 +60,11 @@ class TestSingleQutrit:
             assert g.fidelity >= 0.999
             assert unitary_defect(g.unitary) < 1e-7
 
+    @pytest.mark.parametrize("channel,subspace", [(1, "02"), (3, "01"), (0, "12")])
+    def test_invalid_channel_or_subspace(self, device, channel, subspace):
+        with pytest.raises(InvalidParams):
+            calibrate_single_qutrit(device, channel, subspace, 1.0)
+
     def test_theta_zero_is_empty(self, device):
         # [TRIVIAL]
         g = calibrate_single_qutrit(device, 1, "01", 0.0)
@@ -315,6 +320,10 @@ class TestRabiScan:
         assert trace.populations.shape == (24, 9)
         assert np.max(np.abs(trace.populations.sum(axis=1) - 1.0)) < 1e-6
 
+    def test_invalid_subspace(self, device):
+        with pytest.raises(InvalidParams):
+            run_rabi_scan(device, "02", 0.5, 0, np.linspace(0.0, 100.0, 16))
+
     def test_12_scan_starts_in_minus(self, device):
         # width-0 plateau state = prepared state after the rise edge; at tiny
         # amplitude the edge only adds frame phases, so the target populations
@@ -371,6 +380,14 @@ class TestStore:
         path.write_text("{not json")
         assert CalibrationStore.load(str(path), "aaa") is None
 
+    @pytest.mark.parametrize("payload", [[], {"fingerprint": "aaa", "gates": []}], ids=["list", "gates_list"])
+    def test_store_of_wrong_json_shape_discarded(self, tmp_path, payload):
+        import json
+
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(payload))
+        assert CalibrationStore.load(str(path), "aaa") is None
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -380,6 +397,7 @@ class TestStore:
             ("pre_phases", [0.0] * 8),
             ("post_phases", [float("inf")] + [0.0] * 8),
             ("fidelity", float("nan")),
+            ("schedule", {"channel": 1}),  # an object, not a list of records
         ],
     )
     def test_malformed_gate_discards_store(self, tmp_path, field, value):

@@ -97,6 +97,22 @@ def test_bell_requires_matching_store(runner, tmp_path):
     assert "calibrate" in res.output
 
 
+@pytest.mark.parametrize("shape", ["list", "gates_list", "schedule_object"])
+def test_store_of_wrong_json_shape_is_reported_without_traceback(runner, config, tmp_path, shape):
+    fp = config.fingerprint()
+    payload = {
+        "list": [],
+        "gates_list": {"fingerprint": fp, "gates": []},
+        "schedule_object": {"fingerprint": fp, "gates": {"x01_pi_1": {"name": "x01_pi_1", "schedule": {"channel": 1}}}},
+    }[shape]
+    store = tmp_path / "cal.json"
+    store.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["gatefid", "--gate", "x01_pi_1", "--store", str(store)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "no calibration store matching" in res.output
+
+
 def test_gatefid_and_bell_with_store(runner, cal_store, config, tmp_path, monkeypatch):
     res = runner.invoke(main, ["gatefid", "--gate", "csx12", "--store", cal_store.path])
     assert res.exit_code == 0, res.output

@@ -45,11 +45,28 @@ class TestDeviceParams:
         path.write_text(json.dumps(device.to_dict()))
         assert DeviceParams.from_json(str(path)) == device
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [('{"omega1_ghz": 4.9,', "is not valid JSON"), ("[4.9]", "must hold a JSON object")],
+        ids=["bad_json", "not_object"],
+    )
+    def test_bad_json_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "device.json"
+        path.write_text(text)
+        with pytest.raises(InvalidParams, match=message):
+            DeviceParams.from_json(str(path))
+
     def test_unknown_keys_rejected(self, device):
         d = device.to_dict()
         d["omega3_ghz"] = 6.0
         with pytest.raises(InvalidParams):
             DeviceParams.from_dict(d)
+
+
+@pytest.mark.parametrize("which,subspace", [(1, "02"), (3, "01"), (0, "12"), (2, "1")])
+def test_transition_of_rejects_unknown_channel_or_subspace(device, which, subspace):
+    with pytest.raises(InvalidParams):
+        transition_frequencies(device, dressed=True).of(which, subspace)
 
 
 class TestStaticHamiltonian:

@@ -12,7 +12,7 @@ from qutritcr.effective import (
     qutrit_hadamard,
     rx_subspace,
 )
-from qutritcr.errors import SingularDenominator, UnknownGate
+from qutritcr.errors import InvalidParams, SingularDenominator, UnknownGate
 from qutritcr.linalg import dag, herm_defect, ket, ket2, kron, unitary_defect
 
 
@@ -146,6 +146,11 @@ class TestSingleQutritGates:
         assert r[0, 0] == pytest.approx(np.cos(phi / 2.0))
         assert r[0, 1] == pytest.approx(-1j * np.sin(phi / 2.0))
         assert r[2, 2] == 1.0
+
+    @pytest.mark.parametrize("subspace", ["02", "10", ""])
+    def test_rx_subspace_rejects_unknown_subspace(self, subspace):
+        with pytest.raises(InvalidParams):
+            rx_subspace(subspace, np.pi)
 
 
 class TestBellReferenceCircuit:
