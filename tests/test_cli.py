@@ -257,3 +257,25 @@ def test_config_values_of_wrong_type_or_range_are_rejected(runner, tmp_path, con
     assert isinstance(res.exception, SystemExit)
     assert f"Error: {message}" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["rabi", "--subspace", "01", "--points", "16", "--out", "{dir}/out"],
+        ["calibrate", "--store", "{dir}/new.json"],
+        ["bell", "--store", "{dir}/cal.json"],
+        ["gatefid", "--gate", "cr01_pi", "--store", "{dir}/cal.json"],
+    ],
+    ids=["rabi", "calibrate", "bell", "gatefid"],
+)
+def test_every_command_reports_a_bad_config_without_traceback(runner, tmp_path, command):
+    (tmp_path / "cal.json").write_text(json.dumps({"fingerprint": "stale", "gates": {}}))
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"bogus_key": 1}')
+    args = [a.format(dir=tmp_path) for a in command] + ["--config", str(cfg)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: unknown config keys" in res.output
+    assert "Traceback" not in res.output

@@ -193,3 +193,53 @@ class TestCmdBell:
         with pytest.raises(InvalidParams, match="'Full '"):
             cmd_bell(config, cal_store, str(tmp_path / "bell"), method="Full ")
         assert not (tmp_path / "bell").exists()
+
+
+def _fidelity_measurement_basis(target):
+    """Unitary whose first row projects onto the target state: the
+    Gram-Schmidt completion of target.conj() with the computational basis."""
+    cols = [target.conj()]
+    for k in range(9):
+        v = np.zeros(9, dtype=complex)
+        v[k] = 1.0
+        for c in cols:
+            v = v - c * np.vdot(c, v)
+        n = np.linalg.norm(v)
+        if n > 1e-9:
+            cols.append(v / n)
+    return np.array(cols[:9])
+
+
+class TestBellShotEstimatePinned:
+    """cmd_bell's shot estimates, drawn here the long way from the state the
+    stored gates prepare: a nine-outcome measurement in a basis holding the
+    Bell state, and 200 bootstrap resamples drawn one call at a time."""
+
+    @pytest.mark.parametrize("shots", [100_000, 2_000, 1])
+    def test_matches_a_full_measurement_and_a_stepwise_bootstrap(self, config, cal_store, shots):
+        from dataclasses import replace
+
+        from qutritcr.effective import bell_state
+        from qutritcr.linalg import ket2
+        from qutritcr.metrics import concurrence
+
+        basis = _fidelity_measurement_basis(bell_state())
+        for seed in range(50):
+            res = cmd_bell(replace(config, seed=seed, shots=shots), cal_store, method="store")
+            psi = ket2(0, 0)
+            for name in res.extras["segments"]:
+                psi = cal_store.get(name).unitary @ psi
+            psi = np.exp(1j * np.array(res.extras["correction_angles_rad"])).repeat(3) * psi
+
+            counts = sample_shots(np.abs(basis @ psi) ** 2, shots, seed)
+            f_hat = counts[0] / shots
+            sampled = res.metrics[1]
+            assert sampled.value == f_hat, seed
+            assert sampled.stderr == float(np.sqrt(max(f_hat * (1.0 - f_hat), 1e-12) / shots)), seed
+
+            rng = np.random.default_rng(seed + 1)
+            pops = np.abs(psi) ** 2
+            pops = pops / pops.sum()
+            phases = np.exp(1j * np.angle(psi))
+            boot = [concurrence(np.sqrt(rng.multinomial(shots, pops) / shots) * phases) for _ in range(200)]
+            assert res.metrics[2].stderr == float(np.std(boot)), seed
