@@ -23,10 +23,10 @@ from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 
 from .crpulse import cr_pulse
 from .device import EXCITATIONS, DeviceParams, FrameSpec, transition_frequencies
-from .effective import ideal_ucr, rx_subspace
+from .effective import ideal_ucr, on_transmon, rx_subspace
 from .errors import CalibrationFailed, InvalidParams
 from .fitting import fit_rabi
-from .linalg import PAIR_DIM, dag, ket2, kron, unitary_defect
+from .linalg import PAIR_DIM, dag, ket2, unitary_defect
 from .propagate import full_model_unitary, rwa_unitary
 from .pulses import (
     DEFAULT_RISEFALL_NS,
@@ -300,17 +300,11 @@ def _drag_schedule(channel, carrier, amp, beta, duration, sigma):
 
 def _subspace_leakage(u: np.ndarray, channel: int, subspace: str) -> float:
     """Worst-case population driven out of the gate's two-level subspace."""
-    lo = 0 if subspace == "01" else 1
-    outside = 2 - lo if subspace == "01" else 0
-    worst = 0.0
-    for lvl in (lo, lo + 1):
-        for other in range(3):
-            psi = ket2(lvl, other) if channel == 1 else ket2(other, lvl)
-            out = u @ psi
-            pops = (np.abs(out) ** 2).reshape(3, 3)
-            leak = pops[outside, :].sum() if channel == 1 else pops[:, outside].sum()
-            worst = max(worst, float(leak))
-    return worst
+    lo, outside = (0, 2) if subspace == "01" else (1, 0)
+    pops = (np.abs(u) ** 2).reshape(3, 3, 3, 3)  # [out 1, out 2, in 1, in 2]
+    if channel == 2:
+        pops = pops.transpose(1, 0, 3, 2)
+    return float(pops[outside, :, lo : lo + 2, :].sum(axis=0).max())
 
 
 def calibrate_single_qutrit(
@@ -338,8 +332,7 @@ def calibrate_single_qutrit(
     if abs(amp0) > 1.0:
         raise InvalidParams(f"rotation {theta} needs amp {amp0:.3f} GHz > cap; lengthen the pulse")
     carrier = transition_frequencies(p, dressed=True).of(channel, subspace)
-    rot = rx_subspace(subspace, theta)
-    target = kron(rot, np.eye(3)) if channel == 1 else kron(np.eye(3), rot)
+    target = on_transmon(channel, rx_subspace(subspace, theta))
 
     def fid_of(amp, beta):
         sched = _drag_schedule(channel, carrier, amp, beta, duration, sigma)
@@ -432,7 +425,7 @@ def prepare_control_state(p: DeviceParams, c: int, store: "CalibrationStore | No
         u = rx_subspace("01", np.pi) @ u
     if c == 2:
         u = rx_subspace("12", np.pi) @ u
-    return kron(u, np.eye(3)) @ psi, 0.0
+    return on_transmon(1, u) @ psi, 0.0
 
 
 def run_rabi_scan(
@@ -456,7 +449,7 @@ def run_rabi_scan(
     if subspace == "12":
         s = 1.0 / np.sqrt(2.0)
         minus = np.array([[s, s, 0.0], [-s, s, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-        psi0 = kron(np.eye(3), minus) @ psi0
+        psi0 = on_transmon(2, minus) @ psi0
     pulse = cr_pulse(p, subspace, amp, risefall)
     if mode == "pulsed":
         states = pulse.states_after(psi0, widths)

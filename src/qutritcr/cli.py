@@ -2,7 +2,8 @@
 
 Times are in ns and frequencies in GHz throughout flags and files.  The
 QUTRITCR_SEED environment variable overrides the config seed.  Errors,
-unwritable paths too, end in an ``Error:`` line and exit status 1.
+unwritable paths too, end in an ``Error:`` line and exit status 1: the
+command group (``_Commands.invoke``) maps them once for every command.
 """
 
 from __future__ import annotations
@@ -50,7 +51,17 @@ def _require_store(path: str, cfg: ExperimentConfig) -> CalibrationStore:
     return store
 
 
-@click.group()
+class _Commands(click.Group):
+    """Commands whose QutritCRError or OSError ends in an ``Error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (QutritCRError, OSError) as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Pulse-level qutrit cross-resonance toolkit."""
 
@@ -66,11 +77,7 @@ def main():
 def rabi(subspace, control, amp_ghz, t_max_ns, points, config_path, out_dir):
     """Conditional Rabi sweep of a CR tone (Fig.-2-style)."""
     controls = (0, 1, 2) if control == "all" else (int(control),)
-    try:
-        cfg = _load_config(config_path)
-        sidecar = cmd_rabi(cfg, subspace, controls, amp_ghz, t_max_ns, points, out_dir)
-    except (QutritCRError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    sidecar = cmd_rabi(_load_config(config_path), subspace, controls, amp_ghz, t_max_ns, points, out_dir)
     for name, fit in sorted(sidecar["fits"].items()):
         if "error" in fit:
             click.echo(f"{name}: {fit['error']}")
@@ -85,11 +92,7 @@ def rabi(subspace, control, amp_ghz, t_max_ns, points, config_path, out_dir):
 @click.option("--store", "store_path", type=click.Path(), required=True)
 def calibrate(config_path, store_path):
     """Calibrate the single-qutrit and CR gate set; persist to a JSON store."""
-    try:
-        cfg = _load_config(config_path)
-        cmd_calibrate(cfg, store_path)
-    except (QutritCRError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    cmd_calibrate(_load_config(config_path), store_path)
 
 
 @main.command()
@@ -101,12 +104,8 @@ def calibrate(config_path, store_path):
 @click.option("--method", type=click.Choice(BELL_METHODS), default="full", show_default=True)
 def bell(config_path, store_path, shots, seed, out_dir, method):
     """Run the Bell-state preparation and report fidelity and concurrence."""
-    try:
-        cfg = _load_config(config_path, seed=seed, shots=shots)
-        store = _require_store(store_path, cfg)
-        res = cmd_bell(cfg, store, out_dir, method)
-    except (QutritCRError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    cfg = _load_config(config_path, seed=seed, shots=shots)
+    res = cmd_bell(cfg, _require_store(store_path, cfg), out_dir, method)
     for m in res.metrics:
         err = f" +/- {m.stderr:.4f}" if m.stderr is not None else ""
         click.echo(f"{m.name}: {m.value:.6f}{err}")
@@ -121,12 +120,8 @@ def bell(config_path, store_path, shots, seed, out_dir, method):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def gatefid(gate_name, store_path, config_path):
     """Print the stored fidelity of one calibrated gate."""
-    try:
-        cfg = _load_config(config_path)
-        store = _require_store(store_path, cfg)
-        cmd_gatefid(store, gate_name)
-    except (QutritCRError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    cfg = _load_config(config_path)
+    cmd_gatefid(_require_store(store_path, cfg), gate_name)
 
 
 if __name__ == "__main__":

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .device import DeviceParams, transition_frequencies
 from .errors import InvalidParams, SingularDenominator, UnknownGate
-from .linalg import PAIR_DIM, QUTRIT_DIM, expm_unitary, ket2, kron, proj
+from .linalg import QUTRIT_DIM, expm_unitary, ket2, kron, proj
 
 IDEAL_CSX_SIGNS = (1.0, 0.0, -1.0)
 
@@ -92,13 +93,14 @@ def rx_subspace(subspace: str, phi: float) -> np.ndarray:
     return expm_unitary(gen, phi / 2.0)
 
 
+def on_transmon(channel: int, op: np.ndarray) -> np.ndarray:
+    """A 3x3 operator on transmon ``channel`` (1, the control, or 2) of the pair."""
+    return kron(op, np.eye(QUTRIT_DIM)) if channel == 1 else kron(np.eye(QUTRIT_DIM), op)
+
+
 def ideal_ucr(subspace: str, theta: float, signs=IDEAL_CSX_SIGNS) -> np.ndarray:
     """Conditional-rotation gate sum_i |i><i| (x) R_X^{subspace}(signs[i] theta)."""
-    blocks = [rx_subspace(subspace, s * theta) for s in signs]
-    u = np.zeros((PAIR_DIM, PAIR_DIM), dtype=complex)
-    for i, blk in enumerate(blocks):
-        u += kron(proj(i, i), blk)
-    return u
+    return scipy.linalg.block_diag(*(rx_subspace(subspace, s * theta) for s in signs))
 
 
 def qutrit_hadamard() -> np.ndarray:
@@ -148,13 +150,12 @@ def bell_reference_circuit():
     Returns (ops, target) where ops is an ordered list of (name, 9x9 unitary)
     applied left-to-right, ending with the diagonal phase correction.
     """
-    eye = np.eye(QUTRIT_DIM)
     ops = [
-        ("H3 on control", kron(qutrit_hadamard(), eye)),
+        ("H3 on control", on_transmon(1, qutrit_hadamard())),
         ("UCR01(pi)", ideal_ucr("01", np.pi)),
         ("UCR12(pi/2)", ideal_ucr("12", np.pi / 2.0)),
-        ("V on target", kron(eye, ideal_single_qutrit("V"))),
-        ("X01 on target", kron(eye, ideal_single_qutrit("X01"))),
-        ("Zdiag correction on control", kron(zdiag(*BELL_CORRECTION_ANGLES), eye)),
+        ("V on target", on_transmon(2, ideal_single_qutrit("V"))),
+        ("X01 on target", on_transmon(2, ideal_single_qutrit("X01"))),
+        ("Zdiag correction on control", on_transmon(1, zdiag(*BELL_CORRECTION_ANGLES))),
     ]
     return ops, bell_state()

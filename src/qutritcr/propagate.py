@@ -101,12 +101,7 @@ def _solve(rhs, y0, t0, t1, opts, t_eval=None):
 
 def evolve_state(hprov, psi0, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OPTIONS):
     """Solve i dpsi/dt = H(t) psi from t0 to t1; returns the final state."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    psi, _ = _solve(_state_rhs(hprov), psi0, t0, t1, opts, t_eval=[t1])
-    drift = abs(np.linalg.norm(psi) - np.linalg.norm(psi0))
-    if drift > NORM_DRIFT_LIMIT:
-        raise NormDrift(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
-    return psi
+    return evolve_trace(hprov, psi0, [t0, t1], opts)[-1]
 
 
 def evolve_trace(hprov, psi0, t_grid, opts: EvolveOptions = DEFAULT_OPTIONS):

@@ -174,6 +174,14 @@ def _check_window(t, duration):
         raise OutOfRange(f"t = {t} ns outside [0, {duration}] ns")
 
 
+def _check_instruction(start, *values):
+    """An instruction's start is finite and >= 0, and its other numbers finite."""
+    if not 0.0 <= start < math.inf:
+        raise InvalidParams(f"instruction start must be finite and >= 0, got {start}")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParams(f"instruction carrier and phase values must be finite, got {values}")
+
+
 @dataclass(frozen=True)
 class Play:
     """Timed pulse on a transmon drive channel."""
@@ -185,8 +193,7 @@ class Play:
     carrier_phase: float = 0.0  # rad
 
     def __post_init__(self):
-        if self.start < 0:
-            raise InvalidParams("instruction start must be >= 0")
+        _check_instruction(self.start, self.carrier_freq, self.carrier_phase)
         if self.channel not in (1, 2):
             raise InvalidParams("channel must be 1 or 2")
 
@@ -209,8 +216,7 @@ class PhaseShift:
     start: float = 0.0
 
     def __post_init__(self):
-        if self.start < 0:
-            raise InvalidParams("instruction start must be >= 0")
+        _check_instruction(self.start, self.angle)
         if self.subspace not in ("01", "12"):
             raise InvalidParams("subspace must be '01' or '12'")
 

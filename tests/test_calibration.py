@@ -35,11 +35,18 @@ from qutritcr.experiments import GATE_SET
 from qutritcr.linalg import ket2, kron, unitary_defect
 from qutritcr.metrics import average_gate_fidelity
 from qutritcr.propagate import full_model_unitary, rwa_unitary
-from qutritcr.pulses import Schedule
+from qutritcr.pulses import DragGaussian, Play, Schedule, schedule_to_dicts
 
 
 def _empty_gate(name):
     return CalibratedGate(name, Schedule(()), np.zeros(9), np.zeros(9), np.eye(9, dtype=complex), 1.0)
+
+
+def _nan_start_schedule():
+    """The stored records of a DRAG play whose start_ns is NaN."""
+    shape = DragGaussian(amp=0.06, sigma=8.0, duration=32.0, beta=0.5)
+    (record,) = schedule_to_dicts(Schedule((Play(channel=2, start=0.0, shape=shape, carrier_freq=5.0),)))
+    return [{**record, "start_ns": float("nan")}]
 
 
 class TestSingleQutrit:
@@ -340,7 +347,7 @@ class TestStore:
     def test_fingerprint_mismatch_discards(self, tmp_path, device):
         path = str(tmp_path / "cal.json")
         store = CalibrationStore(path=path, fingerprint="aaa")
-        from qutritcr.pulses import Schedule
+        from qutritcr.pulses import DragGaussian, Play, Schedule, schedule_to_dicts
 
         store.put(CalibratedGate("x", Schedule(()), np.zeros(9), np.zeros(9), np.eye(9, dtype=complex), 1.0))
         store.save()
@@ -398,6 +405,7 @@ class TestStore:
             ("post_phases", [float("inf")] + [0.0] * 8),
             ("fidelity", float("nan")),
             ("schedule", {"channel": 1}),  # an object, not a list of records
+            ("schedule", _nan_start_schedule()),
         ],
     )
     def test_malformed_gate_discards_store(self, tmp_path, field, value):

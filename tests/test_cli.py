@@ -279,3 +279,14 @@ def test_every_command_reports_a_bad_config_without_traceback(runner, tmp_path, 
     assert isinstance(res.exception, SystemExit)
     assert "Error: unknown config keys" in res.output
     assert "Traceback" not in res.output
+
+
+def test_bell_on_a_store_with_a_non_finite_start_reports_no_matching_store(runner, cal_store, config, tmp_path):
+    with open(cal_store.path) as f:
+        payload = json.load(f)
+    payload["gates"]["x01_pi_2"]["schedule"][0]["start_ns"] = float("nan")
+    store = tmp_path / "cal.json"
+    store.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["bell", "--store", str(store), "--method", "store"])
+    _assert_error_exit(res)
+    assert "no calibration store matching" in res.output

@@ -122,6 +122,11 @@ class TestCmdRabi:
             cmd_rabi(config, "02", (0,), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_control_state_rejected_before_any_file(self, config, tmp_path):
+        with pytest.raises(InvalidParams, match="control"):
+            cmd_rabi(config, "01", (0, 3), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_time_column_parses_back_to_the_simulated_time(self, config, tmp_path):
         cmd_rabi(config, "12", (0,), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path))
         rows = np.loadtxt(tmp_path / "rabi_12_c0.csv", delimiter=",", skiprows=1)

@@ -134,11 +134,19 @@ class TestNonFiniteParams:
             lambda x: DragGaussian(amp=0.06, sigma=x, duration=32.0),
             lambda x: DragGaussian(amp=0.06, sigma=8.0, duration=x),
             lambda x: DragGaussian(amp=0.06, sigma=8.0, duration=32.0, beta=x),
+            lambda x: Play(channel=1, start=x, shape=Gaussian(amp=0.02, sigma=8.0, duration=32.0), carrier_freq=5.0),
+            lambda x: Play(channel=1, start=0.0, shape=Gaussian(amp=0.02, sigma=8.0, duration=32.0), carrier_freq=x),
+            lambda x: Play(
+                channel=1, start=0.0, shape=Gaussian(amp=0.02, sigma=8.0, duration=32.0), carrier_freq=5.0, carrier_phase=x
+            ),
+            lambda x: PhaseShift(channel=1, subspace="01", angle=0.5, start=x),
+            lambda x: PhaseShift(channel=1, subspace="01", angle=x),
         ],
         ids=[
             "gaussian.amp", "gaussian.sigma", "gaussian.duration",
             "square.amp", "square.sigma", "square.risefall", "square.width",
             "drag.amp", "drag.sigma", "drag.duration", "drag.beta",
+            "play.start", "play.carrier_freq", "play.carrier_phase", "shift.start", "shift.angle",
         ],
     )
     def test_rejected(self, make, bad):
