@@ -560,10 +560,10 @@ def refine_full_model(
 
 # Enters every store fingerprint.  Bump it whenever calibration can return
 # different gates for the same configuration, so older stores recalibrate
-# (CHANGES.md records each bump).  9: a degree-9 Taylor exponential for every
-# Magnus step with a 1-norm below 0.0896, and a stored leakage measured from
-# the stored unitary or None.
-CALIBRATION_VERSION = 9
+# (CHANGES.md records each bump).  10: the degree-18 Taylor exponential in
+# place of the [9/9] Pade approximant for every Magnus step with a 1-norm
+# above 0.0896 (every RWA step), which moves the tune-ups by roundoff.
+CALIBRATION_VERSION = 10
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

@@ -2,14 +2,15 @@
 
 ``rwa_unitary`` and ``full_model_unitary`` both integrate with fixed-step
 sixth-order Magnus (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
-in the drive frame.  Each step is the exponential of an anti-Hermitian
-matrix, unitary up to roundoff; ``_unitary_exp`` explains how each step
-picks its exponential.  Without the RWA the step resolves the
-counter-rotating drive at twice the carrier.  The ``evolve_*`` functions
-wrap scipy's adaptive DOP853 (order 8, embedded error control); the full
-model uses it only for the one drive period of a CR flat top that is raised
-to a power.  States are never silently renormalized; norm drift is checked
-after every DOP853 run.
+in a drive frame (``_drive_frame``).  Each step is the exponential of an
+anti-Hermitian matrix, taken by one algorithm for both models: a Taylor
+polynomial of degree 9 or 18 (by the step's 1-norm), unitary up to roundoff
+and free of linear solves (``_unitary_exp``).  Without the RWA the step
+resolves the counter-rotating drive at twice the carrier.  The ``evolve_*``
+functions wrap scipy's adaptive DOP853 (order 8, embedded error control);
+the full model uses it only for the one drive period of a CR flat top that
+is raised to a power.  States are never silently renormalized; norm drift
+is checked after every DOP853 run.
 """
 
 from __future__ import annotations
@@ -145,31 +146,26 @@ def _commutator(a, b):
     return ab - ab.conj().swapaxes(-1, -2)
 
 
-# Numerator coefficients b_0..b_9 of the [9/9] Pade approximant to exp, and
-# the largest 1-norm theta_9 at which its backward error stays below double
-# precision's unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-# (2005), table 2.3).
-_PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)
-_THETA9 = 2.097847961257068
-
-# Coefficients 1/k! of the degree-9 Taylor polynomial T_9, and the largest
-# 1-norm at which its backward error stays below unit roundoff (Al-Mohy &
-# Higham, SIAM J. Sci. Comput. 33, 488 (2011), table 3.1).
-_TAYLOR9 = tuple(1.0 / math.factorial(k) for k in range(10))
+# Coefficients 1/k! of the Taylor polynomials T_9 and T_18, and the largest
+# 1-norms theta_9 and theta_18 at which their backward errors stay below
+# unit roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
+# table 3.1).
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(19))
 _THETA_TAYLOR9 = 0.0896
+_THETA_TAYLOR18 = 1.09
 
 
-def _taylor9(a: np.ndarray) -> np.ndarray:
-    """T_9(A) of an (n, d, d) stack by Paterson-Stockmeyer,
-    I + A + A^2/2 + A^3 (c_3 I + c_4 A + c_5 A^2 + A^3 (c_6 I + c_7 A + c_8 A^2 + c_9 A^3))
-    with c_k = 1/k!: four matrix products and no solve.  The sums are taken
-    in place, which spares an (n, d, d) temporary each."""
-    c = _TAYLOR9
+def _taylor(a: np.ndarray, m: int) -> np.ndarray:
+    """T_m(A) of an (n, d, d) stack (m = 9 or 18) by Paterson-Stockmeyer,
+    I + A + A^2/2 + A^3 (c_3 I + c_4 A + c_5 A^2 + A^3 (c_6 I + ... + c_m A^3))
+    with c_k = 1/k!: m/3 + 1 matrix products and no solve.  The sums are
+    taken in place, which spares an (n, d, d) temporary each."""
+    c = _TAYLOR
     a2 = a @ a
     a3 = a2 @ a
-    r = c[9] * a3
-    for k in (6, 3, 0):
-        if k < 6:
+    r = c[m] * a3
+    for k in range(m - 3, -1, -3):
+        if k < m - 3:
             r = a3 @ r
         r += c[k + 2] * a2
         r += c[k + 1] * a
@@ -177,20 +173,11 @@ def _taylor9(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _pade9(omega: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """[9/9] Pade approximant with scaling and squaring of an (n, d, d)
-    stack whose 1-norms are ``norm``."""
-    b = _PADE9
-    s = np.maximum(np.frexp(norm / _THETA9)[1], 0)
-    a = omega if not s.any() else omega * np.ldexp(1.0, -s)[:, None, None]
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    a8 = a4 @ a4
-    eye = np.eye(a.shape[-1])
-    odd = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    even = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(even - odd, even + odd)
+def _squared_taylor18(omega: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """T_18 of an (n, d, d) stack whose 1-norms are ``norm``, each matrix
+    scaled by 2^-s and squared s times, s from its own norm (0 up to theta_18)."""
+    s = np.maximum(np.frexp(norm / _THETA_TAYLOR18)[1], 0)
+    r = _taylor(omega if not s.any() else omega * np.ldexp(1.0, -s)[:, None, None], 18)
     for k in range(s.max()):
         big = s > k
         r[big] = r[big] @ r[big]
@@ -198,35 +185,27 @@ def _pade9(omega: np.ndarray, norm: np.ndarray) -> np.ndarray:
 
 
 def _unitary_exp(omega: np.ndarray) -> np.ndarray:
-    """exp of each anti-Hermitian matrix in an (n, d, d) stack.
+    """exp of each anti-Hermitian matrix in an (n, d, d) stack by a Taylor
+    polynomial, whose backward error stays below unit roundoff u (Al-Mohy &
+    Higham 2011).  It is unitary only to that backward error: exp(A + dA)
+    with |dA| <= u |A| is unitary to ~u.  Each matrix takes its branch from
+    its own 1-norm, so each result is the same whichever stack it rides in:
 
-    Each matrix takes its branch from its own 1-norm, so each result is the
-    same whichever stack it rides in:
-
-    - 1-norm <= theta_9 = 0.0896: the degree-9 Taylor polynomial
-      (``_taylor9``), whose backward error is below unit roundoff u there
-      (Al-Mohy & Higham 2011).  It needs no linear solve.  It is not unitary
-      by construction, only to its backward error: exp(A + dA) with
-      |dA| <= u |A| is unitary to ~u.  On the default device every
+    - 1-norm <= theta_9 = 0.0896: T_9.  On the default device every
       full-model Magnus step (1-norm ~0.03-0.08) takes this branch.
-    - larger: the [9/9] diagonal Pade approximant r(A) = p(-A)^-1 p(A) with
-      scaling and squaring (``_pade9``; Higham 2005).  Its coefficients are
-      real, so for anti-Hermitian A, p(-A) = p(A)^dagger and each
-      eigenvalue i lambda maps to p(i lambda) / conj(p(i lambda)), of
-      modulus 1: the result is unitary by construction, up to roundoff.  A
-      matrix whose 1-norm exceeds 2.1 is scaled by 2^-s and its approximant
-      squared s times; s comes from that matrix alone.  Every RWA Magnus
-      step (1-norm ~0.45-1.1) takes this branch unsquared.
+    - larger: T_18, unsquared up to theta_18 = 1.09 (``_squared_taylor18``).
+      Every RWA Magnus step (1-norm ~0.45-1.1) takes this branch; only the
+      steepest of a CR rise at amp ~0.4 GHz (up to 1.098) are squared once.
     """
     norm = np.abs(omega).sum(axis=-2).max(axis=-1)
-    taylor = norm <= _THETA_TAYLOR9
-    if taylor.all():
-        return _taylor9(omega)
-    if not taylor.any():
-        return _pade9(omega, norm)
+    low = norm <= _THETA_TAYLOR9
+    if low.all():
+        return _taylor(omega, 9)
+    if not low.any():
+        return _squared_taylor18(omega, norm)
     r = np.empty_like(omega)
-    r[taylor] = _taylor9(omega[taylor])
-    r[~taylor] = _pade9(omega[~taylor], norm[~taylor])
+    r[low] = _taylor(omega[low], 9)
+    r[~low] = _squared_taylor18(omega[~low], norm[~low])
     return r
 
 
@@ -304,18 +283,23 @@ def _rwa_flat_top(p: DeviceParams, schedule: Schedule):
 
 
 def _drive_frame(p: DeviceParams, plays) -> FrameSpec:
-    """The frame rotating at the first play's carrier on both transmons, or
-    the bare frame when there is no play or that carrier is not positive."""
-    if plays and plays[0].carrier_freq > 0:
-        return FrameSpec(plays[0].carrier_freq, plays[0].carrier_freq)
-    return FrameSpec.bare(p)
+    """The frame rotating each transmon at the carrier of the first play on
+    its channel, or at the first play's carrier where that channel has no
+    play or a carrier that is not positive.  The bare frame when there is no
+    play or the first play's carrier is not positive."""
+    if not plays or plays[0].carrier_freq <= 0:
+        return FrameSpec.bare(p)
+    own = [next((q.carrier_freq for q in plays if q.channel == ch), 0.0) for ch in (1, 2)]
+    return FrameSpec(*(c if c > 0 else plays[0].carrier_freq for c in own))
 
 
 def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     """Bare-frame propagator of a schedule over [0, duration] under the RWA.
 
-    Magnus runs in the drive frame (``_drive_frame``), where the retained
-    terms do not oscillate.  A lone Gaussian-square play's flat top is then
+    Magnus runs in the drive frame (``_drive_frame``), where each transmon
+    rotates at its channel's carrier, so no channel's first drive oscillates
+    (in one shared frame, two DRAG plays on two channels landed 1.25e-7 off
+    the oracle, not 9e-10).  A lone Gaussian-square play's flat top is then
     constant once 2c exceeds the RWA cutoff, and is exponentiated exactly;
     its fall edge is its rise's mirror image (``_rwa_flat_top``).  Every
     other schedule is stepped whole, split at its play edges as in the full
@@ -348,18 +332,22 @@ def _split_at_edges(prov, t0: float, t1: float, plays, *step) -> np.ndarray:
 def full_model_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     """Bare-frame propagator of a schedule over [0, duration], without the RWA.
 
-    Magnus at ``_FULL_MODEL_STEP`` runs in the drive frame (``_drive_frame``),
-    where the coupling and the co-rotating drive are slow and the
-    counter-rotating drive oscillates at 2c.  A lone Gaussian-square play's
-    flat top is then exactly periodic with T = 1/(2c), and its propagator is
-    U_T^n times one remainder piece, n = floor(width / T) (Floquet; Shirley,
-    Phys. Rev. 138, B979 (1965)).  Magnus steps the rise, the remainder and
-    the fall; DOP853 at FULL_MODEL_OPTIONS runs the one period, and U_T^n
-    comes from repeated squaring.  Every other schedule is stepped whole.
+    Magnus at ``_FULL_MODEL_STEP`` runs in the frame rotating at the first
+    play's carrier c on both transmons (``_drive_frame`` of that play), where
+    the coupling and the co-rotating drive are slow and the counter-rotating
+    drive oscillates at 2c.  A drive at c2 on the other channel oscillates at
+    c + c2, never faster than per-channel frames' 2 max(c, c2) (two DRAG
+    plays, one per channel: 2.4e-10 off the oracle here, 2.75e-10 there).
+    A lone Gaussian-square play's flat top is then exactly periodic with
+    T = 1/(2c), and its propagator is U_T^n times one remainder piece,
+    n = floor(width / T) (Floquet; Shirley, Phys. Rev. 138, B979 (1965)).
+    Magnus steps the rise, the remainder and the fall; DOP853 at
+    FULL_MODEL_OPTIONS runs the one period, and U_T^n comes from repeated
+    squaring.  Every other schedule is stepped whole.
     Steps never straddle the start or end of a play (``_split_at_edges``).
     """
     plays = schedule.plays()
-    drive = _drive_frame(p, plays)
+    drive = _drive_frame(p, plays[:1])
     prov = rotating_frame_hamiltonian(p, drive, schedule, rwa=False)
     if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare) and plays[0].carrier_freq > 0:
         play = plays[0]

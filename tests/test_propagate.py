@@ -315,6 +315,23 @@ class TestRWAUnitary:
         u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
         assert np.max(np.abs(rwa_unitary(device, sched) - u_oracle)) <= 1e-7
 
+    @pytest.mark.parametrize("second", [0.0, 10.0, 32.0], ids=["parallel", "staggered", "back_to_back"])
+    def test_plays_on_two_channels_each_run_in_their_own_frame(self, device, second):
+        # with both transmons rotating at channel 1's carrier, channel 2's
+        # drive oscillates at the 0.6 GHz detuning: 1.25e-7 off under the
+        # RWA.  The full model keeps that one frame, where it reads 2.3e-10
+        # (2.7e-10 in per-channel frames)
+        tf = transition_frequencies(device, dressed=True)
+        sched = Schedule((
+            Play(1, 0.0, DragGaussian(0.06, 8.0, 32.0, 0.4), tf.w01_1),
+            Play(2, second, DragGaussian(0.05, 8.0, 32.0, -0.3), tf.w01_2),
+        ))
+        assert propagate._drive_frame(device, sched.plays()) == FrameSpec(tf.w01_1, tf.w01_2)
+        for model, rwa, bound in ((rwa_unitary, True, 2e-9), (full_model_unitary, False, 2.5e-10)):
+            prov = rotating_frame_hamiltonian(device, FrameSpec.bare(device), sched, rwa=rwa)
+            u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
+            assert np.max(np.abs(model(device, sched) - u_oracle)) <= bound, model.__name__
+
     def test_magnus_blocks_leave_the_product_bit_identical(self, device, monkeypatch):
         tf = transition_frequencies(device, dressed=True)
         drag = DragGaussian(0.06, 8.0, 32.0, 0.4)
@@ -401,7 +418,7 @@ def test_one_product_commutator_matches_two(rng):
 
 class TestUnitaryExp:
     def test_matches_scipy_expm(self, rng):
-        # 1-norms past theta_9 = 2.1 are scaled and squared (8 takes two squarings)
+        # 1-norms past theta_18 = 1.09 are scaled and squared (8 takes three squarings)
         omega = _anti_hermitian_stack(rng, np.repeat(np.geomspace(1e-3, 8.0, 12), 4))
         got = propagate._unitary_exp(omega)
         for r, om in zip(got, omega):
@@ -421,21 +438,36 @@ class TestUnitaryExp:
         top = propagate._THETA_TAYLOR9 * (1.0 - 1e-12)
         omega = _anti_hermitian_stack(rng, np.repeat(np.geomspace(1e-4, top, 12), 4))
         got = propagate._unitary_exp(omega)
-        assert np.array_equal(got, propagate._taylor9(omega))
+        assert np.array_equal(got, propagate._taylor(omega, 9))
         for r, om in zip(got, omega):
             assert np.max(np.abs(r - scipy.linalg.expm(om))) <= 1e-15
             assert unitary_defect(r) <= 1e-15
 
+    def test_degree_18_branch_matches_scipy_expm(self, rng):
+        # every 1-norm in (theta_9, theta_18] takes T_18 unsquared; the
+        # [9/9] Pade approximant it replaced read 6.7e-16 and 1.3e-15 here
+        theta9, theta18 = propagate._THETA_TAYLOR9, propagate._THETA_TAYLOR18
+        omega = _anti_hermitian_stack(rng, rng.uniform(theta9 * (1.0 + 1e-6), theta18 * (1.0 - 1e-12), 4096))
+        got = propagate._unitary_exp(omega)
+        assert np.array_equal(got, propagate._taylor(omega, 18))
+        assert max(np.max(np.abs(r - scipy.linalg.expm(om))) for r, om in zip(got, omega)) <= 3e-16
+        assert max(unitary_defect(r) for r in got) <= 8.9e-16
+
     def test_each_matrix_takes_the_branch_of_its_own_norm(self, rng):
         theta = propagate._THETA_TAYLOR9
-        norms = [theta * (1.0 + 1e-6), theta * (1.0 - 1e-6), 0.03, 1.1]
+        norms = [theta * (1.0 + 1e-6), theta * (1.0 - 1e-6), 0.03, 1.1, 3.0]
         omega = _anti_hermitian_stack(rng, norms)
         stacked = propagate._unitary_exp(omega)
         for k, norm in enumerate(norms):
             lone = omega[k : k + 1]
             assert np.array_equal(stacked[k], propagate._unitary_exp(lone)[0])
-            want = propagate._taylor9(lone) if norm <= theta else propagate._pade9(lone, np.abs(lone).sum(axis=-2).max(axis=-1))
+            want = propagate._taylor(lone, 9) if norm <= theta else propagate._squared_taylor18(lone, np.abs(lone).sum(axis=-2).max(axis=-1))
             assert np.array_equal(stacked[k], want[0])
+        # 1.1 and 3.0 lie above theta_18 = 1.09: scaled by 2^-1 and 2^-2, then squared
+        big = omega[3:]
+        squared = propagate._taylor(big * np.array([0.5, 0.25])[:, None, None], 18)
+        assert np.array_equal(stacked[3], squared[0] @ squared[0])
+        assert np.array_equal(stacked[4], (squared[1] @ squared[1]) @ (squared[1] @ squared[1]))
 
 
 def test_full_model_steps_take_the_taylor_branch_and_rwa_steps_do_not(device, cal_store, monkeypatch):
