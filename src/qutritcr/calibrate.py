@@ -563,7 +563,11 @@ def refine_full_model(
 # (CHANGES.md records each bump).  10: the degree-18 Taylor exponential in
 # place of the [9/9] Pade approximant for every Magnus step with a 1-norm
 # above 0.0896 (every RWA step), which moves the tune-ups by roundoff.
-CALIBRATION_VERSION = 10
+# 11: the Magnus kernel forms its terms from H's operator coefficients in
+# place of differences of H, which moves every propagator by roundoff and
+# the tune-ups by ~1e-9; and the RWA keeps or drops each term by its
+# bare-frame frequency.
+CALIBRATION_VERSION = 11
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

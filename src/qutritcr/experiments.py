@@ -335,6 +335,18 @@ def cmd_bell(config: ExperimentConfig, store: CalibrationStore, out_dir: str | N
 
 CSV_POP_HEADERS = "p00,p01,p02,p10,p11,p12,p20,p21,p22"
 
+# One data row of a Rabi CSV: t_ns at full precision, so that it parses back
+# to the simulated time, then the nine populations at ten decimals.
+_RABI_ROW = "%r," + ",".join(["%.10f"] * 9) + "\n"
+
+
+def _rabi_csv_rows(times: np.ndarray, populations: np.ndarray) -> str:
+    """The data rows of a Rabi CSV, formatted by one %-format of the whole
+    (points, 10) block.  The values pass through ``tolist()``: %r of an
+    np.float64 prints np.float64(...) under numpy 2."""
+    block = np.column_stack([times, populations])
+    return (_RABI_ROW * len(block)) % tuple(block.ravel().tolist())
+
 
 def cmd_rabi(
     config: ExperimentConfig,
@@ -376,9 +388,7 @@ def cmd_rabi(
         path = os.path.join(out_dir, f"rabi_{subspace}_c{c}.csv")
         with open(path, "w") as f:
             f.write("t_ns," + CSV_POP_HEADERS + "\n")
-            for t, row in zip(trace.times, trace.populations):
-                # full precision: t_ns parses back to the simulated time
-                f.write(f"{float(t)!r}," + ",".join(f"{x:.10f}" for x in row) + "\n")
+            f.write(_rabi_csv_rows(trace.times, trace.populations))
         try:
             fit = fit_rabi(trace.times, trace.observable)
             fits[c] = fit

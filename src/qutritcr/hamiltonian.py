@@ -11,8 +11,10 @@ operator sum to a complex coefficient z(t), and
     H(t) = const + Re z (M + M†) + Im z i(M - M†)
 
 summed over the operators: one small product of the coefficients with a
-constant table.  The optional RWA drops terms whose total oscillation
-frequency exceeds RWA_CUTOFF_GHZ.
+constant table.  The optional RWA drops terms whose oscillation frequency in
+the bare frame (FrameSpec.bare) exceeds RWA_CUTOFF_GHZ, whatever frame H is
+written in: omega_ch -/+ c for a play's co- and counter-rotating parts at
+carrier c, omega2 - omega1 for the coupling.
 """
 
 from __future__ import annotations
@@ -107,17 +109,24 @@ class RotatingFrameHamiltonian:
         self._table = table.reshape(len(table), PAIR_DIM * PAIR_DIM).view(float)
         diagonal = TWO_PI * (static_diagonal(p) - number_diagonal(frame))
         self._const = np.diag(diagonal).astype(complex).reshape(-1)
+        # -i times the rows (exactly: each entry is real or imaginary), then
+        # -i const and a zero row for the real view of a weight on const
+        skew = np.concatenate([-1j * table.reshape(len(table), -1), [-1j * self._const, 0 * self._const]])
+        self._skew_table = skew.view(float)
         self._nops = len(ops)
         self._windows: list[_Window] = []
 
         # Exchange coupling J (a1† a2 + h.c.); a1† rotates at +frame1, a2 at -frame2.
-        self._add_window(None, 0.0, np.inf, [_OscTerm(_COUPLING, frame.frame2 - frame.frame1, 1.0, False)])
+        coupling = _OscTerm(_COUPLING, frame.frame2 - frame.frame1, 1.0, False)
+        self._add_window(None, 0.0, np.inf, [(coupling, p.omega2 - p.omega1)])
         for instr in self.schedule.plays():
             self._add_play(instr)
         self._terms = [term for w in self._windows for term in w.terms]
 
     def _add_window(self, shape, t0, span, terms):
-        kept = tuple(term for term in terms if not (self.rwa and abs(term.freq) > RWA_CUTOFF_GHZ))
+        """Add (term, bare-frame frequency) pairs as one window; the RWA keeps
+        a term by its bare-frame frequency, not by its frequency here."""
+        kept = tuple(term for term, bare in terms if not (self.rwa and abs(bare) > RWA_CUTOFF_GHZ))
         if kept:
             self._windows.append(_Window(shape, t0, span, kept))
 
@@ -129,7 +138,9 @@ class RotatingFrameHamiltonian:
         op = instr.channel
         co = _OscTerm(op, f_ch - instr.carrier_freq, np.pi * cmath.exp(1j * phase), True)
         counter = _OscTerm(op, f_ch + instr.carrier_freq, np.pi * cmath.exp(-1j * phase), False)
-        self._add_window(instr.shape, instr.start, instr.duration, [co, counter])
+        w_ch = self.params.omega1 if instr.channel == 1 else self.params.omega2
+        terms = [(co, w_ch - instr.carrier_freq), (counter, w_ch + instr.carrier_freq)]
+        self._add_window(instr.shape, instr.start, instr.duration, terms)
 
     def __call__(self, t):
         """H_rot(t) for a float t; for a 1-d numpy array of times, the (n, 9, 9) stack.
@@ -145,7 +156,7 @@ class RotatingFrameHamiltonian:
         under the RWA).
         """
         if isinstance(t, np.ndarray) and t.ndim:
-            return self._stack(t.astype(float, copy=False))
+            return self._assemble(self.coefficients(t.astype(float, copy=False)))
         z = [0j] * self._nops
         for w in self._windows:
             s = t - w.t0
@@ -159,7 +170,10 @@ class RotatingFrameHamiltonian:
                 z[term.op] += c * cmath.exp(-2j * cmath.pi * term.freq * t)
         return self._assemble(np.array(z))
 
-    def _stack(self, ts: np.ndarray) -> np.ndarray:
+    def coefficients(self, ts: np.ndarray) -> np.ndarray:
+        """The operator coefficients z(t) at a 1-d array of times, shape
+        (n, n_ops): H(t) = ``_assemble(z(t))``, and -i sum_j c_j H(t_j) =
+        ``skew(sum_j c_j z(t_j), sum_j c_j)``."""
         z = np.zeros((len(ts), self._nops), dtype=complex)
         for w in self._windows:
             s = ts - w.t0
@@ -168,20 +182,36 @@ class RotatingFrameHamiltonian:
                 continue
             # a window open at every node takes the basic slice: no gather/scatter copies
             rows = slice(None) if on.all() else on
-            t_on = ts[rows]
             env = None if w.shape is None else w.shape.sample(s[rows])
             for term in w.terms:
-                coef = np.exp(-2j * np.pi * term.freq * t_on)
-                if env is not None:
-                    coef = _scaled(env, term) * coef
+                # a term static in this frame has the factor exp(0) = 1
+                if env is None:
+                    coef = term.scale if term.freq == 0.0 else np.exp(-2j * np.pi * term.freq * ts[rows])
+                else:
+                    coef = _scaled(env, term)
+                    if term.freq != 0.0:
+                        coef *= np.exp(-2j * np.pi * term.freq * ts[rows])
                 z[rows, term.op] += coef
-        return self._assemble(z)
+        return z
 
     def _assemble(self, z: np.ndarray) -> np.ndarray:
         """const + [Re z, Im z] @ table for coefficients z of shape (..., n_ops)."""
         h = (z.view(float) @ self._table).view(complex)
         h += self._const
         return h.reshape(*z.shape[:-1], PAIR_DIM, PAIR_DIM)
+
+    def skew(self, z: np.ndarray, weight: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """-i (weight const + [Re z, Im z] @ table) of coefficients z of shape
+        (..., n_ops) and real weights broadcastable to z.shape[:-1], by one
+        real product into the C-contiguous ``out`` of shape (..., 9, 9).
+        With z = sum_j c_j z(t_j) and weight = sum_j c_j, this is the
+        anti-Hermitian -i sum_j c_j H(t_j)."""
+        zw = np.empty((*z.shape[:-1], self._nops + 1), dtype=complex)
+        zw[..., :-1] = z
+        zw[..., -1] = weight
+        rows = zw.reshape(-1, self._nops + 1).view(float)
+        np.matmul(rows, self._skew_table, out=out.reshape(len(rows), -1).view(float))
+        return out
 
 
 def rotating_frame_hamiltonian(

@@ -16,6 +16,7 @@ is checked after every DOP853 run.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,13 @@ _MAGNUS_BLOCK = 128
 # The groups follow the absolute step index, so the product does not depend
 # on _MAGNUS_BLOCK (blocks are rounded to whole groups).
 _GROUP = 128
+
+# The Magnus kernel's five (n, 9, 9) buffers, kept per thread between calls
+# (``_kernel_buffers``).  Allocated afresh, a block's ~1.2 MB came back from
+# the system page by page: glibc hands blocks that large back when they are
+# freed, and a 20 ns CR rise took ~450 page faults of ~3 us each.
+_KERNEL = threading.local()
+_KERNEL_SLOTS = 5
 
 
 @dataclass(frozen=True)
@@ -138,12 +146,13 @@ def evolve_unitary(hprov, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OP
     return u
 
 
-def _commutator(a, b):
-    """[a, b] for anti-Hermitian a and b (or stacks of them).  Then
-    (ab)^dagger = ba, so one product does, and the result is exactly
-    anti-Hermitian."""
-    ab = a @ b
-    return ab - ab.conj().swapaxes(-1, -2)
+def _commutator(a, b, out=None, work=None):
+    """[a, b] for anti-Hermitian a and b (or stacks of them), into ``out``
+    with ``work`` for the product when given.  Then (ab)^dagger = ba, so one
+    product does, and the result is exactly anti-Hermitian."""
+    ab = np.matmul(a, b, out=work)
+    out = np.conjugate(ab.swapaxes(-1, -2), out=out)
+    return np.subtract(ab, out, out=out)
 
 
 # Coefficients 1/k! of the Taylor polynomials T_9 and T_18, and the largest
@@ -155,36 +164,50 @@ _THETA_TAYLOR9 = 0.0896
 _THETA_TAYLOR18 = 1.09
 
 
-def _taylor(a: np.ndarray, m: int) -> np.ndarray:
+def _taylor(a: np.ndarray, m: int, work=None) -> np.ndarray:
     """T_m(A) of an (n, d, d) stack (m = 9 or 18) by Paterson-Stockmeyer,
     I + A + A^2/2 + A^3 (c_3 I + c_4 A + c_5 A^2 + A^3 (c_6 I + ... + c_m A^3))
-    with c_k = 1/k!: m/3 + 1 matrix products and no solve.  The sums are
-    taken in place, which spares an (n, d, d) temporary each."""
+    with c_k = 1/k!: m/3 + 1 matrix products and no solve.  Every product
+    and scaled term lands in one of four (n, d, d) buffers, ``work`` if
+    given (the result is one of them)."""
+    a2, a3, r, tmp = [np.empty_like(a) for _ in range(4)] if work is None else work
     c = _TAYLOR
-    a2 = a @ a
-    a3 = a2 @ a
-    r = c[m] * a3
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a, out=a3)
+    np.multiply(a3, c[m], out=r)
     for k in range(m - 3, -1, -3):
         if k < m - 3:
-            r = a3 @ r
-        r += c[k + 2] * a2
-        r += c[k + 1] * a
+            r, tmp = np.matmul(a3, r, out=tmp), r
+        r += np.multiply(a2, c[k + 2], out=tmp)
+        r += np.multiply(a, c[k + 1], out=tmp)
         r.reshape(len(r), -1)[:, :: a.shape[-1] + 1] += c[k]
     return r
 
 
-def _squared_taylor18(omega: np.ndarray, norm: np.ndarray) -> np.ndarray:
+def _squared_taylor18(omega: np.ndarray, norm: np.ndarray, work=None) -> np.ndarray:
     """T_18 of an (n, d, d) stack whose 1-norms are ``norm``, each matrix
     scaled by 2^-s and squared s times, s from its own norm (0 up to theta_18)."""
     s = np.maximum(np.frexp(norm / _THETA_TAYLOR18)[1], 0)
-    r = _taylor(omega if not s.any() else omega * np.ldexp(1.0, -s)[:, None, None], 18)
+    r = _taylor(omega if not s.any() else omega * np.ldexp(1.0, -s)[:, None, None], 18, work)
     for k in range(s.max()):
         big = s > k
         r[big] = r[big] @ r[big]
     return r
 
 
-def _unitary_exp(omega: np.ndarray) -> np.ndarray:
+def _one_norm(a: np.ndarray, mags=None) -> np.ndarray:
+    """Largest column sum of |a| of each matrix of an (n, d, d) stack, with
+    |a| in the real buffer ``mags`` if given.  The rows are added in order,
+    as ``np.abs(a).sum(axis=-2)`` adds them, so the sums are bit-identical
+    to it without its strided reduction."""
+    mags = np.abs(a, out=mags)
+    col = mags[:, 0].copy()
+    for row in range(1, a.shape[-2]):
+        col += mags[:, row]
+    return col.max(axis=-1)
+
+
+def _unitary_exp(omega: np.ndarray, work=None) -> np.ndarray:
     """exp of each anti-Hermitian matrix in an (n, d, d) stack by a Taylor
     polynomial, whose backward error stays below unit roundoff u (Al-Mohy &
     Higham 2011).  It is unitary only to that backward error: exp(A + dA)
@@ -196,60 +219,115 @@ def _unitary_exp(omega: np.ndarray) -> np.ndarray:
     - larger: T_18, unsquared up to theta_18 = 1.09 (``_squared_taylor18``).
       Every RWA Magnus step (1-norm ~0.45-1.1) takes this branch; only the
       steepest of a CR rise at amp ~0.4 GHz (up to 1.098) are squared once.
+
+    ``work``, four (n, d, d) buffers, serves the one-branch stacks; the
+    result is then one of them.
     """
-    norm = np.abs(omega).sum(axis=-2).max(axis=-1)
+    # |omega| fills the real first half of the last buffer before T_m uses it
+    mags = None if work is None else work[3].reshape(-1).view(float)[: omega.size].reshape(omega.shape)
+    norm = _one_norm(omega, mags)
     low = norm <= _THETA_TAYLOR9
     if low.all():
-        return _taylor(omega, 9)
+        return _taylor(omega, 9, work)
     if not low.any():
-        return _squared_taylor18(omega, norm)
+        return _squared_taylor18(omega, norm, work)
     r = np.empty_like(omega)
     r[low] = _taylor(omega[low], 9)
     r[~low] = _squared_taylor18(omega[~low], norm[~low])
     return r
 
 
-def _ordered_product(r: np.ndarray) -> np.ndarray:
+def _ordered_product(r: np.ndarray, work=None) -> np.ndarray:
     """r[-1] @ ... @ r[1] @ r[0] of an (n, d, d) stack, multiplied pairwise:
     each round is one batched matmul of neighbours, an odd last one rides
-    along."""
-    while len(r) > 1:
-        pairs = r[1::2] @ r[0 : len(r) - 1 : 2]
-        r = np.concatenate([pairs, r[-1:]]) if len(r) % 2 else pairs
+    along.  The rounds alternate between two buffers of at least (n + 1) // 2
+    matrices, ``work`` if given (the result is a view into one of them)."""
+    n = len(r)
+    if work is None:
+        work = np.empty((2, (n + 1) // 2, *r.shape[1:]), dtype=r.dtype)
+    k = 0
+    while n > 1:
+        half, dst = n // 2, work[k % 2]
+        np.matmul(r[1 : 2 * half : 2], r[0 : 2 * half : 2], out=dst[:half])
+        if n % 2:
+            dst[half] = r[n - 1]
+        r, n, k = dst, half + n % 2, k + 1
     return r[0]
+
+
+def _kernel_buffers(n: int) -> np.ndarray:
+    """This thread's (_KERNEL_SLOTS, n, 9, 9) complex buffers, one contiguous
+    array, regrown only when a block needs more steps than any before."""
+    need = _KERNEL_SLOTS * n * PAIR_DIM * PAIR_DIM
+    flat = getattr(_KERNEL, "flat", None)
+    if flat is None or len(flat) < need:
+        flat = _KERNEL.flat = np.empty(need, dtype=complex)
+    return flat[:need].reshape(_KERNEL_SLOTS, n, PAIR_DIM, PAIR_DIM)
+
+
+def _node_weights(dt: float) -> np.ndarray:
+    """Weights w of the three node Hamiltonians in the five matrices that
+    the sixth-order Magnus step combines linearly: sum_j w[k, j] A_j is
+    alpha_1, alpha_2, -2 alpha_3 / 60, (-20 alpha_1 - alpha_3) / 240 and
+    alpha_1 + alpha_3 / 12 for k = 0 ... 4 (``_stepped_unitary``)."""
+    a1 = np.array([0.0, dt, 0.0])
+    a2 = np.sqrt(15.0) * dt / 3.0 * np.array([-1.0, 0.0, 1.0])
+    a3 = 10.0 * dt / 3.0 * np.array([1.0, -2.0, 1.0])
+    return np.stack([a1, a2, a3 * (-2.0 / 60.0), (-20.0 * a1 - a3) / 240.0, a1 + a3 / 12.0])
 
 
 def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> np.ndarray:
     """Sixth-order Magnus propagator over [t0, t1] (three-point Gauss nodes).
 
     Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 4: with
-    A_i = -i H at the nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
-    step h, each step is exp(Omega).  The step is at most ``step`` ns,
-    ``_MAGNUS_STEP`` by default.  Omega is anti-Hermitian, and
-    ``_unitary_exp`` takes its exponential.  The steps are multiplied
-    pairwise within each ``_GROUP`` (``_ordered_product``).
+    A_j = -i H at the nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
+    step h, each step is exp(Omega), where
+
+        alpha_1 = h A_2,  alpha_2 = sqrt(15) h / 3 (A_3 - A_1),
+        alpha_3 = 10 h / 3 (A_3 - 2 A_2 + A_1),
+        C_1 = [alpha_1, alpha_2],  C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60,
+        Omega = alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2] / 240.
+
+    The step is at most ``step`` ns, ``_MAGNUS_STEP`` by default.  A block
+    of steps takes H's operator coefficients at all its nodes at once
+    (``prov.coefficients``).  Every term above that is linear in the A_j,
+    the factors 1/60, 1/240 and 1/12 included, is one row of
+    ``_node_weights``; the coefficients combine by those rows, and one
+    product with -i times H's operator table makes all five matrices
+    (``prov.skew``).  The commutators, Omega, its exponential
+    (``_unitary_exp``) and the pairwise products within each ``_GROUP``
+    (``_ordered_product``) run in this thread's kernel buffers
+    (``_kernel_buffers``).
     """
     n = max(int(np.ceil((t1 - t0) / (_MAGNUS_STEP if step is None else step))), 1)
     dt = (t1 - t0) / n
     offset = np.sqrt(15.0) / 10.0 * dt
     mids = t0 + dt * np.arange(n) + dt / 2.0
     block = max(_MAGNUS_BLOCK // _GROUP, 1) * _GROUP
+    weights = _node_weights(dt)
+    # H's constant part enters each combination with its weights' sum
+    const = weights.sum(axis=1)[:, None]
     u = None
     for k in range(0, n, block):
-        h1 = prov(mids[k : k + block] - offset)
-        h2 = prov(mids[k : k + block])
-        h3 = prov(mids[k : k + block] + offset)
-        # the -i of A_i = -i H_i rides on the scalar factors
-        alpha1 = (-1j * dt) * h2
-        alpha2 = (-1j * np.sqrt(15.0) * dt / 3.0) * (h3 - h1)
-        alpha3 = (-1j * 10.0 * dt / 3.0) * (h3 - 2.0 * h2 + h1)
-        c1 = _commutator(alpha1, alpha2)
-        c2 = _commutator(alpha1, 2.0 * alpha3 + c1) / -60.0
-        omega = alpha1 + alpha3 / 12.0 + _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
-        steps = _unitary_exp(omega)
+        mid = mids[k : k + block]
+        z = prov.coefficients(np.concatenate([mid - offset, mid, mid + offset])).reshape(3, -1)
+        z = (weights @ z).reshape(5, len(mid), -1)
+        b0, b1, b2, b3, b4 = buffers = _kernel_buffers(len(mid))
+        a1, a2, x = prov.skew(z[:3], const[:3], buffers[:3])
+        c1 = _commutator(a1, a2, out=b3, work=b4)
+        # x = -(2 alpha_3 + C_1) / 60, so that [alpha_1, x] = C_2; then x = alpha_2 + C_2
+        x -= np.multiply(c1, 1.0 / 60.0, out=b4)
+        _commutator(a1, x, out=x, work=b4)
+        x += a2
+        # y = (-20 alpha_1 - alpha_3 + C_1) / 240 and omega = alpha_1 + alpha_3 / 12
+        # take the places of the spent alpha_1 and alpha_2
+        y, omega = prov.skew(z[3:], const[3:], buffers[:2])
+        y += np.multiply(c1, 1.0 / 240.0, out=b4)
+        omega += _commutator(y, x, out=b3, work=b4)
+        steps = _unitary_exp(omega, (b0, b2, b3, b4))
         for g in range(0, len(steps), _GROUP):
-            group = _ordered_product(steps[g : g + _GROUP])
-            u = group if u is None else group @ u
+            group = _ordered_product(steps[g : g + _GROUP], (b0, b2))
+            u = group.copy() if u is None else group @ u
     return u
 
 

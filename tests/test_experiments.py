@@ -1,11 +1,13 @@
 import json
 import os
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qutritcr import experiments
-from qutritcr.errors import BadDistribution, InvalidParams
+from qutritcr.errors import BadDistribution, InvalidParams, NoOscillation
 from qutritcr.experiments import (
     CSV_POP_HEADERS,
     ExperimentConfig,
@@ -126,6 +128,35 @@ class TestCmdRabi:
         with pytest.raises(InvalidParams, match="control"):
             cmd_rabi(config, "01", (0, 3), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+
+    def test_csv_matches_a_hand_written_file(self, config, tmp_path, monkeypatch):
+        # 0.99999999996, 6e-11 and 2/3 round up at the 10th decimal; the grid
+        # time 48.818897637795274 needs all 17 digits of its repr
+        times = np.array([40.0, 44.40944881889764, 48.818897637795274])
+        pops = np.zeros((3, 9))
+        pops[0, 0] = 1.0
+        pops[1, :2] = 0.99999999996, 6e-11
+        pops[2, :4] = 2.0 / 3.0, 1.0 / 3.0, 1e-12, 0.12345678904
+        trace = SimpleNamespace(times=times, populations=pops, observable=pops[:, 1])
+
+        def no_fit(times, values):
+            raise NoOscillation("not fitted here")
+
+        monkeypatch.setattr(experiments, "run_rabi_scan", lambda *args: trace)
+        monkeypatch.setattr(experiments, "fit_rabi", no_fit)
+        cmd_rabi(config, "01", (0,), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path))
+        expected = (Path(__file__).parent / "data" / "rabi_small.csv").read_bytes()
+        assert (tmp_path / "rabi_01_c0.csv").read_bytes() == expected
+
+    def test_one_format_call_equals_the_row_loop(self, rng):
+        times = np.concatenate([np.linspace(0.0, 560.0, 500) + 40.0, rng.uniform(40.0, 640.0, 500)])
+        amps = rng.normal(size=(1000, 9)) + 1j * rng.normal(size=(1000, 9))
+        pops = np.abs(amps) ** 2 / np.sum(np.abs(amps) ** 2, axis=1, keepdims=True)
+        # half the entries a hair off a tie at the 10th decimal
+        near_tie = (rng.integers(0, 10**10, size=(500, 9)) + 0.5) / 1e10
+        pops[::2] = near_tie + rng.choice([-1e-17, 0.0, 1e-17], size=near_tie.shape)
+        loop = "".join(f"{float(t)!r}," + ",".join(f"{x:.10f}" for x in row) + "\n" for t, row in zip(times, pops))
+        assert experiments._rabi_csv_rows(times, pops) == loop
 
     def test_time_column_parses_back_to_the_simulated_time(self, config, tmp_path):
         cmd_rabi(config, "12", (0,), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path))

@@ -332,6 +332,23 @@ class TestRWAUnitary:
             u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
             assert np.max(np.abs(model(device, sched) - u_oracle)) <= bound, model.__name__
 
+    @pytest.mark.parametrize("carrier,bound", [(2.5, 8.5e-6), (3.0, 2.6e-6)])
+    def test_terms_are_kept_by_their_bare_frame_frequency(self, device, carrier, bound):
+        # channel 2's drive, 3.0 or 2.5 GHz below w2, is dropped and the
+        # coupling, 0.6 GHz in the bare frame, is kept, though the drive
+        # frame puts it at 2.4 or 1.9 GHz; kept or dropped by those
+        # frequencies the terms landed 3.7e-2 and 4.5e-2 off.  The ~1e-5 left
+        # is the kept coupling's oscillation against the 0.08 ns step: it
+        # falls 64x per halving of the step
+        tf = transition_frequencies(device, dressed=True)
+        sched = Schedule((
+            Play(1, 0.0, DragGaussian(0.06, 8.0, 32.0, 0.4), tf.w01_1),
+            Play(2, 0.0, DragGaussian(0.05, 8.0, 32.0, -0.3), carrier),
+        ))
+        prov = rotating_frame_hamiltonian(device, FrameSpec.bare(device), sched, rwa=True)
+        u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
+        assert np.max(np.abs(rwa_unitary(device, sched) - u_oracle)) <= bound
+
     def test_magnus_blocks_leave_the_product_bit_identical(self, device, monkeypatch):
         tf = transition_frequencies(device, dressed=True)
         drag = DragGaussian(0.06, 8.0, 32.0, 0.4)
@@ -476,9 +493,9 @@ def test_full_model_steps_take_the_taylor_branch_and_rwa_steps_do_not(device, ca
     norms = []
     real = propagate._unitary_exp
 
-    def spy(omega):
+    def spy(omega, *work):
         norms.append(np.abs(omega).sum(axis=-2).max(axis=-1))
-        return real(omega)
+        return real(omega, *work)
 
     monkeypatch.setattr(propagate, "_unitary_exp", spy)
     for model, beyond_theta in ((full_model_unitary, False), (rwa_unitary, True)):
@@ -498,3 +515,66 @@ def test_end_state_only_matches_the_full_history(device, cal_store, monkeypatch)
     for name, u in zip(GATE_SET, kept):
         history = full_model_unitary(device, cal_store.get(name).schedule)
         assert np.max(np.abs(u - history)) <= 1e-15, name
+
+
+def _reference_stepped_unitary(prov, t0, t1, step):
+    """The Magnus kernel before its buffers: three ``prov(ts)`` stacks of H
+    at every step's nodes, the alphas from differences of H, a fresh array
+    for every term, then the same exponential and pairwise products."""
+    n = max(int(np.ceil((t1 - t0) / step)), 1)
+    dt = (t1 - t0) / n
+    offset = np.sqrt(15.0) / 10.0 * dt
+    mids = t0 + dt * np.arange(n) + dt / 2.0
+    block = max(propagate._MAGNUS_BLOCK // propagate._GROUP, 1) * propagate._GROUP
+    commutator = propagate._commutator
+    u = None
+    for k in range(0, n, block):
+        h1 = prov(mids[k : k + block] - offset)
+        h2 = prov(mids[k : k + block])
+        h3 = prov(mids[k : k + block] + offset)
+        alpha1 = (-1j * dt) * h2
+        alpha2 = (-1j * np.sqrt(15.0) * dt / 3.0) * (h3 - h1)
+        alpha3 = (-1j * 10.0 * dt / 3.0) * (h3 - 2.0 * h2 + h1)
+        c1 = commutator(alpha1, alpha2)
+        c2 = commutator(alpha1, 2.0 * alpha3 + c1) / -60.0
+        omega = alpha1 + alpha3 / 12.0 + commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+        steps = propagate._unitary_exp(omega)
+        for g in range(0, len(steps), propagate._GROUP):
+            group = propagate._ordered_product(steps[g : g + propagate._GROUP])
+            u = group if u is None else group @ u
+    return u
+
+
+@st.composite
+def _short_plays(draw):
+    """One or two short DRAG or Gaussian-square plays near the device's
+    transitions: a second play on the same channel follows the first, one
+    on the other channel may overlap it."""
+    tf = transition_frequencies(_DEVICE, dressed=True)
+    plays = []
+    for _ in range(draw(st.integers(1, 2))):
+        amp = draw(st.floats(-0.3, 0.3))
+        if draw(st.booleans()):
+            shape = DragGaussian(amp, 2.0, draw(st.floats(4.0, 10.0)), draw(st.floats(-1.0, 1.0)))
+        else:
+            shape = GaussianSquare(amp, 1.0, 2.0, draw(st.floats(0.0, 4.0)))
+        carrier = draw(st.sampled_from([tf.w01_1, tf.w12_1, tf.w01_2, tf.w12_2])) + draw(st.floats(-0.05, 0.05))
+        channel = draw(st.sampled_from([1, 2]))
+        start = draw(st.floats(0.0, 6.0))
+        if plays and plays[0].channel == channel:
+            start += plays[0].end
+        plays.append(Play(channel, start, shape, carrier, draw(st.floats(-np.pi, np.pi))))
+    return Schedule(tuple(plays))
+
+
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(sched=_short_plays())
+def test_kernel_matches_the_node_stack_reference(rwa, sched):
+    # the coefficient table and the buffers change only roundoff
+    plays = sched.plays()
+    frame = propagate._drive_frame(_DEVICE, plays if rwa else plays[:1])
+    prov = rotating_frame_hamiltonian(_DEVICE, frame, sched, rwa=rwa)
+    step = propagate._MAGNUS_STEP if rwa else propagate._FULL_MODEL_STEP
+    got = propagate._stepped_unitary(prov, 0.0, sched.duration, step)
+    assert np.max(np.abs(got - _reference_stepped_unitary(prov, 0.0, sched.duration, step))) <= 1e-13
