@@ -20,7 +20,7 @@ import numpy as np
 
 from .device import DeviceParams, FrameSpec, reframe, transition_frequencies
 from .errors import InvalidParams
-from .hamiltonian import RWA_CUTOFF_GHZ
+from .hamiltonian import RWA_CUTOFF_GHZ, keeps_counter_rotating
 from .linalg import dag
 from .propagate import _rwa_flat_top, _stepped_unitary  # noqa: F401  (bench/tracer.py binds _stepped_unitary here)
 from .pulses import DEFAULT_RISEFALL_NS, Schedule, build_cr_schedule
@@ -38,9 +38,10 @@ _PULSE_CACHE_SIZE = 8
 class FlatTopCRPulse:
     """One cross-resonance Gaussian-square pulse at fixed amplitude and phase.
 
-    Its carrier c must have 2c above the RWA cutoff: below it the RWA keeps
-    the counter-rotating drive, the flat top is not constant, and the pulse
-    raises InvalidParams (``propagate.rwa_unitary`` steps such a play whole).
+    The RWA must drop its counter-rotating drive, whose bare-frame frequency
+    is omega_1 + c at carrier c: where it is within the RWA cutoff, the
+    flat top is not constant and the pulse raises InvalidParams
+    (``propagate.rwa_unitary`` steps such a play whole).
     """
 
     def __init__(
@@ -57,10 +58,10 @@ class FlatTopCRPulse:
         self.risefall = risefall
         self.phase = phase
         self.carrier = transition_frequencies(p, dressed=True).of(2, subspace)
-        if 2.0 * self.carrier <= RWA_CUTOFF_GHZ:
+        if keeps_counter_rotating(p, 1, self.carrier):
             raise InvalidParams(
                 f"CR carrier {self.carrier:.4g} GHz: its flat top is not constant under the RWA "
-                f"(2c <= {RWA_CUTOFF_GHZ} GHz keeps the counter-rotating drive)"
+                f"(omega1 + c <= {RWA_CUTOFF_GHZ} GHz keeps the counter-rotating drive)"
             )
         self.frame = FrameSpec(self.carrier, self.carrier)
 

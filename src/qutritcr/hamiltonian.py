@@ -79,6 +79,27 @@ def _nearest_subspace(p: DeviceParams, channel: int, carrier: float) -> str:
     return "01" if abs(carrier - w01) <= abs(carrier - w12) else "12"
 
 
+def _rwa_keeps(bare_freq: float) -> bool:
+    """The RWA keeps a term whose bare-frame frequency is within the cutoff."""
+    return abs(bare_freq) <= RWA_CUTOFF_GHZ
+
+
+def _bare_drive_frequencies(p: DeviceParams, channel: int, carrier: float) -> tuple[float, float]:
+    """Bare-frame frequencies (GHz) of a drive's co- and counter-rotating
+    parts: omega_ch - c and omega_ch + c."""
+    w_ch = p.omega1 if channel == 1 else p.omega2
+    return w_ch - carrier, w_ch + carrier
+
+
+def keeps_counter_rotating(p: DeviceParams, channel: int, carrier: float) -> bool:
+    """Whether the RWA keeps the counter-rotating part of a drive at carrier
+    c on a channel.  In the frame rotating at c on both transmons it is the
+    one retained term of a lone play that oscillates (at 2c), so a
+    Gaussian-square play's flat top is constant there exactly when it is
+    dropped."""
+    return _rwa_keeps(_bare_drive_frequencies(p, channel, carrier)[1])
+
+
 def play_phase(p: DeviceParams, schedule: Schedule, instr: Play) -> float:
     """Drive phase of a play for its whole window: its carrier phase plus the
     virtual phase of its nearest subspace accumulated by its start."""
@@ -126,7 +147,7 @@ class RotatingFrameHamiltonian:
     def _add_window(self, shape, t0, span, terms):
         """Add (term, bare-frame frequency) pairs as one window; the RWA keeps
         a term by its bare-frame frequency, not by its frequency here."""
-        kept = tuple(term for term, bare in terms if not (self.rwa and abs(bare) > RWA_CUTOFF_GHZ))
+        kept = tuple(term for term, bare in terms if not self.rwa or _rwa_keeps(bare))
         if kept:
             self._windows.append(_Window(shape, t0, span, kept))
 
@@ -138,9 +159,8 @@ class RotatingFrameHamiltonian:
         op = instr.channel
         co = _OscTerm(op, f_ch - instr.carrier_freq, np.pi * cmath.exp(1j * phase), True)
         counter = _OscTerm(op, f_ch + instr.carrier_freq, np.pi * cmath.exp(-1j * phase), False)
-        w_ch = self.params.omega1 if instr.channel == 1 else self.params.omega2
-        terms = [(co, w_ch - instr.carrier_freq), (counter, w_ch + instr.carrier_freq)]
-        self._add_window(instr.shape, instr.start, instr.duration, terms)
+        bare = _bare_drive_frequencies(self.params, instr.channel, instr.carrier_freq)
+        self._add_window(instr.shape, instr.start, instr.duration, list(zip((co, counter), bare)))
 
     def __call__(self, t):
         """H_rot(t) for a float t; for a 1-d numpy array of times, the (n, 9, 9) stack.

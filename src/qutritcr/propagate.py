@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 
 from .device import EXCITATIONS, DeviceParams, FrameSpec, reframe
 from .errors import NormDrift, StepFailure
-from .hamiltonian import RWA_CUTOFF_GHZ, play_phase, rotating_frame_hamiltonian
+from .hamiltonian import keeps_counter_rotating, play_phase, rotating_frame_hamiltonian
 from .linalg import PAIR_DIM, dag, expm_unitary, unitary_defect
 from .pulses import GaussianSquare, Schedule
 
@@ -43,9 +43,9 @@ _MAGNUS_STEP = 0.08
 _FULL_MODEL_STEP = 0.005
 
 # Magnus steps built at once, so that long schedules do not raise peak memory.
-# A block's dozen (n, 9, 9) temporaries take ~2 MB at 128 steps; at 512 the
-# full model's 0.005 ns steps raised the pipeline's peak RSS by ~2 MB over
-# the DOP853 it replaced.
+# A block's five (n, 9, 9) kernel buffers take 0.83 MB at 128 steps; at 512
+# the full model's 0.005 ns steps, with a dozen fresh temporaries per block,
+# raised the pipeline's peak RSS by ~2 MB over the DOP853 it replaced.
 _MAGNUS_BLOCK = 128
 
 # Steps multiplied pairwise as one group: steps k with the same k // _GROUP.
@@ -54,9 +54,11 @@ _MAGNUS_BLOCK = 128
 _GROUP = 128
 
 # The Magnus kernel's five (n, 9, 9) buffers, kept per thread between calls
-# (``_kernel_buffers``).  Allocated afresh, a block's ~1.2 MB came back from
-# the system page by page: glibc hands blocks that large back when they are
-# freed, and a 20 ns CR rise took ~450 page faults of ~3 us each.
+# (``_kernel_buffers``).  Arrays this large that are allocated afresh come
+# back from the system page by page, because glibc returns them when they
+# are freed: a 20 ns CR rise took 450-610 page faults of ~3 us each, and
+# with kept buffers none.  They hold scratch only: each block writes every
+# buffer before it reads it, and no result is a view of them.
 _KERNEL = threading.local()
 _KERNEL_SLOTS = 5
 
@@ -312,28 +314,31 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
         mid = mids[k : k + block]
         z = prov.coefficients(np.concatenate([mid - offset, mid, mid + offset])).reshape(3, -1)
         z = (weights @ z).reshape(5, len(mid), -1)
-        b0, b1, b2, b3, b4 = buffers = _kernel_buffers(len(mid))
+        buffers = _kernel_buffers(len(mid))
         a1, a2, x = prov.skew(z[:3], const[:3], buffers[:3])
-        c1 = _commutator(a1, a2, out=b3, work=b4)
+        c1, p = buffers[3:]
+        _commutator(a1, a2, out=c1, work=p)
         # x = -(2 alpha_3 + C_1) / 60, so that [alpha_1, x] = C_2; then x = alpha_2 + C_2
-        x -= np.multiply(c1, 1.0 / 60.0, out=b4)
-        _commutator(a1, x, out=x, work=b4)
+        x -= np.multiply(c1, 1.0 / 60.0, out=p)
+        _commutator(a1, x, out=x, work=p)
         x += a2
         # y = (-20 alpha_1 - alpha_3 + C_1) / 240 and omega = alpha_1 + alpha_3 / 12
         # take the places of the spent alpha_1 and alpha_2
         y, omega = prov.skew(z[3:], const[3:], buffers[:2])
-        y += np.multiply(c1, 1.0 / 240.0, out=b4)
-        omega += _commutator(y, x, out=b3, work=b4)
-        steps = _unitary_exp(omega, (b0, b2, b3, b4))
+        y += np.multiply(c1, 1.0 / 240.0, out=p)
+        omega += _commutator(y, x, out=c1, work=p)
+        # T_m runs in the spent y, x, C_1 and p, the pairwise products in y and x
+        steps = _unitary_exp(omega, (y, x, c1, p))
         for g in range(0, len(steps), _GROUP):
-            group = _ordered_product(steps[g : g + _GROUP], (b0, b2))
+            group = _ordered_product(steps[g : g + _GROUP], (y, x))
             u = group.copy() if u is None else group @ u
     return u
 
 
 def _rwa_flat_top(p: DeviceParams, schedule: Schedule):
     """(u_rise, u_fall, w, v) of a schedule whose lone play is a Gaussian
-    square at carrier c, 2c above the RWA cutoff: in the frame rotating at c,
+    square at carrier c > 0 whose counter-rotating drive the RWA drops
+    (``keeps_counter_rotating``): in the frame rotating at c,
     the propagators over [0, flat-top start] and [flat-top end, duration],
     and the flat top's constant Hamiltonian v diag(w) v^dagger.
 
@@ -378,16 +383,18 @@ def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     rotates at its channel's carrier, so no channel's first drive oscillates
     (in one shared frame, two DRAG plays on two channels landed 1.25e-7 off
     the oracle, not 9e-10).  A lone Gaussian-square play's flat top is then
-    constant once 2c exceeds the RWA cutoff, and is exponentiated exactly;
+    constant once the RWA drops its counter-rotating drive (at omega_ch + c
+    in the bare frame), and is exponentiated exactly;
     its fall edge is its rise's mirror image (``_rwa_flat_top``).  Every
     other schedule is stepped whole, split at its play edges as in the full
     model (``_split_at_edges``).
     """
     plays = schedule.plays()
     drive = _drive_frame(p, plays)
-    if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare) and 2.0 * plays[0].carrier_freq > RWA_CUTOFF_GHZ:
+    play = plays[0] if len(plays) == 1 else None
+    if play and isinstance(play.shape, GaussianSquare) and play.carrier_freq > 0 and not keeps_counter_rotating(p, play.channel, play.carrier_freq):
         u_rise, u_fall, w, v = _rwa_flat_top(p, schedule)
-        u = u_fall @ (v * np.exp(-1j * w * plays[0].shape.width)) @ dag(v) @ u_rise
+        u = u_fall @ (v * np.exp(-1j * w * play.shape.width)) @ dag(v) @ u_rise
     else:
         u = _split_at_edges(rotating_frame_hamiltonian(p, drive, schedule, rwa=True), 0.0, schedule.duration, plays)
     return reframe(u, drive, FrameSpec.bare(p), schedule.duration)

@@ -216,12 +216,16 @@ def test_dressed_carrier_diagonalized_once(device, monkeypatch):
 
 
 def test_flat_top_below_the_rwa_cutoff_is_rejected():
-    # with 2c <= RWA_CUTOFF_GHZ the RWA keeps the counter-rotating drive, so
-    # the flat top is not constant; here the 12 carrier is 0.9 GHz
-    p = DeviceParams(omega1=0.6, omega2=1.2)
+    # with omega1 + c <= RWA_CUTOFF_GHZ the RWA keeps the counter-rotating
+    # drive, so the flat top is not constant; here the 12 carrier is 1.3 GHz
+    # and omega1 0.6 GHz
+    p = DeviceParams(omega1=0.6, omega2=1.6)
     with pytest.raises(InvalidParams, match="not constant"):
         FlatTopCRPulse(p, "12", 0.05)
     with pytest.raises(InvalidParams, match="not constant"):
         crpulse.cr_pulse(p, "12", 0.05)
-    # the 01 carrier, 1.2 GHz, is above the cutoff
+    # with the 01 carrier, 1.6 GHz, it lies above the cutoff
     assert FlatTopCRPulse(p, "01", 0.05).unitary(100.0).shape == (9, 9)
+    # a 1.2 GHz carrier has 2c above the cutoff but omega1 + c = 1.8 GHz below it
+    with pytest.raises(InvalidParams, match="not constant"):
+        FlatTopCRPulse(DeviceParams(omega1=0.6, omega2=1.2), "01", 0.05)

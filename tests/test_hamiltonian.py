@@ -27,7 +27,8 @@ class ReferenceHamiltonian:
     Each term is ``(op, matrix, freq, env, t0, span)`` and contributes
     ``env(t) exp(-2pi i freq t) matrix + h.c.`` while 0 <= t - t0 <= span,
     which for a play is its envelope's own domain; ``op`` names the operator
-    the matrix is a multiple of.
+    the matrix is a multiple of.  The RWA drops a term by its frequency in
+    the bare frame, whatever the frame.
     """
 
     def __init__(self, p, frame, schedule, rwa=False, cutoff=RWA_CUTOFF_GHZ):
@@ -35,7 +36,8 @@ class ReferenceHamiltonian:
         self.const = np.diag(TWO_PI * (static_diagonal(p) - number_diagonal(frame))).astype(complex)
         self.terms = []
         a1, a2 = lowering_operator(1), lowering_operator(2)
-        self._add("J", TWO_PI * p.coupling_j * (dag(a1) @ a2), frame.frame2 - frame.frame1, None, 0.0, np.inf)
+        coupling = TWO_PI * p.coupling_j * (dag(a1) @ a2)
+        self._add("J", coupling, frame.frame2 - frame.frame1, p.omega2 - p.omega1, None, 0.0, np.inf)
         for instr in schedule.plays():
             f_ch = frame.frame1 if instr.channel == 1 else frame.frame2
             sub = _nearest_subspace(p, instr.channel, instr.carrier_freq)
@@ -51,11 +53,13 @@ class ReferenceHamiltonian:
                 return _shape.sample(t - _start) * _ph
 
             low = lowering_operator(instr.channel)
-            self._add(instr.channel, low, f_ch - instr.carrier_freq, env_co, start, instr.duration)
-            self._add(instr.channel, low, f_ch + instr.carrier_freq, env_counter, start, instr.duration)
+            w_ch = p.omega1 if instr.channel == 1 else p.omega2
+            c = instr.carrier_freq
+            self._add(instr.channel, low, f_ch - c, w_ch - c, env_co, start, instr.duration)
+            self._add(instr.channel, low, f_ch + c, w_ch + c, env_counter, start, instr.duration)
 
-    def _add(self, op, m, freq, env, t0, span):
-        if not (self.rwa and abs(freq) > self.cutoff):
+    def _add(self, op, m, freq, bare_freq, env, t0, span):
+        if not (self.rwa and abs(bare_freq) > self.cutoff):
             self.terms.append((op, np.asarray(m, dtype=complex), freq, env, t0, span))
 
     def one_term_per_operator(self) -> bool:

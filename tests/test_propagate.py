@@ -279,10 +279,16 @@ class TestRWAUnitary:
             u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
             assert np.max(np.abs(rwa_unitary(device, sched) - u_oracle)) <= 1e-7, name
 
-    @pytest.mark.parametrize("carrier,steps", [(None, [(0.0, 20.0)]), (0.9, [(0.0, 190.0)])])
-    def test_magnus_steps_a_flat_top_only_where_it_is_not_constant(self, monkeypatch, carrier, steps):
-        # at 2c <= RWA_CUTOFF_GHZ the counter-rotating term is kept, so the
-        # plateau is not constant and the whole play is stepped
+    @pytest.mark.parametrize(
+        "omega1,carrier,steps",
+        [(None, None, [(0.0, 20.0)]), (None, 0.9, [(0.0, 20.0)]), (0.6, 0.9, [(0.0, 190.0)])],
+    )
+    def test_magnus_steps_a_flat_top_only_where_it_is_not_constant(self, monkeypatch, omega1, carrier, steps):
+        # with omega1 + c <= RWA_CUTOFF_GHZ (0.6 + 0.9 GHz) the counter-rotating
+        # term is kept, so the plateau is not constant and the whole play is
+        # stepped; at 4.9 + 0.9 GHz the RWA drops it, and a 0.9 GHz carrier's
+        # co-rotating term too
+        device = _DEVICE if omega1 is None else DeviceParams(omega1=omega1, omega2=1.6)
         sched = build_cr_schedule(_DEVICE, "01", 0.3, 150.0)
         if carrier is not None:
             sched = Schedule((Play(1, 0.0, sched.plays()[0].shape, carrier),))
@@ -294,7 +300,7 @@ class TestRWAUnitary:
             return real(prov, t0, t1)
 
         monkeypatch.setattr(propagate, "_stepped_unitary", spy)
-        rwa_unitary(_DEVICE, sched)
+        rwa_unitary(device, sched)
         assert calls == steps
 
     def test_schedule_without_a_play(self, device):
