@@ -202,15 +202,16 @@ class RotatingFrameHamiltonian:
                 continue
             # a window open at every node takes the basic slice: no gather/scatter copies
             rows = slice(None) if on.all() else on
+            t_on = ts[rows]
             env = None if w.shape is None else w.shape.sample(s[rows])
             for term in w.terms:
                 # a term static in this frame has the factor exp(0) = 1
                 if env is None:
-                    coef = term.scale if term.freq == 0.0 else np.exp(-2j * np.pi * term.freq * ts[rows])
+                    coef = term.scale if term.freq == 0.0 else np.exp(-2j * np.pi * term.freq * t_on)
                 else:
                     coef = _scaled(env, term)
                     if term.freq != 0.0:
-                        coef *= np.exp(-2j * np.pi * term.freq * ts[rows])
+                        coef *= np.exp(-2j * np.pi * term.freq * t_on)
                 z[rows, term.op] += coef
         return z
 
@@ -226,6 +227,8 @@ class RotatingFrameHamiltonian:
         real product into the C-contiguous ``out`` of shape (..., 9, 9).
         With z = sum_j c_j z(t_j) and weight = sum_j c_j, this is the
         anti-Hermitian -i sum_j c_j H(t_j)."""
+        if not out.flags.c_contiguous:
+            raise ValueError("skew writes into a C-contiguous out only")
         zw = np.empty((*z.shape[:-1], self._nops + 1), dtype=complex)
         zw[..., :-1] = z
         zw[..., -1] = weight
