@@ -1,5 +1,7 @@
 """Integrator correctness against analytic oracles."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -584,3 +586,21 @@ def test_kernel_matches_the_node_stack_reference(rwa, sched):
     step = propagate._MAGNUS_STEP if rwa else propagate._FULL_MODEL_STEP
     got = propagate._stepped_unitary(prov, 0.0, sched.duration, step)
     assert np.max(np.abs(got - _reference_stepped_unitary(prov, 0.0, sched.duration, step))) <= 1e-13
+
+
+def test_kernel_buffers_are_kept_per_thread():
+    # four threads on two cores step CR rises at once, each in its own
+    # buffers: every result equals the serial one
+    pulses = [FlatTopCRPulse(_DEVICE, sub, amp) for sub in ("01", "12") for amp in (0.2, 0.45)]
+    provs = [rotating_frame_hamiltonian(_DEVICE, p.frame, p.schedule(100.0), rwa=True) for p in pulses]
+    want = [propagate._stepped_unitary(prov, 0.0, 20.0) for prov in provs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(propagate._stepped_unitary, prov, 0.0, 20.0) for prov in provs * 5]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, u in enumerate(got):
+        assert np.array_equal(u, want[k % len(want)]), k
