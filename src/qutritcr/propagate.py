@@ -43,7 +43,7 @@ _MAGNUS_STEP = 0.08
 _FULL_MODEL_STEP = 0.005
 
 # Magnus steps built at once, so that long schedules do not raise peak memory.
-# A block's five (n, 9, 9) kernel buffers take 0.83 MB at 128 steps; at 512
+# A block's seven (n, 9, 9) kernel buffers take 1.2 MB at 128 steps; at 512
 # the full model's 0.005 ns steps, with a dozen fresh temporaries per block,
 # raised the pipeline's peak RSS by ~2 MB over the DOP853 it replaced.
 _MAGNUS_BLOCK = 128
@@ -53,14 +53,14 @@ _MAGNUS_BLOCK = 128
 # on _MAGNUS_BLOCK (blocks are rounded to whole groups).
 _GROUP = 128
 
-# The Magnus kernel's five (n, 9, 9) buffers, kept per thread between calls
+# The Magnus kernel's seven (n, 9, 9) buffers, kept per thread between calls
 # (``_kernel_buffers``).  Arrays this large that are allocated afresh come
 # back from the system page by page, because glibc returns them when they
 # are freed: a 20 ns CR rise took 450-610 page faults of ~3 us each, and
 # with kept buffers none.  They hold scratch only: each block writes every
 # buffer before it reads it, and no result is a view of them.
 _KERNEL = threading.local()
-_KERNEL_SLOTS = 5
+_KERNEL_SLOTS = 7
 
 
 @dataclass(frozen=True)
@@ -166,20 +166,39 @@ _THETA_TAYLOR9 = 0.0896
 _THETA_TAYLOR18 = 1.09
 
 
+def _right_factor(b: np.ndarray, out=None) -> np.ndarray:
+    """The real (n, 2d, 2d) stack M of an (n, d, d) complex stack b with
+    a.view(float) @ M = (a @ b).view(float) for every (n, d, d) complex
+    a: rows 2j of M are row j of b, rows 2j + 1 row j of i b, each read as
+    (re, im) pairs.  A real product with M costs less than half a complex
+    one, so a right factor used more than once pays for its M."""
+    if out is None:
+        out = np.empty((len(b), 2 * b.shape[-2], 2 * b.shape[-1]))
+    out[:, 0::2].view(complex)[...] = b
+    np.multiply(b, 1j, out=out[:, 1::2].view(complex))
+    return out
+
+
 def _taylor(a: np.ndarray, m: int, work=None) -> np.ndarray:
     """T_m(A) of an (n, d, d) stack (m = 9 or 18) by Paterson-Stockmeyer,
-    I + A + A^2/2 + A^3 (c_3 I + c_4 A + c_5 A^2 + A^3 (c_6 I + ... + c_m A^3))
+    I + A + A^2/2 + A^3 (c_3 I + c_4 A + c_5 A^2 + (c_6 I + ... + c_m A^3) A^3)
     with c_k = 1/k!: m/3 + 1 matrix products and no solve.  Every product
-    and scaled term lands in one of four (n, d, d) buffers, ``work`` if
-    given (the result is one of them)."""
-    a2, a3, r, tmp = [np.empty_like(a) for _ in range(4)] if work is None else work
+    has A or A^3 on its right, taken as a real product with its
+    ``_right_factor``.  Every product and scaled term lands in one of four
+    (n, d, d) buffers and one real (n, 2d, 2d) one, ``work`` if given (the
+    result is one of the four)."""
+    if work is None:
+        work = *(np.empty_like(a) for _ in range(4)), None
+    a2, a3, r, tmp, right = work
     c = _TAYLOR
-    np.matmul(a, a, out=a2)
-    np.matmul(a2, a, out=a3)
+    right = _right_factor(a, right)
+    np.matmul(a.view(float), right, out=a2.view(float))
+    np.matmul(a2.view(float), right, out=a3.view(float))
+    right = _right_factor(a3, right)
     np.multiply(a3, c[m], out=r)
     for k in range(m - 3, -1, -3):
         if k < m - 3:
-            r, tmp = np.matmul(a3, r, out=tmp), r
+            r, tmp = np.matmul(r.view(float), right, out=tmp.view(float)).view(complex), r
         r += np.multiply(a2, c[k + 2], out=tmp)
         r += np.multiply(a, c[k + 1], out=tmp)
         r.reshape(len(r), -1)[:, :: a.shape[-1] + 1] += c[k]
@@ -222,7 +241,7 @@ def _unitary_exp(omega: np.ndarray, work=None) -> np.ndarray:
       Every RWA Magnus step (1-norm ~0.45-1.1) takes this branch; only the
       steepest of a CR rise at amp ~0.4 GHz (up to 1.098) are squared once.
 
-    ``work``, four (n, d, d) buffers, serves the one-branch stacks; the
+    ``work``, the buffers of ``_taylor``, serves the one-branch stacks; the
     result is then one of them.
     """
     # |omega| fills the real first half of the last buffer before T_m uses it
@@ -294,9 +313,10 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
     of steps takes H's operator coefficients at all its nodes at once
     (``prov.coefficients``).  Every term above that is linear in the A_j,
     the factors 1/60, 1/240 and 1/12 included, is one row of
-    ``_node_weights``; the coefficients combine by those rows, and one
-    product with -i times H's operator table makes all five matrices
-    (``prov.skew``).  The commutators, Omega, its exponential
+    ``_node_weights``; the coefficients combine by those rows, and real
+    products with -i times H's operator table (``prov.skew``) make the five
+    matrices: the first three at once, the last two later in place of the
+    spent alpha_1 and alpha_2.  The commutators, Omega, its exponential
     (``_unitary_exp``) and the pairwise products within each ``_GROUP``
     (``_ordered_product``) run in this thread's kernel buffers
     (``_kernel_buffers``).
@@ -316,7 +336,7 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
         z = (weights @ z).reshape(5, len(mid), -1)
         buffers = _kernel_buffers(len(mid))
         a1, a2, x = prov.skew(z[:3], const[:3], buffers[:3])
-        c1, p = buffers[3:]
+        c1, p = buffers[3:5]
         _commutator(a1, a2, out=c1, work=p)
         # x = -(2 alpha_3 + C_1) / 60, so that [alpha_1, x] = C_2; then x = alpha_2 + C_2
         x -= np.multiply(c1, 1.0 / 60.0, out=p)
@@ -327,8 +347,10 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
         y, omega = prov.skew(z[3:], const[3:], buffers[:2])
         y += np.multiply(c1, 1.0 / 240.0, out=p)
         omega += _commutator(y, x, out=c1, work=p)
-        # T_m runs in the spent y, x, C_1 and p, the pairwise products in y and x
-        steps = _unitary_exp(omega, (y, x, c1, p))
+        # T_m runs in the spent y, x, C_1 and p and the last two buffers, the
+        # pairwise products in y and x
+        right = buffers[5:].view(float).reshape(len(mid), 2 * PAIR_DIM, 2 * PAIR_DIM)
+        steps = _unitary_exp(omega, (y, x, c1, p, right))
         for g in range(0, len(steps), _GROUP):
             group = _ordered_product(steps[g : g + _GROUP], (y, x))
             u = group.copy() if u is None else group @ u
