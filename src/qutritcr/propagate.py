@@ -181,12 +181,13 @@ def _right_factor(b: np.ndarray, out=None) -> np.ndarray:
 
 def _taylor(a: np.ndarray, m: int, work=None) -> np.ndarray:
     """T_m(A) of an (n, d, d) stack (m = 9 or 18) by Paterson-Stockmeyer,
-    I + A + A^2/2 + A^3 (c_3 I + c_4 A + c_5 A^2 + (c_6 I + ... + c_m A^3) A^3)
+    I + A + A^2/2 + (c_3 I + c_4 A + c_5 A^2 + (c_6 I + ... + c_m A^3) A^3) A^3
     with c_k = 1/k!: m/3 + 1 matrix products and no solve.  Every product
     has A or A^3 on its right, taken as a real product with its
     ``_right_factor``.  Every product and scaled term lands in one of four
     (n, d, d) buffers and one real (n, 2d, 2d) one, ``work`` if given (the
     result is one of the four)."""
+    a = np.ascontiguousarray(a)  # its float view is a product's left factor
     if work is None:
         work = *(np.empty_like(a) for _ in range(4)), None
     a2, a3, r, tmp, right = work
