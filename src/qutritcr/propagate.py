@@ -245,7 +245,7 @@ def _unitary_exp(omega: np.ndarray, work=None) -> np.ndarray:
     ``work``, the buffers of ``_taylor``, serves the one-branch stacks; the
     result is then one of them.
     """
-    # |omega| fills the real first half of the last buffer before T_m uses it
+    # |omega| fills the real first half of the fourth buffer before T_m uses it
     mags = None if work is None else work[3].reshape(-1).view(float)[: omega.size].reshape(omega.shape)
     norm = _one_norm(omega, mags)
     low = norm <= _THETA_TAYLOR9
