@@ -403,29 +403,51 @@ class RabiTrace:
         return 2.0 * np.imag(np.conj(self.states[:, 3 * c + 1]) * self.states[:, 3 * c + 2])
 
 
-def prepare_control_state(p: DeviceParams, c: int, store: "CalibrationStore | None" = None):
-    """Initial two-qutrit state with the control transmon in |c>.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    With a store, composes the calibrated x01/x12 pi pulses on transmon 1;
-    otherwise uses ideal rotations.  Returns (psi0, prep_duration_ns).
-    """
-    if c not in (0, 1, 2):
-        raise InvalidParams(f"control state must be 0, 1, or 2, got {c}")
-    psi = ket2(0, 0)
-    if store is not None:
-        names = ["x01_pi_1", "x12_pi_1"][: c]
-        dur = 0.0
-        for n in names:
-            g = store.get(n)
-            psi = g.unitary @ psi
-            dur += g.duration
-        return psi, dur
+
+def _ideal_control_state(c: int) -> np.ndarray:
     u = np.eye(3)
     if c >= 1:
         u = rx_subspace("01", np.pi) @ u
     if c == 2:
         u = rx_subspace("12", np.pi) @ u
-    return on_transmon(1, u) @ psi, 0.0
+    return _read_only(on_transmon(1, u) @ ket2(0, 0))
+
+
+def _target_minus() -> np.ndarray:
+    s = 1.0 / np.sqrt(2.0)
+    return _read_only(on_transmon(2, np.array([[s, s, 0.0], [-s, s, 0.0], [0.0, 0.0, 1.0]], dtype=complex)))
+
+
+# The ideal preparations of the control in |0>, |1> and |2>, and the
+# operator that puts the target of a 12 scan in (|0> - |1>)/sqrt(2):
+# constants, built once and read-only, so that no caller can change what
+# the next one gets.
+_IDEAL_CONTROL_STATES = tuple(_ideal_control_state(c) for c in range(3))
+_TARGET_MINUS = _target_minus()
+
+
+def prepare_control_state(p: DeviceParams, c: int, store: "CalibrationStore | None" = None):
+    """Initial two-qutrit state with the control transmon in |c>.
+
+    With a store, composes the calibrated x01/x12 pi pulses on transmon 1;
+    otherwise uses ideal rotations, whose read-only state is shared by
+    every call.  Returns (psi0, prep_duration_ns).
+    """
+    if c not in (0, 1, 2):
+        raise InvalidParams(f"control state must be 0, 1, or 2, got {c}")
+    if store is None:
+        return _IDEAL_CONTROL_STATES[c], 0.0
+    psi = ket2(0, 0)
+    dur = 0.0
+    for n in ["x01_pi_1", "x12_pi_1"][:c]:
+        g = store.get(n)
+        psi = g.unitary @ psi
+        dur += g.duration
+    return psi, dur
 
 
 def run_rabi_scan(
@@ -447,9 +469,7 @@ def run_rabi_scan(
     widths = np.asarray(widths, dtype=float)
     psi0, _ = prepare_control_state(p, control_state)
     if subspace == "12":
-        s = 1.0 / np.sqrt(2.0)
-        minus = np.array([[s, s, 0.0], [-s, s, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-        psi0 = on_transmon(2, minus) @ psi0
+        psi0 = _TARGET_MINUS @ psi0
     pulse = cr_pulse(p, subspace, amp, risefall)
     if mode == "pulsed":
         states = pulse.states_after(psi0, widths)
@@ -566,8 +586,11 @@ def refine_full_model(
 # 11: the Magnus kernel forms its terms from H's operator coefficients in
 # place of differences of H, which moves every propagator by roundoff and
 # the tune-ups by ~1e-9; and the RWA keeps or drops each term by its
-# bare-frame frequency.
-CALIBRATION_VERSION = 11
+# bare-frame frequency.  12: the CR stage-1 rate from the variable-projection
+# fit in place of curve_fit, and the CR rises from closed-form Magnus
+# exponents, which move the seed and the rises by roundoff and the tuned
+# widths by ~1e-9 ns.
+CALIBRATION_VERSION = 12
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

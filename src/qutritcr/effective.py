@@ -56,6 +56,23 @@ class CRCoefficients:
 
 
 def cr_coefficients(p: DeviceParams, interpretation: str = "detuning") -> CRCoefficients:
+    """The effective model's conditional rates for a device, in one of two
+    readings (module docstring); nothing in the pipeline calls this.
+
+    Measured against the simulator (the plateau Hamiltonian of a
+    ``FlatTopCRPulse`` block-diagonalized per control level, the target's
+    X/Y rate read off each block), the rate ratios (nu1/nu0, nu2/nu0) on
+    the default device are:
+
+    - 0-1 tone at 3 MHz: 0.2001 and -1.2000.  The "detuning" reading gives
+      0.2 and -1.2, a match.
+    - 1-2 tone at 3 MHz: -0.1428 and -0.8572, that is -1/7 and -6/7: the
+      detuning formula with omega2 replaced by the drive frequency
+      omega2 + delta2.  Neither reading matches this tone; both return the
+      same ratios for every tone.
+    - The "literal" reading gives 1.18 and -2.18, which matches neither
+      tone.
+    """
     if interpretation == "literal":
         base = p.omega1
     elif interpretation == "detuning":

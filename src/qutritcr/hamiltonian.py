@@ -32,7 +32,7 @@ from .device import (
     static_diagonal,
 )
 from .linalg import PAIR_DIM, dag
-from .pulses import Play, PulseShape, Schedule
+from .pulses import Gaussian, GaussianSquare, Play, PulseShape, Schedule
 
 TWO_PI = 2.0 * np.pi
 
@@ -214,6 +214,36 @@ class RotatingFrameHamiltonian:
                         coef *= np.exp(-2j * np.pi * term.freq * t_on)
                 z[rows, term.op] += coef
         return z
+
+    def two_term(self):
+        """(H_s, H_d, envelope) with H(t) = H_s + envelope(t) H_d for t >= 0,
+        or None.  The split exists under the RWA when every kept term is
+        static in this frame and exactly one window has a real envelope (a
+        Gaussian or Gaussian-square play): a lone such play in its carrier
+        frame.  ``envelope`` maps a 1-d array of times to the play's real
+        samples, 0 outside its window as in ``coefficients``.  None for a DRAG
+        play, for two plays and without the RWA."""
+        driven = [w for w in self._windows if w.shape is not None]
+        if not self.rwa or any(term.freq != 0.0 for term in self._terms) or len(driven) != 1:
+            return None
+        play = driven[0]
+        if not isinstance(play.shape, (Gaussian, GaussianSquare)):
+            return None
+        z = np.zeros((2, self._nops), dtype=complex)
+        for w in self._windows:
+            for term in w.terms:
+                z[int(w is play), term.op] += term.scale
+        h_s, h_d = self._assemble(z)
+        h_d -= self._const.reshape(h_d.shape)
+
+        def envelope(ts: np.ndarray) -> np.ndarray:
+            s = ts - play.t0
+            on = (0.0 <= s) & (s <= play.span)
+            e = np.zeros(len(ts))
+            e[on] = play.shape.sample(s[on]).real
+            return e
+
+        return h_s, h_d, envelope
 
     def _assemble(self, z: np.ndarray) -> np.ndarray:
         """const + [Re z, Im z] @ table for coefficients z of shape (..., n_ops)."""

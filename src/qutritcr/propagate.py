@@ -298,6 +298,77 @@ def _node_weights(dt: float) -> np.ndarray:
     return np.stack([a1, a2, a3 * (-2.0 / 60.0), (-20.0 * a1 - a3) / 240.0, a1 + a3 / 12.0])
 
 
+def _commutator_exponents(prov, mid, offset, weights, buffers):
+    """Omega of the steps centred at ``mid`` into ``buffers[1]``, by the
+    per-step commutators of ``_stepped_unitary`` (any provider)."""
+    z = prov.coefficients(np.concatenate([mid - offset, mid, mid + offset])).reshape(3, -1)
+    z = (weights @ z).reshape(5, len(mid), -1)
+    # H's constant part enters each combination with its weights' sum
+    const = weights.sum(axis=1)[:, None]
+    a1, a2, x = prov.skew(z[:3], const[:3], buffers[:3])
+    c1, p = buffers[3:5]
+    _commutator(a1, a2, out=c1, work=p)
+    # x = -(2 alpha_3 + C_1) / 60, so that [alpha_1, x] = C_2; then x = alpha_2 + C_2
+    x -= np.multiply(c1, 1.0 / 60.0, out=p)
+    _commutator(a1, x, out=x, work=p)
+    x += a2
+    # y = (-20 alpha_1 - alpha_3 + C_1) / 240 and omega = alpha_1 + alpha_3 / 12
+    # take the places of the spent alpha_1 and alpha_2
+    y, omega = prov.skew(z[3:], const[3:], buffers[:2])
+    y += np.multiply(c1, 1.0 / 240.0, out=p)
+    omega += _commutator(y, x, out=c1, work=p)
+    return omega
+
+
+def _lie_basis(h_s: np.ndarray, h_d: np.ndarray) -> np.ndarray:
+    """The ten matrices that every sixth-order Magnus exponent of
+    H(t) = H_s + e(t) H_d combines, as the real (10, 2 * 81) view: with
+    P = -i H_s, Q = -i H_d and K = [P, Q], they are P, Q, K, [P, K], [Q, K],
+    [P, [P, K]], [P, [Q, K]] (= [Q, [P, K]] by Jacobi), [Q, [Q, K]],
+    [K, [P, K]] and [K, [Q, K]]."""
+    p, q = -1j * h_s, -1j * h_d
+    k = _commutator(p, q)
+    pk, qk = _commutator(p, k), _commutator(q, k)
+    basis = [p, q, k, pk, qk, _commutator(p, pk), _commutator(p, qk), _commutator(q, qk), _commutator(k, pk), _commutator(k, qk)]
+    return np.stack(basis).reshape(len(basis), -1).view(float)
+
+
+def _closed_form_exponents(envelope, basis, mid, offset, h, out):
+    """Omega of the steps of length h centred at ``mid`` into ``out``, for
+    H(t) = H_s + e(t) H_d with a real envelope e (``prov.two_term``).  With
+    e_j the envelope at the three nodes, ``_stepped_unitary``'s terms are
+    alpha_1 = h P + a Q, alpha_2 = b Q and alpha_3 = c Q, where
+
+        a = h e_2,  b = sqrt(15) h / 3 (e_3 - e_1),  c = 10 h / 3 (e_3 - 2 e_2 + e_1).
+
+    Then C_1 = h b K, and with q = 20 a + c
+
+        X = -20 alpha_1 - alpha_3 + C_1 = -20 h P - q Q + h b K,
+        Y = alpha_2 + C_2 = b Q - h c / 30 K - h^2 b / 60 [P, K] - a b h / 60 [Q, K],
+        Omega = h P + (a + c / 12) Q + [X, Y] / 240,
+
+    which expands over ``_lie_basis`` with coefficients polynomial in
+    (h, a, b, c): Omega is one real product of them with that basis."""
+    e1, e2, e3 = envelope(np.concatenate([mid - offset, mid, mid + offset])).reshape(3, -1)
+    a = h * e2
+    b = (np.sqrt(15.0) * h / 3.0) * (e3 - e1)
+    c = (10.0 * h / 3.0) * (e3 - 2.0 * e2 + e1)
+    q = 20.0 * a + c
+    coef = np.empty((len(mid), len(basis)))
+    coef[:, 0] = h
+    coef[:, 1] = a + c / 12.0
+    coef[:, 2] = (-h / 12.0) * b
+    coef[:, 3] = (h * h / 360.0) * c
+    coef[:, 4] = (h / 240.0) * (q * c / 30.0 - b * b)
+    coef[:, 5] = (h**3 / 720.0) * b
+    coef[:, 6] = (h * h / 14400.0) * b * (q + 20.0 * a)
+    coef[:, 7] = (h / 14400.0) * a * b * q
+    coef[:, 8] = (-(h**3) / 14400.0) * b * b
+    coef[:, 9] = (-h * h / 14400.0) * a * b * b
+    np.matmul(coef, basis, out=out.reshape(len(mid), -1).view(float))
+    return out
+
+
 def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> np.ndarray:
     """Sixth-order Magnus propagator over [t0, t1] (three-point Gauss nodes).
 
@@ -310,46 +381,48 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
         C_1 = [alpha_1, alpha_2],  C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60,
         Omega = alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2] / 240.
 
-    The step is at most ``step`` ns, ``_MAGNUS_STEP`` by default.  A block
-    of steps takes H's operator coefficients at all its nodes at once
-    (``prov.coefficients``).  Every term above that is linear in the A_j,
-    the factors 1/60, 1/240 and 1/12 included, is one row of
-    ``_node_weights``; the coefficients combine by those rows, and real
-    products with -i times H's operator table (``prov.skew``) make the five
-    matrices: the first three at once, the last two later in place of the
-    spent alpha_1 and alpha_2.  The commutators, Omega, its exponential
-    (``_unitary_exp``) and the pairwise products within each ``_GROUP``
-    (``_ordered_product``) run in this thread's kernel buffers
-    (``_kernel_buffers``).
+    The step is at most ``step`` ns, ``_MAGNUS_STEP`` by default.  Omega
+    comes in blocks of steps, by one of two routes:
+
+    - A provider with a two-term split H_s + e(t) H_d (``prov.two_term``: a
+      lone Gaussian or Gaussian-square play under the RWA in its carrier
+      frame) takes Omega in closed form, one real product of polynomial
+      coefficients in the node envelopes with ten fixed matrices
+      (``_closed_form_exponents``).
+    - Any other provider takes H's operator coefficients at all the block's
+      nodes at once (``prov.coefficients``).  Every term above that is
+      linear in the A_j, the factors 1/60, 1/240 and 1/12 included, is one
+      row of ``_node_weights``; the coefficients combine by those rows, and
+      real products with -i times H's operator table (``prov.skew``) make
+      the five matrices: the first three at once, the last two later in
+      place of the spent alpha_1 and alpha_2.  The three commutators then
+      run per step (``_commutator_exponents``).
+
+    Omega's exponential (``_unitary_exp``) and the pairwise products within
+    each ``_GROUP`` (``_ordered_product``) run in this thread's kernel
+    buffers (``_kernel_buffers``), on either route.
     """
     n = max(int(np.ceil((t1 - t0) / (_MAGNUS_STEP if step is None else step))), 1)
     dt = (t1 - t0) / n
     offset = np.sqrt(15.0) / 10.0 * dt
     mids = t0 + dt * np.arange(n) + dt / 2.0
     block = max(_MAGNUS_BLOCK // _GROUP, 1) * _GROUP
-    weights = _node_weights(dt)
-    # H's constant part enters each combination with its weights' sum
-    const = weights.sum(axis=1)[:, None]
+    split = prov.two_term()
+    if split is None:
+        weights = _node_weights(dt)
+    else:
+        envelope, basis = split[2], _lie_basis(*split[:2])
     u = None
     for k in range(0, n, block):
         mid = mids[k : k + block]
-        z = prov.coefficients(np.concatenate([mid - offset, mid, mid + offset])).reshape(3, -1)
-        z = (weights @ z).reshape(5, len(mid), -1)
         buffers = _kernel_buffers(len(mid))
-        a1, a2, x = prov.skew(z[:3], const[:3], buffers[:3])
-        c1, p = buffers[3:5]
-        _commutator(a1, a2, out=c1, work=p)
-        # x = -(2 alpha_3 + C_1) / 60, so that [alpha_1, x] = C_2; then x = alpha_2 + C_2
-        x -= np.multiply(c1, 1.0 / 60.0, out=p)
-        _commutator(a1, x, out=x, work=p)
-        x += a2
-        # y = (-20 alpha_1 - alpha_3 + C_1) / 240 and omega = alpha_1 + alpha_3 / 12
-        # take the places of the spent alpha_1 and alpha_2
-        y, omega = prov.skew(z[3:], const[3:], buffers[:2])
-        y += np.multiply(c1, 1.0 / 240.0, out=p)
-        omega += _commutator(y, x, out=c1, work=p)
-        # T_m runs in the spent y, x, C_1 and p and the last two buffers, the
+        if split is None:
+            omega = _commutator_exponents(prov, mid, offset, weights, buffers)
+        else:
+            omega = _closed_form_exponents(envelope, basis, mid, offset, dt, buffers[1])
+        # T_m runs in the four buffers besides omega and the last two, the
         # pairwise products in y and x
+        y, x, c1, p = buffers[0], buffers[2], buffers[3], buffers[4]
         right = buffers[5:].view(float).reshape(len(mid), 2 * PAIR_DIM, 2 * PAIR_DIM)
         steps = _unitary_exp(omega, (y, x, c1, p, right))
         for g in range(0, len(steps), _GROUP):

@@ -117,6 +117,16 @@ class TestPrepareControlState:
         with pytest.raises(InvalidParams):
             prepare_control_state(device, 3)
 
+    @pytest.mark.parametrize("c", [0, 1, 2])
+    def test_ideal_state_is_shared_and_read_only(self, device, c):
+        # the ideal rotations, built once; a caller cannot change them
+        psi, dur = prepare_control_state(device, c)
+        assert dur == 0.0
+        assert (np.abs(psi[3 * c : 3 * c + 3]) ** 2).sum() == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError):
+            psi[0] = 1.0
+        assert prepare_control_state(device, c)[0] is psi
+
 
 class TestVirtualPhases:
     def test_identity_case(self):

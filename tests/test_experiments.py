@@ -106,10 +106,8 @@ class TestCmdRabi:
     def test_failed_fit_recorded_in_sidecar(self, config, tmp_path, monkeypatch):
         import qutritcr.fitting
 
-        def no_convergence(*args, **kwargs):
-            raise RuntimeError("Optimal parameters not found")
-
-        monkeypatch.setattr(qutritcr.fitting, "curve_fit", no_convergence)
+        # no Gauss-Newton step allowed: the fit cannot converge
+        monkeypatch.setattr(qutritcr.fitting, "_MAX_STEPS", 0)
         sidecar = cmd_rabi(config, "01", (0,), amp=0.4, t_max=300.0, points=24, out_dir=str(tmp_path))
         assert sidecar["fits"]["control_0"]["error"] == "NoOscillation"
         on_disk = json.loads((tmp_path / "rabi_01.json").read_text())

@@ -1,8 +1,50 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
+from qutritcr.calibrate import run_rabi_scan
+from qutritcr.device import DeviceParams
 from qutritcr.errors import NoOscillation
 from qutritcr.fitting import FitResult, fit_rabi, generalized_rabi_rate
+
+
+@cache
+def _scan_traces():
+    """24 conditional-Rabi traces as cmd_rabi fits them: 128 points to
+    600 ns, both tones, controls 0-2, four amplitudes."""
+    widths = np.linspace(0.0, 560.0, 128)
+    p = DeviceParams()
+    return [
+        run_rabi_scan(p, sub, amp, c, widths)
+        for sub in ("01", "12")
+        for amp in (0.2, 0.3, 0.41, 0.5)
+        for c in (0, 1, 2)
+    ]
+
+
+def _curve_fit_reference(times, values):
+    """scipy's curve_fit of the same cosine from the same DFT seed:
+    (freq, phase, amplitude, rmse)."""
+    full = np.fft.rfft(values - values.mean())[1:]
+    spectrum = np.abs(full)
+    k = int(np.flatnonzero(spectrum >= 0.99 * spectrum.max())[0])
+    freq0 = np.fft.rfftfreq(len(times), times[1] - times[0])[1:][k]
+
+    def model(t, offset, amplitude, freq, phase):
+        return offset + amplitude * np.cos(2.0 * np.pi * freq * t + phase)
+
+    p0 = [values.mean(), 2.0 * spectrum[k] / len(times), freq0, float(np.angle(full[k]))]
+    (offset, amplitude, freq, phase), _ = curve_fit(model, times, values, p0=p0, maxfev=20000)
+    rmse = float(np.sqrt(np.mean((model(times, offset, amplitude, freq, phase) - values) ** 2)))
+    return abs(freq), phase, abs(amplitude), rmse
+
+
+def _phase_gap(a, b):
+    return abs(np.angle(np.exp(1j * (a - b))))
 
 
 class TestFitRabi:
@@ -47,6 +89,32 @@ class TestFitRabi:
         fit = fit_rabi(t, y)
         assert fit.amplitude > 0
         assert abs(abs(fit.phase) - np.pi) < 1e-6
+
+
+class TestAgainstCurveFit:
+    @pytest.mark.parametrize("index", range(24))
+    def test_scan_trace_reaches_the_least_squares_optimum(self, index):
+        # variable projection ends at the optimum that curve_fit approaches
+        trace = _scan_traces()[index]
+        fit = fit_rabi(trace.times, trace.observable)
+        freq, phase, amplitude, rmse = _curve_fit_reference(trace.times, trace.observable)
+        assert fit.rmse <= (1.0 + 1e-9) * rmse
+        assert abs(fit.freq - freq) <= 1e-5 * freq
+        assert abs(fit.amplitude - amplitude) <= 1e-5 * amplitude
+        assert _phase_gap(fit.phase, phase) <= 1e-5
+
+    @settings(max_examples=48, deadline=None, derandomize=True)
+    @given(index=st.integers(0, 23), seed=st.integers(0, 2**32 - 1))
+    def test_roundoff_in_the_trace_moves_no_parameter(self, index, seed):
+        # the fit ends at the optimum, not wherever its tolerances stop it:
+        # relative noise of 1e-15 on every sample moves it by roundoff only
+        trace = _scan_traces()[index]
+        values = trace.observable
+        noisy = values * (1.0 + 1e-15 * np.random.default_rng(seed).standard_normal(len(values)))
+        fit, moved = fit_rabi(trace.times, values), fit_rabi(trace.times, noisy)
+        assert abs(moved.freq - fit.freq) <= 1e-11
+        assert abs(moved.amplitude - fit.amplitude) <= 1e-11
+        assert _phase_gap(moved.phase, fit.phase) <= 1e-11
 
 
 class TestFitResult:

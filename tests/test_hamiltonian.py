@@ -3,6 +3,7 @@
 import cmath
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,3 +181,27 @@ class TestAgainstReference:
         prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec.bare(_DEVICE), Schedule((play,)))
         ts = np.array([play.start, play.end])
         assert np.array_equal(prov(ts), np.stack([prov(t) for t in ts.tolist()]))
+
+
+class TestTwoTerm:
+    @pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+    @pytest.mark.parametrize("carrier_frame", [True, False], ids=["carrier_frame", "bare_frame"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sched=_schedules(), times=st.lists(st.floats(0.0, 120.0), min_size=1, max_size=20))
+    def test_split_reproduces_h_or_is_none(self, rwa, carrier_frame, sched, times):
+        # the split exists for a lone Gaussian or Gaussian-square play under
+        # the RWA in its carrier frame, and for nothing else drawn here
+        carrier = sched.plays()[0].carrier_freq
+        frame = FrameSpec(carrier, carrier) if carrier_frame else FrameSpec.bare(_DEVICE)
+        prov = rotating_frame_hamiltonian(_DEVICE, frame, sched, rwa=rwa)
+        plays = sched.plays()
+        lone_real_play = len(plays) == 1 and not isinstance(plays[0].shape, DragGaussian)
+        split = prov.two_term()
+        assert (split is not None) == (rwa and carrier_frame and lone_real_play)
+        if split is not None:
+            h_s, h_d, envelope = split
+            # window edges, where the play switches on and off
+            ts = np.array(times + [plays[0].start, plays[0].end, sched.duration + 1.0])
+            want = prov(ts)
+            got = h_s + envelope(ts)[:, None, None] * h_d
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -588,6 +588,27 @@ def test_kernel_matches_the_node_stack_reference(rwa, sched):
     assert np.max(np.abs(got - _reference_stepped_unitary(prov, 0.0, sched.duration, step))) <= 1e-13
 
 
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(
+    sub=st.sampled_from(["01", "12"]),
+    amp=st.floats(0.02, 0.9),
+    phase=st.floats(-np.pi, np.pi),
+    risefall=st.floats(4.0, 40.0),
+    lead=st.floats(0.0, 2.0),
+)
+def test_closed_form_rise_matches_the_commutator_path(sub, amp, phase, risefall, lead):
+    # a CR rise, after an idle lead where the envelope is 0, stepped by the
+    # closed-form exponents and by the per-step commutators
+    sched = build_cr_schedule(_DEVICE, sub, amp, 10.0, risefall, phase).shifted(lead)
+    carrier = sched.plays()[0].carrier_freq
+    prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec(carrier, carrier), sched, rwa=True)
+    assert prov.two_term() is not None
+    closed = propagate._stepped_unitary(prov, 0.0, lead + risefall)
+    prov.two_term = lambda: None
+    stepped = propagate._stepped_unitary(prov, 0.0, lead + risefall)
+    assert np.max(np.abs(closed - stepped)) <= 1e-13
+
+
 def test_kernel_buffers_are_kept_per_thread():
     # four threads on two cores step CR rises at once, each in its own
     # buffers: every result equals the serial one
