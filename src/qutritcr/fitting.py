@@ -138,6 +138,7 @@ def fit_rabi(times: np.ndarray, values: np.ndarray) -> FitResult:
     lo, hi = freq - bin_width, freq + bin_width
     if k + 2 < len(dft):
         # Jacobsen's estimator from the peak bin and its two neighbours
+        # (Jacobsen & Kootsookos, IEEE Signal Process. Mag. 24(3), 123 (2007))
         below, at, above = dft[k : k + 3].tolist()
         seed = freq + bin_width * ((below - above) / (2.0 * at - below - above)).real
         if lo < seed < hi:
