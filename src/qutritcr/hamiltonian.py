@@ -223,12 +223,12 @@ class RotatingFrameHamiltonian:
         frame.  ``envelope`` maps a 1-d array of times to the play's real
         samples, 0 outside its window as in ``coefficients``.  None for a DRAG
         play, for two plays and without the RWA."""
+        if not self.rwa or any(term.freq != 0.0 for term in self._terms):
+            return None
         driven = [w for w in self._windows if w.shape is not None]
-        if not self.rwa or any(term.freq != 0.0 for term in self._terms) or len(driven) != 1:
+        if len(driven) != 1 or not isinstance(driven[0].shape, (Gaussian, GaussianSquare)):
             return None
         play = driven[0]
-        if not isinstance(play.shape, (Gaussian, GaussianSquare)):
-            return None
         z = np.zeros((2, self._nops), dtype=complex)
         for w in self._windows:
             for term in w.terms:
