@@ -40,7 +40,9 @@ def _curve_fit_reference(times, values):
     p0 = [values.mean(), 2.0 * spectrum[k] / len(times), freq0, float(np.angle(full[k]))]
     (offset, amplitude, freq, phase), _ = curve_fit(model, times, values, p0=p0, maxfev=20000)
     rmse = float(np.sqrt(np.mean((model(times, offset, amplitude, freq, phase) - values) ** 2)))
-    return abs(freq), phase, abs(amplitude), rmse
+    if amplitude < 0:
+        amplitude, phase = -amplitude, phase + np.pi
+    return abs(freq), phase, amplitude, rmse
 
 
 def _phase_gap(a, b):
