@@ -62,8 +62,6 @@ _F_ROUNDOFF = 1e-15
 # The free solve (carrier phase too) replaces the pinned one (carrier phase 0)
 # only when it rises F by more than this.
 _FREE_GAIN = 1e-13
-# The second fixed start of the pinned solve, (zc1, zc2, zt1, zt2).
-_FIXED_START = np.array([0.1, -0.1, 0.1, -0.1])
 
 SINGLE_QUTRIT_MIN_FID = 0.999
 CR_MIN_FID = 0.95
@@ -211,20 +209,6 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
 
 
-def _aligned_start(m: np.ndarray) -> np.ndarray:
-    """Pinned start (zc1, zc2, zt1, zt2) in closed form, per transmon as
-    calibrate_virtual_phases does for the control: with the carrier phase at
-    0, S = sum_ab exp(i (zc_a + zt_b)) r_ab for the row sums r of m, and
-    each level's sum over the other transmon is turned into phase with its
-    level-0 sum.  Zeros when a sum vanishes.
-    """
-    r = m.sum(axis=1).reshape(3, 3)
-    sums = np.concatenate([r.sum(axis=1), r.sum(axis=0)])
-    if np.abs(sums).min() < 1e-12:
-        return np.zeros(4)
-    return np.angle(sums[[0, 0, 3, 3]] * sums[[1, 2, 4, 5]].conj())
-
-
 def phase_corrected_fidelity(u: np.ndarray, target: np.ndarray, x: np.ndarray) -> float:
     """Average gate fidelity after the 5-parameter virtual correction x.
 
@@ -240,13 +224,11 @@ def optimize_phase_correction(u: np.ndarray, target: np.ndarray):
 
     F has flat directions (2 pi shifts; for a target that permutes levels, a
     carrier phase that the Z phases absorb), so a gauge is fixed: Newton
-    ascent (``_newton``) first with the carrier phase pinned to 0, from
-    zeros, a fixed start and the closed-form ``_aligned_start`` (the first
-    start wins ties within _FREE_GAIN), then with all five phases free from
-    that winner.  The free result is kept only if it rises F by more than
-    _FREE_GAIN.  The phases are wrapped into (-pi, pi].  Returns (fidelity,
-    pre_phases, post_phases) with the carrier-phase conjugation folded into
-    the two diagonals.
+    ascent (``_newton``) from zeros with the carrier phase pinned to 0, then
+    with all five phases free from that result.  The free result is kept
+    only if it rises F by more than _FREE_GAIN.  The phases are wrapped into
+    (-pi, pi].  Returns (fidelity, pre_phases, post_phases) with the
+    carrier-phase conjugation folded into the two diagonals.
     """
     m = u * target.conj()
 
@@ -258,12 +240,8 @@ def optimize_phase_correction(u: np.ndarray, target: np.ndarray):
         f, grad, hess = neg(np.append(y, 0.0))
         return f, grad[:4], hess[:4, :4]
 
-    best = None
-    for y0 in (np.zeros(4), _FIXED_START, _aligned_start(m)):
-        res = minimize(pinned, y0, method=_newton)
-        if best is None or res.fun < best.fun - _FREE_GAIN:
-            best = res
-    x, f = np.append(best.x, 0.0), -best.fun
+    res = minimize(pinned, np.zeros(4), method=_newton)
+    x, f = np.append(res.x, 0.0), -res.fun
     free = minimize(neg, x, method=_newton)
     if -free.fun > f + _FREE_GAIN:
         x = free.x

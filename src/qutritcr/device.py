@@ -128,15 +128,6 @@ def lowering_operator(which: int) -> np.ndarray:
     raise InvalidParams(f"transmon index must be 1 or 2, got {which}")
 
 
-def drive_operator(p: DeviceParams, which: int) -> np.ndarray:
-    """Charge drive operator (a + a†) on one transmon, 9x9.
-
-    Matrix elements: 1 on 0<->1 and sqrt(2) on 1<->2 of the driven transmon.
-    """
-    low = lowering_operator(which)
-    return low + dag(low)
-
-
 # Total excitation number n1 + n2 per basis index 3 q1 + q2.  The coupling
 # conserves it, so a carrier-phase shift phi on both transmons is
 # conjugation by diag(exp(-i phi N)).

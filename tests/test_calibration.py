@@ -9,16 +9,20 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.stats import unitary_group
 
 from qutritcr.calibrate import (
     CalibratedGate,
     CalibrationStore,
+    _FREE_GAIN,
     _apply_phases,
     _correction_phases,
     _drag_schedule,
     _fidelity_derivatives,
+    _newton,
     _subspace_leakage,
+    _wrap,
     calibrate_single_qutrit,
     calibrate_virtual_phases,
     config_fingerprint,
@@ -184,6 +188,41 @@ def _target(kind, theta):
     return kron(rot, np.eye(3)) if kind.endswith("1") else kron(np.eye(3), rot)
 
 
+def _three_start_correction(u, target):
+    """The phase solve with three pinned starts: zeros, (0.1, -0.1, 0.1,
+    -0.1) and a closed-form per-level alignment, the first start winning ties
+    within _FREE_GAIN; then the free solve from the winner, kept only if it
+    gains more than _FREE_GAIN; phases wrapped.  Returns (fidelity, pre,
+    post)."""
+    m = u * target.conj()
+
+    def neg(x):
+        f, grad, hess = _fidelity_derivatives(m, x)
+        return -f, -grad, -hess
+
+    def pinned(y):
+        f, grad, hess = neg(np.append(y, 0.0))
+        return f, grad[:4], hess[:4, :4]
+
+    # per transmon, each level's sum over the other transmon turned into
+    # phase with its level-0 sum (carrier phase at 0)
+    r = m.sum(axis=1).reshape(3, 3)
+    sums = np.concatenate([r.sum(axis=1), r.sum(axis=0)])
+    aligned = np.zeros(4) if np.abs(sums).min() < 1e-12 else np.angle(sums[[0, 0, 3, 3]] * sums[[1, 2, 4, 5]].conj())
+    best = None
+    for y0 in (np.zeros(4), np.array([0.1, -0.1, 0.1, -0.1]), aligned):
+        res = minimize(pinned, y0, method=_newton)
+        if best is None or res.fun < best.fun - _FREE_GAIN:
+            best = res
+    x, f = np.append(best.x, 0.0), -best.fun
+    free = minimize(neg, x, method=_newton)
+    if -free.fun > f + _FREE_GAIN:
+        x = free.x
+    x = _wrap(x)
+    pre, post = _correction_phases(x)
+    return _fidelity_derivatives(m, x)[0], pre, post
+
+
 class TestPhaseSolver:
     @settings(max_examples=40, deadline=None)
     @given(_SEEDS, _PHASES)
@@ -297,6 +336,22 @@ class TestPhaseSolver:
             t = kron(np.eye(3), rx_subspace("01", np.pi / 2.0))
         f, _, _ = optimize_phase_correction(u, t)
         assert f >= optimum - 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_KINDS, st.floats(min_value=-np.pi, max_value=np.pi), _SPOILS, st.floats(min_value=0.0, max_value=0.3), _SEEDS)
+    def test_one_start_matches_three_starts(self, kind, theta, x, eps, seed):
+        # a spoiled target times exp(i eps G), G Hermitian of unit norm, so
+        # that the optimum has F < 1: the extra pinned starts never win
+        t = _target(kind, theta)
+        pre, post = _correction_phases(x)
+        a = np.random.default_rng(seed).normal(size=(2, 9, 9))
+        g = (a[0] + 1j * a[1]) + (a[0] + 1j * a[1]).conj().T
+        u = _apply_phases(t, -pre, -post) @ scipy.linalg.expm(1j * eps * g / np.linalg.norm(g, 2))
+        f, pre_fit, post_fit = optimize_phase_correction(u, t)
+        f_ref, pre_ref, post_ref = _three_start_correction(u, t)
+        assert abs(f - f_ref) <= 1e-12
+        for p1, p2 in ((pre_fit, pre_ref), (post_fit, post_ref)):
+            assert np.max(np.abs(np.angle(np.exp(1j * (p1 - p2))))) <= 1e-12
 
 
 def test_stored_phases_and_schedule_reproduce_the_stored_unitary(device, cal_store):
