@@ -19,14 +19,13 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 
 from .crpulse import cr_pulse
 from .device import EXCITATIONS, DeviceParams, FrameSpec, transition_frequencies
 from .effective import ideal_ucr, on_transmon, rx_subspace
 from .errors import CalibrationFailed, InvalidParams
 from .fitting import fit_rabi
-from .linalg import PAIR_DIM, dag, ket2, unitary_defect
+from .linalg import PAIR_DIM, dag, ket2, read_only, unitary_defect
 from .propagate import full_model_unitary, rwa_unitary
 from .pulses import (
     DEFAULT_RISEFALL_NS,
@@ -139,6 +138,40 @@ def _apply_phases(u: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
+# optimizers
+
+
+def minimize(fun, x0, method=None, **kwargs):
+    """scipy.optimize.minimize, imported on its first call, so that a
+    process that only propagates or reads a store does not load it.  A
+    callable ``method`` (``_newton``, every phase solve) is called directly,
+    as scipy calls it, and imports nothing."""
+    if callable(method):
+        return method(fun, x0, **kwargs)
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, method=method, **kwargs)
+
+
+def minimize_scalar(fun, **kwargs):
+    """scipy.optimize.minimize_scalar, imported on its first call."""
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+    return scipy_minimize_scalar(fun, **kwargs)
+
+
+@dataclass(frozen=True)
+class _NewtonResult:
+    """What ``_newton`` returns: the fields of scipy's OptimizeResult that
+    its callers read."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+# ---------------------------------------------------------------------------
 # phase-correction search
 
 
@@ -193,7 +226,7 @@ def _newton(fun, x0, **_):
         step = -vec[:, keep] @ ((vec[:, keep].T @ grad) / np.abs(lam[keep]))
         while True:
             if np.abs(step).max(initial=0.0) <= _PHASE_TOL:
-                return OptimizeResult(x=x, fun=f, nfev=nfev, success=True)
+                return _NewtonResult(x, f, nfev, True)
             trial = x + step
             f_trial, grad_trial, hess_trial = fun(trial)
             nfev += 1
@@ -201,7 +234,7 @@ def _newton(fun, x0, **_):
                 break
             step = step / 2.0
         x, f, grad, hess = trial, f_trial, grad_trial, hess_trial
-    return OptimizeResult(x=x, fun=f, nfev=nfev, success=False)
+    return _NewtonResult(x, f, nfev, False)
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
@@ -381,23 +414,18 @@ class RabiTrace:
         return 2.0 * np.imag(np.conj(self.states[:, 3 * c + 1]) * self.states[:, 3 * c + 2])
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _ideal_control_state(c: int) -> np.ndarray:
     u = np.eye(3)
     if c >= 1:
         u = rx_subspace("01", np.pi) @ u
     if c == 2:
         u = rx_subspace("12", np.pi) @ u
-    return _read_only(on_transmon(1, u) @ ket2(0, 0))
+    return read_only(on_transmon(1, u) @ ket2(0, 0))
 
 
 def _target_minus() -> np.ndarray:
     s = 1.0 / np.sqrt(2.0)
-    return _read_only(on_transmon(2, np.array([[s, s, 0.0], [-s, s, 0.0], [0.0, 0.0, 1.0]], dtype=complex)))
+    return read_only(on_transmon(2, np.array([[s, s, 0.0], [-s, s, 0.0], [0.0, 0.0, 1.0]], dtype=complex)))
 
 
 # The ideal preparations of the control in |0>, |1> and |2>, and the
@@ -567,8 +595,11 @@ def refine_full_model(
 # bare-frame frequency.  12: the CR stage-1 rate from the variable-projection
 # fit in place of curve_fit, and the CR rises from closed-form Magnus
 # exponents, which move the seed and the rises by roundoff and the tuned
-# widths by ~1e-9 ns.
-CALIBRATION_VERSION = 12
+# widths by ~1e-9 ns.  13: every Magnus step of a provider driven on one
+# operator (the CR rises, the DRAG plays under the RWA, every gate in the
+# full model) takes its exponent from the bracket-expanded table, which
+# moves those propagators by <= 2.2e-14 and the DRAG betas by <= 9.5e-6.
+CALIBRATION_VERSION = 13
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidParams
-from .linalg import PAIR_DIM, QUTRIT_DIM, dag, kron
+from .linalg import PAIR_DIM, QUTRIT_DIM, dag, kron, read_only
 
 TWO_PI = 2.0 * np.pi
 
@@ -119,12 +119,14 @@ def destroy() -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, QUTRIT_DIM)).astype(complex), k=1)
 
 
+@lru_cache(maxsize=None)
 def lowering_operator(which: int) -> np.ndarray:
-    """a on the chosen transmon, identity on the other (9x9)."""
+    """a on the chosen transmon, identity on the other (9x9): built once per
+    transmon and shared, so it is read-only."""
     if which == 1:
-        return kron(destroy(), np.eye(QUTRIT_DIM))
+        return read_only(kron(destroy(), np.eye(QUTRIT_DIM)))
     if which == 2:
-        return kron(np.eye(QUTRIT_DIM), destroy())
+        return read_only(kron(np.eye(QUTRIT_DIM), destroy()))
     raise InvalidParams(f"transmon index must be 1 or 2, got {which}")
 
 

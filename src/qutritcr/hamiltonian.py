@@ -20,6 +20,7 @@ carrier c, omega2 - omega1 for the coupling.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,15 @@ def play_phase(p: DeviceParams, schedule: Schedule, instr: Play) -> float:
     return instr.carrier_phase + schedule.virtual_phase(instr.channel, sub, instr.start)
 
 
+@dataclass(frozen=True)
+class DriveSplit:
+    """H(t) = h_s + sum_i envelopes(t)[i] ops[i] (``RotatingFrameHamiltonian.drive_split``)."""
+
+    h_s: np.ndarray  # (9, 9) Hermitian, rad/ns
+    ops: np.ndarray  # (m, 9, 9) Hermitian, rad/ns per unit envelope
+    envelopes: Callable[[np.ndarray], np.ndarray]  # 1-d times -> (m, n) real
+
+
 class RotatingFrameHamiltonian:
     """Callable t (ns) -> 9x9 Hermitian H_rot(t) in rad/ns; an array of n times
     gives the (n, 9, 9) stack."""
@@ -142,7 +152,6 @@ class RotatingFrameHamiltonian:
         self._add_window(None, 0.0, np.inf, [(coupling, p.omega2 - p.omega1)])
         for instr in self.schedule.plays():
             self._add_play(instr)
-        self._terms = [term for w in self._windows for term in w.terms]
 
     def _add_window(self, shape, t0, span, terms):
         """Add (term, bare-frame frequency) pairs as one window; the RWA keeps
@@ -194,8 +203,12 @@ class RotatingFrameHamiltonian:
         """The operator coefficients z(t) at a 1-d array of times, shape
         (n, n_ops): H(t) = ``_assemble(z(t))``, and -i sum_j c_j H(t_j) =
         ``skew(sum_j c_j z(t_j), sum_j c_j)``."""
+        return self._coefficients(ts, self._windows)
+
+    def _coefficients(self, ts: np.ndarray, windows) -> np.ndarray:
+        """The part of ``coefficients`` that the given windows contribute."""
         z = np.zeros((len(ts), self._nops), dtype=complex)
-        for w in self._windows:
+        for w in windows:
             s = ts - w.t0
             on = (0.0 <= s) & (s <= w.span)
             if not on.any():
@@ -215,35 +228,53 @@ class RotatingFrameHamiltonian:
                 z[rows, term.op] += coef
         return z
 
-    def two_term(self):
-        """(H_s, H_d, envelope) with H(t) = H_s + envelope(t) H_d for t >= 0,
-        or None.  The split exists under the RWA when every kept term is
-        static in this frame and exactly one window has a real envelope (a
-        Gaussian or Gaussian-square play): a lone such play in its carrier
-        frame.  ``envelope`` maps a 1-d array of times to the play's real
-        samples, 0 outside its window as in ``coefficients``.  None for a DRAG
-        play, for two plays and without the RWA."""
-        if not self.rwa or any(term.freq != 0.0 for term in self._terms):
-            return None
-        driven = [w for w in self._windows if w.shape is not None]
-        if len(driven) != 1 or not isinstance(driven[0].shape, (Gaussian, GaussianSquare)):
-            return None
-        play = driven[0]
-        z = np.zeros((2, self._nops), dtype=complex)
-        for w in self._windows:
-            for term in w.terms:
-                z[int(w is play), term.op] += term.scale
-        h_s, h_d = self._assemble(z)
-        h_d -= self._const.reshape(h_d.shape)
+    def drive_split(self) -> DriveSplit | None:
+        """H(t) = H_s + sum_i e_i(t) H_i for t >= 0 with m <= 2 real envelopes
+        e_i and fixed Hermitian H_i, or None.  The split exists when every
+        term that varies in time (a play's, or one oscillating in this frame)
+        acts on one drive operator M, with the coupling static: a drive on
+        one channel in a frame that rotates both transmons alike.
 
-        def envelope(ts: np.ndarray) -> np.ndarray:
-            s = ts - play.t0
-            on = (0.0 <= s) & (s <= play.span)
-            e = np.zeros(len(ts))
-            e[on] = play.shape.sample(s[on]).real
-            return e
+        - m = 1: one such term, static here, with a real envelope (a lone
+          Gaussian or Gaussian-square play under the RWA in its carrier
+          frame).  H_1 is its scale times M, plus the conjugate.
+        - m = 2 otherwise (a DRAG play under the RWA; every play on the
+          channel without it): H_1 = M + M^dagger and H_2 = i (M - M^dagger)
+          with e_1 + i e_2 the operator's coefficient z(t), as in
+          ``coefficients``.
 
-        return h_s, h_d, envelope
+        ``envelopes`` maps a 1-d array of times to the (m, n) real samples,
+        0 outside every play's window."""
+        static = [w.shape is None and all(term.freq == 0.0 for term in w.terms) for w in self._windows]
+        driven = [w for w, fixed in zip(self._windows, static) if not fixed]
+        ops = {term.op for w in driven for term in w.terms}
+        if len(ops) != 1 or _COUPLING in ops:
+            return None
+        (op,) = ops
+        z = np.zeros(self._nops, dtype=complex)
+        for w, fixed in zip(self._windows, static):
+            for term in w.terms if fixed else ():
+                z[term.op] += term.scale
+        # M + M^dagger and i (M - M^dagger)
+        pair = self._table.view(complex).reshape(-1, PAIR_DIM, PAIR_DIM)[2 * op : 2 * op + 2]
+        terms = [term for w in driven for term in w.terms]
+        if len(terms) == 1 and terms[0].freq == 0.0 and isinstance(driven[0].shape, (Gaussian, GaussianSquare)):
+            play, scale = driven[0], terms[0].scale
+
+            def envelopes(ts: np.ndarray) -> np.ndarray:
+                s = ts - play.t0
+                on = (0.0 <= s) & (s <= play.span)
+                e = np.zeros((1, len(ts)))
+                e[0, on] = play.shape.sample(s[on]).real
+                return e
+
+            return DriveSplit(self._assemble(z), (scale.real * pair[0] + scale.imag * pair[1])[None], envelopes)
+
+        def envelopes(ts: np.ndarray) -> np.ndarray:
+            c = self._coefficients(ts, driven)[:, op]
+            return np.stack([c.real, c.imag])
+
+        return DriveSplit(self._assemble(z), pair.copy(), envelopes)
 
     def _assemble(self, z: np.ndarray) -> np.ndarray:
         """const + [Re z, Im z] @ table for coefficients z of shape (..., n_ops)."""

@@ -22,6 +22,12 @@ QUTRIT_DIM = 3
 PAIR_DIM = 9
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only in place: for constants that every caller shares."""
+    a.setflags(write=False)
+    return a
+
+
 def ket(index: int, dim: int = QUTRIT_DIM) -> np.ndarray:
     """Computational basis state |index> as a length-``dim`` vector."""
     v = np.zeros(dim, dtype=complex)

@@ -6,11 +6,15 @@ in a drive frame (``_drive_frame``).  Each step is the exponential of an
 anti-Hermitian matrix, taken by one algorithm for both models: a Taylor
 polynomial of degree 9 or 18 (by the step's 1-norm), unitary up to roundoff
 and free of linear solves (``_unitary_exp``).  Without the RWA the step
-resolves the counter-rotating drive at twice the carrier.  The ``evolve_*``
-functions wrap scipy's adaptive DOP853 (order 8, embedded error control);
-the full model uses it only for the one drive period of a CR flat top that
-is raised to a power.  States are never silently renormalized; norm drift
-is checked after every DOP853 run.
+resolves the counter-rotating drive at twice the carrier.  Each step's
+exponent comes by one of two routes (``_stepped_unitary``): a schedule
+driven on one operator takes it from a table generated by expanding the
+formula's brackets once (``_exponent_table``), any other from three
+commutators per step.  The ``evolve_*`` functions wrap scipy's adaptive
+DOP853 (order 8, embedded error control), imported on first use
+(``solve_ivp``); the full model uses it only for the one drive period of a
+CR flat top that is raised to a power.  States are never silently
+renormalized; norm drift is checked after every DOP853 run.
 """
 
 from __future__ import annotations
@@ -18,15 +22,16 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .device import EXCITATIONS, DeviceParams, FrameSpec, reframe
 from .errors import NormDrift, StepFailure
 from .hamiltonian import keeps_counter_rotating, play_phase, rotating_frame_hamiltonian
-from .linalg import PAIR_DIM, dag, expm_unitary, unitary_defect
+from .linalg import PAIR_DIM, dag, expm_unitary, read_only, unitary_defect
 from .pulses import GaussianSquare, Schedule
 
 NORM_DRIFT_LIMIT = 1e-6
@@ -78,6 +83,14 @@ DEFAULT_OPTIONS = EvolveOptions()
 
 # Tolerances for propagating calibrated gates without the RWA.
 FULL_MODEL_OPTIONS = EvolveOptions(rel_tol=1e-9, abs_tol=1e-11, max_step=0.02)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on its first call: only the
+    full model's CR drive period and the ``evolve_*`` oracles integrate."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _state_rhs(hprov):
@@ -320,52 +333,160 @@ def _commutator_exponents(prov, mid, offset, weights, buffers):
     return omega
 
 
-def _lie_basis(h_s: np.ndarray, h_d: np.ndarray) -> np.ndarray:
-    """The ten matrices that every sixth-order Magnus exponent of
-    H(t) = H_s + e(t) H_d combines, as the real (10, 2 * 81) view: with
-    P = -i H_s, Q = -i H_d and K = [P, Q], they are P, Q, K, [P, K], [Q, K],
-    [P, [P, K]], [P, [Q, K]] (= [Q, [P, K]] by Jacobi), [Q, [Q, K]],
-    [K, [P, K]] and [K, [Q, K]]."""
-    p, q = -1j * h_s, -1j * h_d
-    k = _commutator(p, q)
-    pk, qk = _commutator(p, k), _commutator(q, k)
-    basis = [p, q, k, pk, qk, _commutator(p, pk), _commutator(p, qk), _commutator(q, qk), _commutator(k, pk), _commutator(k, qk)]
-    return np.stack(basis).reshape(len(basis), -1).view(float)
+# Lie polynomials in the generators P = -i H_s (letter 0) and Q_i = -i H_i
+# (letters 1..m) of a ``drive_split``: {word: {monomial: coefficient}}.  A
+# word is a letter or a bracket (u, v) of two words, kept with u before v
+# in ``_word_key`` order ([v, u] = -[u, v], [u, u] = 0; no Jacobi identity
+# is used).  A monomial is the tuple of exponents of (h, a_1..a_m,
+# b_1..b_m, c_1..c_m), and the coefficients are exact fractions.
 
 
-def _closed_form_exponents(envelope, basis, mid, offset, h, out):
-    """Omega of the steps of length h centred at ``mid`` into ``out``, for
-    H(t) = H_s + e(t) H_d with a real envelope e (``prov.two_term``).  With
-    e_j the envelope at the three nodes, ``_stepped_unitary``'s terms are
-    alpha_1 = h P + a Q, alpha_2 = b Q and alpha_3 = c Q, where
+def _word_key(w):
+    """Words ordered by their number of letters, then by their spelling, so
+    that each bracket comes after both of its words."""
+    return (_letters(w), repr(w))
 
-        a = h e_2,  b = sqrt(15) h / 3 (e_3 - e_1),  c = 10 h / 3 (e_3 - 2 e_2 + e_1).
 
-    Then C_1 = h b K, and with q = 20 a + c
+def _letters(w) -> int:
+    return 1 if isinstance(w, int) else _letters(w[0]) + _letters(w[1])
 
-        X = -20 alpha_1 - alpha_3 + C_1 = -20 h P - q Q + h b K,
-        Y = alpha_2 + C_2 = b Q - h c / 30 K - h^2 b / 60 [P, K] - a b h / 60 [Q, K],
-        Omega = h P + (a + c / 12) Q + [X, Y] / 240,
 
-    which expands over ``_lie_basis`` with coefficients polynomial in
-    (h, a, b, c): Omega is one real product of them with that basis."""
-    e1, e2, e3 = envelope(np.concatenate([mid - offset, mid, mid + offset])).reshape(3, -1)
-    a = h * e2
-    b = (np.sqrt(15.0) * h / 3.0) * (e3 - e1)
-    c = (10.0 * h / 3.0) * (e3 - 2.0 * e2 + e1)
-    q = 20.0 * a + c
-    coef = np.empty((len(mid), len(basis)))
-    coef[:, 0] = h
-    coef[:, 1] = a + c / 12.0
-    coef[:, 2] = (-h / 12.0) * b
-    coef[:, 3] = (h * h / 360.0) * c
-    coef[:, 4] = (h / 240.0) * (q * c / 30.0 - b * b)
-    coef[:, 5] = (h**3 / 720.0) * b
-    coef[:, 6] = (h * h / 14400.0) * b * (q + 20.0 * a)
-    coef[:, 7] = (h / 14400.0) * a * b * q
-    coef[:, 8] = (-(h**3) / 14400.0) * b * b
-    coef[:, 9] = (-h * h / 14400.0) * a * b * b
-    np.matmul(coef, basis, out=out.reshape(len(mid), -1).view(float))
+def _lie_sum(*terms):
+    """sum_k s_k x_k of (s_k, x_k) pairs, zero coefficients dropped."""
+    out = {}
+    for scale, x in terms:
+        for w, poly in x.items():
+            dst = out.setdefault(w, {})
+            for mono, c in poly.items():
+                dst[mono] = dst.get(mono, 0) + scale * c
+    return {w: {m: c for m, c in poly.items() if c} for w, poly in out.items() if any(poly.values())}
+
+
+def _lie_bracket(x, y):
+    """[x, y], expanded bilinearly over words and monomials."""
+    out = {}
+    for u, p in x.items():
+        for v, q in y.items():
+            if u == v:
+                continue
+            sign, w = (1, (u, v)) if _word_key(u) < _word_key(v) else (-1, (v, u))
+            dst = out.setdefault(w, {})
+            for mu, cu in p.items():
+                for mv, cv in q.items():
+                    mono = tuple(i + j for i, j in zip(mu, mv))
+                    dst[mono] = dst.get(mono, 0) + sign * cu * cv
+    return _lie_sum((1, out))
+
+
+@dataclass(frozen=True)
+class _ExponentTable:
+    """The sixth-order Magnus exponent of a split with m envelopes, bracket-
+    expanded (``_exponent_table``): Omega = sum_k mono_k sum_w T_kw(h) W_w."""
+
+    words: tuple  # the words W_w, in _word_key order
+    brackets: tuple  # (lo, hi, left, right): words lo..hi-1 are [words[left], words[right]]
+    powers: tuple  # (lo, hi, parent, var): monomials lo..hi-1 are parent's times variable var
+    coef: np.ndarray  # (h powers, monomials, words): T(h) = sum_p coef[p] h^p
+
+
+@lru_cache(maxsize=None)
+def _exponent_table(m: int) -> _ExponentTable:
+    """Omega of ``_stepped_unitary`` for H(t) = H_s + sum_i e_i(t) H_i as a
+    Lie polynomial.  With e_ij the envelope i at node j, the terms are
+    alpha_1 = h P + sum_i a_i Q_i, alpha_2 = sum_i b_i Q_i and
+    alpha_3 = sum_i c_i Q_i, where
+
+        a_i = h e_i2,  b_i = sqrt(15) h / 3 (e_i3 - e_i1),  c_i = 10 h / 3 (e_i3 - 2 e_i2 + e_i1),
+
+    and the formula's brackets, expanded, leave a polynomial in (h, a, b, c)
+    per word: 11 words and 12 monomials in (a, b, c) for m = 1, 72 and 80
+    for m = 2."""
+    nvar = 1 + 3 * m
+
+    def var(k):
+        return tuple(int(i == k) for i in range(nvar))
+
+    one = Fraction(1)
+    alpha1 = {0: {var(0): one}, **{i: {var(i): one} for i in range(1, m + 1)}}
+    alpha2 = {i: {var(m + i): one} for i in range(1, m + 1)}
+    alpha3 = {i: {var(2 * m + i): one} for i in range(1, m + 1)}
+    c1 = _lie_bracket(alpha1, alpha2)
+    c2 = _lie_sum((Fraction(-1, 60), _lie_bracket(alpha1, _lie_sum((2, alpha3), (1, c1)))))
+    x = _lie_sum((-20, alpha1), (-1, alpha3), (1, c1))
+    y = _lie_sum((1, alpha2), (1, c2))
+    omega = _lie_sum((1, alpha1), (Fraction(1, 12), alpha3), (Fraction(1, 240), _lie_bracket(x, y)))
+
+    words = sorted(omega, key=_word_key)
+    index = {w: k for k, w in enumerate(words)}
+    brackets = []
+    for size in sorted({_letters(w) for w in words} - {1}):
+        group = [k for k, w in enumerate(words) if _letters(w) == size]
+        left = [index[words[k][0]] for k in group]
+        right = [index[words[k][1]] for k in group]
+        brackets.append((group[0], group[-1] + 1, np.array(left), np.array(right)))
+
+    # each monomial is its parent (its first variable's exponent lowered by
+    # one, a monomial of the table too) times that variable
+    monos = sorted({mono[1:] for poly in omega.values() for mono in poly}, key=lambda mono: (sum(mono), mono))
+    row = {mono: k for k, mono in enumerate(monos)}
+    powers = []
+    for degree in range(1, sum(monos[-1]) + 1):
+        group = [k for k, mono in enumerate(monos) if sum(mono) == degree]
+        first = [next(i for i, e in enumerate(monos[k]) if e) for k in group]
+        parent = [row[monos[k][:j] + (monos[k][j] - 1,) + monos[k][j + 1 :]] for k, j in zip(group, first)]
+        powers.append((group[0], group[-1] + 1, np.array(parent), np.array(first)))
+
+    hmax = max(mono[0] for poly in omega.values() for mono in poly)
+    coef = np.zeros((hmax + 1, len(monos), len(words)))
+    for w, poly in omega.items():
+        for mono, c in poly.items():
+            coef[mono[0], row[mono[1:]], index[w]] = float(c)
+    return _ExponentTable(tuple(words), tuple(brackets), tuple(powers), coef)
+
+
+def _exponent_matrices(split, h: float) -> np.ndarray:
+    """The real (monomials, 2 * 81) view of sum_w T_kw(h) W_w for a
+    ``drive_split`` and a step h (``_exponent_table``), read-only.  They
+    depend on H_s, the H_i and h alone, which a tune-up's searches keep
+    (one channel, carrier and step, whatever the amplitude), so the last two
+    are kept (``_matrices_of``): a Rabi sweep alternates two CR tones.  No
+    more: each full-model segment takes its own step, so further entries
+    would hold 104 KB apiece (two envelopes) that no later call reads."""
+    return _matrices_of(split.h_s.tobytes(), split.ops.tobytes(), h)
+
+
+@lru_cache(maxsize=2)
+def _matrices_of(h_s: bytes, ops: bytes, h: float) -> np.ndarray:
+    """``_exponent_matrices`` from the bytes of H_s and the H_i: every
+    word's matrix from P and the Q_i by one stacked ``_commutator`` per word
+    length, then one real product."""
+    ops = np.frombuffer(ops, dtype=complex).reshape(-1, PAIR_DIM, PAIR_DIM)
+    table = _exponent_table(len(ops))
+    w = np.empty((len(table.words), PAIR_DIM, PAIR_DIM), dtype=complex)
+    w[0] = -1j * np.frombuffer(h_s, dtype=complex).reshape(PAIR_DIM, PAIR_DIM)
+    w[1 : 1 + len(ops)] = -1j * ops
+    for lo, hi, left, right in table.brackets:
+        _commutator(w[left], w[right], out=w[lo:hi])
+    t = np.tensordot(h ** np.arange(len(table.coef)), table.coef, axes=1)
+    return read_only(t @ w.reshape(len(w), -1).view(float))
+
+
+def _table_exponents(split, matrices, mid, offset, h, out):
+    """Omega of the steps of length h centred at ``mid`` into ``out``, for a
+    ``drive_split``: the monomials of the envelopes' (a, b, c) at each step
+    (``_exponent_table``), one real product with ``matrices``
+    (``_exponent_matrices``)."""
+    m, n = len(split.ops), len(mid)
+    e = split.envelopes(np.concatenate([mid - offset, mid, mid + offset])).reshape(m, 3, n)
+    x = np.empty((3 * m, n))
+    np.multiply(e[:, 1], h, out=x[:m])
+    np.multiply(e[:, 2] - e[:, 0], np.sqrt(15.0) * h / 3.0, out=x[m : 2 * m])
+    np.multiply(e[:, 2] - 2.0 * e[:, 1] + e[:, 0], 10.0 * h / 3.0, out=x[2 * m :])
+    mono = np.empty((len(matrices), n))
+    mono[0] = 1.0
+    for lo, hi, parent, var in _exponent_table(m).powers:
+        np.multiply(mono[parent], x[var], out=mono[lo:hi])
+    np.matmul(mono.T, matrices, out=out.reshape(n, -1).view(float))
     return out
 
 
@@ -384,11 +505,12 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
     The step is at most ``step`` ns, ``_MAGNUS_STEP`` by default.  Omega
     comes in blocks of steps, by one of two routes:
 
-    - A provider with a two-term split H_s + e(t) H_d (``prov.two_term``: a
-      lone Gaussian or Gaussian-square play under the RWA in its carrier
-      frame) takes Omega in closed form, one real product of polynomial
-      coefficients in the node envelopes with ten fixed matrices
-      (``_closed_form_exponents``).
+    - A provider driven on one operator (``prov.drive_split``: H_s plus
+      m <= 2 real envelopes times fixed matrices; a lone play under the RWA,
+      every one-channel schedule without it) takes Omega as one real
+      product of the envelopes' monomials with a fixed matrix per monomial
+      (``_table_exponents``).  The matrices combine the bracket-expanded
+      formula's words (``_exponent_matrices``), built once per (H_s, H_i, h).
     - Any other provider takes H's operator coefficients at all the block's
       nodes at once (``prov.coefficients``).  Every term above that is
       linear in the A_j, the factors 1/60, 1/240 and 1/12 included, is one
@@ -407,11 +529,11 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
     offset = np.sqrt(15.0) / 10.0 * dt
     mids = t0 + dt * np.arange(n) + dt / 2.0
     block = max(_MAGNUS_BLOCK // _GROUP, 1) * _GROUP
-    split = prov.two_term()
+    split = prov.drive_split()
     if split is None:
         weights = _node_weights(dt)
     else:
-        envelope, basis = split[2], _lie_basis(*split[:2])
+        matrices = _exponent_matrices(split, dt)
     u = None
     for k in range(0, n, block):
         mid = mids[k : k + block]
@@ -419,7 +541,7 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
         if split is None:
             omega = _commutator_exponents(prov, mid, offset, weights, buffers)
         else:
-            omega = _closed_form_exponents(envelope, basis, mid, offset, dt, buffers[1])
+            omega = _table_exponents(split, matrices, mid, offset, dt, buffers[1])
         # T_m runs in the four buffers besides omega and the last two, the
         # pairwise products in y and x
         y, x, c1, p = buffers[0], buffers[2], buffers[3], buffers[4]

@@ -149,7 +149,7 @@ class TestStackedHamiltonian:
         got = prov(ts)
         want = np.stack([prov(t) for t in ts])
         assert got.shape == (len(ts), 9, 9)
-        if all(term.freq == 0.0 for term in prov._terms):
+        if all(term.freq == 0.0 for w in prov._windows for term in w.terms):
             assert np.array_equal(got, want)
         else:
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -183,25 +183,30 @@ class TestAgainstReference:
         assert np.array_equal(prov(ts), np.stack([prov(t) for t in ts.tolist()]))
 
 
-class TestTwoTerm:
+class TestDriveSplit:
     @pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
     @pytest.mark.parametrize("carrier_frame", [True, False], ids=["carrier_frame", "bare_frame"])
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(sched=_schedules(), times=st.lists(st.floats(0.0, 120.0), min_size=1, max_size=20))
     def test_split_reproduces_h_or_is_none(self, rwa, carrier_frame, sched, times):
-        # the split exists for a lone Gaussian or Gaussian-square play under
-        # the RWA in its carrier frame, and for nothing else drawn here
+        # the split exists for plays on one channel in the first carrier's
+        # frame, where the coupling is static, with one real envelope for a
+        # lone Gaussian or Gaussian-square play under the RWA and two
+        # otherwise; the bare frame's coupling oscillates, and two channels
+        # drive two operators
         carrier = sched.plays()[0].carrier_freq
         frame = FrameSpec(carrier, carrier) if carrier_frame else FrameSpec.bare(_DEVICE)
         prov = rotating_frame_hamiltonian(_DEVICE, frame, sched, rwa=rwa)
         plays = sched.plays()
+        one_channel = len({play.channel for play in plays}) == 1
         lone_real_play = len(plays) == 1 and not isinstance(plays[0].shape, DragGaussian)
-        split = prov.two_term()
-        assert (split is not None) == (rwa and carrier_frame and lone_real_play)
+        split = prov.drive_split()
+        assert (split is not None) == (carrier_frame and one_channel)
         if split is not None:
-            h_s, h_d, envelope = split
-            # window edges, where the play switches on and off
-            ts = np.array(times + [plays[0].start, plays[0].end, sched.duration + 1.0])
+            assert len(split.ops) == (1 if rwa and lone_real_play else 2)
+            # window edges, where the plays switch on and off
+            edges = [t for play in plays for t in (play.start, play.end)]
+            ts = np.array(times + edges + [sched.duration + 1.0])
             want = prov(ts)
-            got = h_s + envelope(ts)[:, None, None] * h_d
+            got = split.h_s + np.einsum("in,ijk->njk", split.envelopes(ts), split.ops)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -24,7 +24,7 @@ from qutritcr.propagate import (
     rwa_unitary,
 )
 from qutritcr.experiments import GATE_SET
-from qutritcr.pulses import DragGaussian, GaussianSquare, PhaseShift, Play, Schedule, build_cr_schedule, concat
+from qutritcr.pulses import DragGaussian, Gaussian, GaussianSquare, PhaseShift, Play, Schedule, build_cr_schedule, concat
 
 TWO_PI = 2.0 * np.pi
 
@@ -598,15 +598,104 @@ def test_kernel_matches_the_node_stack_reference(rwa, sched):
 )
 def test_closed_form_rise_matches_the_commutator_path(sub, amp, phase, risefall, lead):
     # a CR rise, after an idle lead where the envelope is 0, stepped by the
-    # closed-form exponents and by the per-step commutators
+    # exponent table (one real envelope) and by the per-step commutators
     sched = build_cr_schedule(_DEVICE, sub, amp, 10.0, risefall, phase).shifted(lead)
     carrier = sched.plays()[0].carrier_freq
     prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec(carrier, carrier), sched, rwa=True)
-    assert prov.two_term() is not None
+    split = prov.drive_split()
+    assert split is not None and len(split.ops) == 1
     closed = propagate._stepped_unitary(prov, 0.0, lead + risefall)
-    prov.two_term = lambda: None
+    prov.drive_split = lambda: None
     stepped = propagate._stepped_unitary(prov, 0.0, lead + risefall)
     assert np.max(np.abs(closed - stepped)) <= 1e-13
+
+
+@pytest.mark.parametrize("m, words, monomials", [(1, 11, 12), (2, 72, 80)])
+def test_exponent_table_sizes(m, words, monomials):
+    table = propagate._exponent_table(m)
+    assert len(table.words) == words
+    assert table.coef.shape[1:] == (monomials, words)
+
+
+_LEADS = st.one_of(st.just(0.0), st.floats(0.1, 3.0))
+
+
+@st.composite
+def _one_channel_plays(draw, channel):
+    """One or two Gaussian, Gaussian-square or DRAG plays on one channel,
+    near any transition: the first after an idle lead or none, the second
+    after a gap or touching the first."""
+    tf = transition_frequencies(_DEVICE, dressed=True)
+    plays, start = [], draw(_LEADS)
+    for _ in range(draw(st.integers(1, 2))):
+        amp = draw(st.floats(-0.4, 0.4))
+        kind = draw(st.sampled_from(["gaussian", "square", "drag"]))
+        if kind == "gaussian":
+            shape = Gaussian(amp, 1.5, draw(st.floats(3.0, 8.0)))
+        elif kind == "square":
+            shape = GaussianSquare(amp, 1.0, 2.0, draw(st.floats(0.0, 4.0)))
+        else:
+            shape = DragGaussian(amp, 2.0, draw(st.floats(4.0, 8.0)), draw(st.floats(-1.0, 1.0)))
+        carrier = draw(st.sampled_from([tf.w01_1, tf.w12_1, tf.w01_2, tf.w12_2])) + draw(st.floats(-0.05, 0.05))
+        plays.append(Play(channel, start, shape, carrier, draw(st.floats(-np.pi, np.pi))))
+        start = plays[-1].end + draw(_LEADS)
+    return plays
+
+
+def _model_provider(sched, rwa):
+    """The provider and step that rwa_unitary or full_model_unitary steps."""
+    plays = sched.plays()
+    frame = propagate._drive_frame(_DEVICE, plays if rwa else plays[:1])
+    step = propagate._MAGNUS_STEP if rwa else propagate._FULL_MODEL_STEP
+    return rotating_frame_hamiltonian(_DEVICE, frame, sched, rwa=rwa), step
+
+
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(plays=st.sampled_from([1, 2]).flatmap(_one_channel_plays))
+def test_exponent_table_matches_the_commutator_path(rwa, plays):
+    # every step's Omega, and the stepped product, agree between the
+    # bracket-expanded table and the per-step commutators
+    sched = Schedule(tuple(plays))
+    prov, step = _model_provider(sched, rwa)
+    split = prov.drive_split()
+    assert split is not None
+    n = int(np.ceil(sched.duration / step))
+    dt = sched.duration / n
+    offset = np.sqrt(15.0) / 10.0 * dt
+    mids = dt * np.arange(n) + dt / 2.0
+    matrices = propagate._exponent_matrices(split, dt)
+    weights = propagate._node_weights(dt)
+    for k in range(0, n, 128):
+        mid = mids[k : k + 128]
+        want = propagate._commutator_exponents(prov, mid, offset, weights, np.empty((7, len(mid), 9, 9), complex))
+        got = propagate._table_exponents(split, matrices, mid, offset, dt, np.empty((len(mid), 9, 9), complex))
+        scale = np.maximum(np.abs(want).sum(axis=-2).max(axis=-1), 1.0)
+        assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale), k
+    table = propagate._stepped_unitary(prov, 0.0, sched.duration, step)
+    prov.drive_split = lambda: None
+    stepped = propagate._stepped_unitary(prov, 0.0, sched.duration, step)
+    assert np.max(np.abs(table - stepped)) <= 1e-13
+
+
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    plays=_one_channel_plays(1),
+    other=_one_channel_plays(2),
+    case=st.sampled_from(["two_channels", "bare_frame", "split_frame"]),
+)
+def test_providers_on_two_operators_get_no_split(rwa, plays, other, case):
+    # plays on both channels drive two operators; a frame that rotates the
+    # transmons at different frequencies makes the coupling oscillate
+    carrier = plays[0].carrier_freq
+    frames = {
+        "two_channels": FrameSpec(carrier, other[0].carrier_freq),
+        "bare_frame": FrameSpec.bare(_DEVICE),
+        "split_frame": FrameSpec(carrier, carrier + 0.3),
+    }
+    sched = Schedule(tuple(plays + other)) if case == "two_channels" else Schedule(tuple(plays))
+    assert rotating_frame_hamiltonian(_DEVICE, frames[case], sched, rwa=rwa).drive_split() is None
 
 
 def test_kernel_buffers_are_kept_per_thread():
