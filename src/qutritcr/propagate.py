@@ -55,7 +55,9 @@ _MAGNUS_BLOCK = 128
 
 # Steps multiplied pairwise as one group: steps k with the same k // _GROUP.
 # The groups follow the absolute step index, so the product does not depend
-# on _MAGNUS_BLOCK (blocks are rounded to whole groups).
+# on _MAGNUS_BLOCK (blocks are rounded to whole groups).  The table route's
+# exponents are one BLAS product per group for the same reason
+# (``_table_exponents``).
 _GROUP = 128
 
 # The Magnus kernel's seven (n, 9, 9) buffers, kept per thread between calls
@@ -475,7 +477,11 @@ def _table_exponents(split, matrices, mid, offset, h, out):
     """Omega of the steps of length h centred at ``mid`` into ``out``, for a
     ``drive_split``: the monomials of the envelopes' (a, b, c) at each step
     (``_exponent_table``), one real product with ``matrices``
-    (``_exponent_matrices``)."""
+    (``_exponent_matrices``) per ``_GROUP`` of steps.  A threaded BLAS
+    product splits its rows by their number, and rounds by that split (a
+    two-envelope product over 800 steps and over blocks of 128 differed in
+    the last bit on two threads), so each product spans the same steps
+    whatever the block: blocks begin at multiples of ``_GROUP``."""
     m, n = len(split.ops), len(mid)
     e = split.envelopes(np.concatenate([mid - offset, mid, mid + offset])).reshape(m, 3, n)
     x = np.empty((3 * m, n))
@@ -486,7 +492,9 @@ def _table_exponents(split, matrices, mid, offset, h, out):
     mono[0] = 1.0
     for lo, hi, parent, var in _exponent_table(m).powers:
         np.multiply(mono[parent], x[var], out=mono[lo:hi])
-    np.matmul(mono.T, matrices, out=out.reshape(n, -1).view(float))
+    flat = out.reshape(n, -1).view(float)
+    for g in range(0, n, _GROUP):
+        np.matmul(mono[:, g : g + _GROUP].T, matrices, out=flat[g : g + _GROUP])
     return out
 
 
