@@ -599,7 +599,9 @@ def refine_full_model(
 # operator (the CR rises, the DRAG plays under the RWA, every gate in the
 # full model) takes its exponent from the bracket-expanded table, which
 # moves those propagators by <= 2.2e-14 and the DRAG betas by <= 9.5e-6.
-CALIBRATION_VERSION = 13
+# 14: numpy's eigh in place of scipy's moves the dressed carriers by ~1 ulp,
+# and a DRAG play under the RWA is stepped to its middle and mirrored.
+CALIBRATION_VERSION = 14
 
 
 def config_fingerprint(device: DeviceParams, defaults: dict) -> str:

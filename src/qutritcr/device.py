@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidParams
 from .linalg import PAIR_DIM, QUTRIT_DIM, dag, kron, read_only
@@ -187,7 +186,7 @@ class TransitionFrequencies:
 def _dressed_energies(p: DeviceParams) -> np.ndarray:
     """Eigenenergies (GHz) labelled by bare state via maximum overlap."""
     h = build_static_hamiltonian(p) / TWO_PI
-    w, v = scipy.linalg.eigh(h)
+    w, v = np.linalg.eigh(h)
     labels = np.argmax(np.abs(v) ** 2, axis=0)
     if len(set(labels.tolist())) != PAIR_DIM:
         raise InvalidParams("dressed-state labelling is ambiguous for these parameters")

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .device import DeviceParams, transition_frequencies
 from .errors import InvalidParams, SingularDenominator, UnknownGate
@@ -116,8 +115,12 @@ def on_transmon(channel: int, op: np.ndarray) -> np.ndarray:
 
 
 def ideal_ucr(subspace: str, theta: float, signs=IDEAL_CSX_SIGNS) -> np.ndarray:
-    """Conditional-rotation gate sum_i |i><i| (x) R_X^{subspace}(signs[i] theta)."""
-    return scipy.linalg.block_diag(*(rx_subspace(subspace, s * theta) for s in signs))
+    """Conditional-rotation gate sum_i |i><i| (x) R_X^{subspace}(signs[i] theta),
+    one sign per control level."""
+    signs = tuple(signs)
+    if len(signs) != QUTRIT_DIM:
+        raise InvalidParams(f"need {QUTRIT_DIM} signs, one per control level, got {len(signs)}")
+    return sum(kron(proj(i, i), rx_subspace(subspace, s * theta)) for i, s in enumerate(signs))
 
 
 def qutrit_hadamard() -> np.ndarray:

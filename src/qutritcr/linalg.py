@@ -9,7 +9,6 @@ index is ``3*q1 + q2``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimMismatch, NotHermitian
 
@@ -75,7 +74,7 @@ def expm_unitary(h: np.ndarray, s: float, tol: float = HERM_TOL) -> np.ndarray:
     """
     if herm_defect(h) > tol:
         raise NotHermitian(f"hermiticity defect {herm_defect(h):.3e} > {tol:.0e}")
-    w, v = scipy.linalg.eigh(h)
+    w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * s)) @ dag(v)
 
 

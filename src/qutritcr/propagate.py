@@ -10,10 +10,13 @@ resolves the counter-rotating drive at twice the carrier.  Each step's
 exponent comes by one of two routes (``_stepped_unitary``): a schedule
 driven on one operator takes it from a table generated by expanding the
 formula's brackets once (``_exponent_table``), any other from three
-commutators per step.  The ``evolve_*`` functions wrap scipy's adaptive
-DOP853 (order 8, embedded error control), imported on first use
-(``solve_ivp``); the full model uses it only for the one drive period of a
-CR flat top that is raised to a power.  States are never silently
+commutators per step.  Under the RWA, a segment that spans one play whose
+H(t) is time-symmetric up to a diagonal conjugation, a DRAG gate for one, is
+stepped to its middle and mirrored (``_mirrored_unitary``).  The
+``evolve_*`` functions wrap scipy's adaptive DOP853 (order 8, embedded
+error control), imported on first use (``solve_ivp``); the full model uses
+it only for the one drive period of a CR flat top that is raised to a
+power.  States are never silently
 renormalized; norm drift is checked after every DOP853 run.
 """
 
@@ -26,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .device import EXCITATIONS, DeviceParams, FrameSpec, reframe
 from .errors import NormDrift, StepFailure
@@ -498,8 +500,17 @@ def _table_exponents(split, matrices, mid, offset, h, out):
     return out
 
 
-def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> np.ndarray:
-    """Sixth-order Magnus propagator over [t0, t1] (three-point Gauss nodes).
+def _grid(t0: float, t1: float, step: float | None = None):
+    """(dt, midpoints) of the n equal Magnus steps over [t0, t1], n the
+    fewest that keep each at most ``step`` ns, ``_MAGNUS_STEP`` by default."""
+    n = max(int(np.ceil((t1 - t0) / (_MAGNUS_STEP if step is None else step))), 1)
+    dt = (t1 - t0) / n
+    return dt, t0 + dt * np.arange(n) + dt / 2.0
+
+
+def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None, steps: slice | None = None) -> np.ndarray:
+    """Sixth-order Magnus propagator over [t0, t1] (three-point Gauss nodes),
+    or over the ``steps`` of its grid (``_grid``) if given.
 
     Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 4: with
     A_j = -i H at the nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
@@ -530,12 +541,13 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
 
     Omega's exponential (``_unitary_exp``) and the pairwise products within
     each ``_GROUP`` (``_ordered_product``) run in this thread's kernel
-    buffers (``_kernel_buffers``), on either route.
+    buffers (``_kernel_buffers``), on either route.  Blocks and groups
+    count from the first of ``steps``.
     """
-    n = max(int(np.ceil((t1 - t0) / (_MAGNUS_STEP if step is None else step))), 1)
-    dt = (t1 - t0) / n
+    dt, mids = _grid(t0, t1, step)
+    if steps is not None:
+        mids = mids[steps]
     offset = np.sqrt(15.0) / 10.0 * dt
-    mids = t0 + dt * np.arange(n) + dt / 2.0
     block = max(_MAGNUS_BLOCK // _GROUP, 1) * _GROUP
     split = prov.drive_split()
     if split is None:
@@ -543,7 +555,7 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
     else:
         matrices = _exponent_matrices(split, dt)
     u = None
-    for k in range(0, n, block):
+    for k in range(0, len(mids), block):
         mid = mids[k : k + block]
         buffers = _kernel_buffers(len(mid))
         if split is None:
@@ -554,11 +566,95 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None) -> n
         # pairwise products in y and x
         y, x, c1, p = buffers[0], buffers[2], buffers[3], buffers[4]
         right = buffers[5:].view(float).reshape(len(mid), 2 * PAIR_DIM, 2 * PAIR_DIM)
-        steps = _unitary_exp(omega, (y, x, c1, p, right))
-        for g in range(0, len(steps), _GROUP):
-            group = _ordered_product(steps[g : g + _GROUP], (y, x))
+        factors = _unitary_exp(omega, (y, x, c1, p, right))
+        for g in range(0, len(factors), _GROUP):
+            group = _ordered_product(factors[g : g + _GROUP], (y, x))
             u = group.copy() if u is None else group @ u
     return u
+
+
+def _mirror(u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Z^dagger U^T Z with Z = diag(z), of a matrix or of each of a stack."""
+    return z.conj()[:, None] * np.swapaxes(u, -1, -2) * z
+
+
+# Units of roundoff by which the mirror relation may miss at the Magnus
+# nodes (``_mirror_holds``).  Where it holds, a node time rounds by ~eps t1,
+# which moves the envelope by that times its slope, ~max |H| / (t1 - t0):
+# DRAG plays missed by 2-12 such units at starts of 0-100 ns, by 31-74 at
+# ~600 ns.  Where it does not hold, it misses by O(1).
+_MIRROR_ULPS = 64
+
+
+def _mirror_holds(split, z: np.ndarray, dt: float, mids: np.ndarray) -> bool:
+    """Whether H(t0 + t1 - t) = Z^dagger H(t)^T Z, Z = diag(z), at every
+    node of the Magnus steps of length dt centred at ``mids`` over [t0, t1],
+    read off a ``drive_split`` H_s + sum_i e_i(t) H_i: the matrices map as
+    ``_mirror_map`` requires, with some R, and the envelopes at each node's
+    mirror (node 2 - j of step n - 1 - k for node j of step k) are R^T
+    times those at the node, to ``_MIRROR_ULPS`` units of roundoff."""
+    r = _mirror_map(split.h_s.tobytes(), split.ops.tobytes(), z.tobytes())
+    if r is None:
+        return False
+    m, n = len(r), len(mids)
+    offset = np.sqrt(15.0) / 10.0 * dt
+    e = split.envelopes(np.concatenate([mids - offset, mids, mids + offset]))
+    miss = np.abs(e.reshape(m, 3, n)[:, ::-1, ::-1].reshape(m, -1) - r.T @ e).max()
+    t0, t1 = mids[0] - dt / 2.0, mids[-1] + dt / 2.0
+    return miss <= _MIRROR_ULPS * np.finfo(float).eps * np.abs(e).max() * max(abs(t0), abs(t1)) / (t1 - t0)
+
+
+@lru_cache(maxsize=2)
+def _mirror_map(h_s: bytes, ops: bytes, z: bytes) -> np.ndarray | None:
+    """The real m x m matrix R with Z^dagger H_i^T Z = sum_j R_ij H_j for
+    the H_i of a ``drive_split`` (for a DRAG play's pair, a reflection by
+    twice the drive phase), given that Z^dagger H_s^T Z = H_s; None unless
+    both hold to ``_MIRROR_ULPS`` units of roundoff.  From the bytes of H_s,
+    the H_i and diag(Z), so that a tune-up, which keeps all three, finds
+    it once."""
+    ulp = _MIRROR_ULPS * np.finfo(float).eps
+    z = np.frombuffer(z, dtype=complex)
+    h_s = np.frombuffer(h_s, dtype=complex).reshape(PAIR_DIM, PAIR_DIM)
+    if np.abs(_mirror(h_s, z) - h_s).max() > ulp * np.abs(h_s).max():
+        return None
+    ops = np.frombuffer(ops, dtype=complex).reshape(-1, PAIR_DIM, PAIR_DIM)
+    mirrored = _mirror(ops, z).reshape(len(ops), -1).view(float)
+    ops = ops.reshape(len(ops), -1).view(float)
+    # least squares, from the normal equations of the m <= 2 matrices
+    r = np.linalg.solve(ops @ ops.T, ops @ mirrored.T).T
+    if np.abs(r @ ops - mirrored).max() > ulp * np.abs(mirrored).max():
+        return None
+    return read_only(r)
+
+
+def _mirrored_unitary(prov, t0: float, t1: float, phase: float, *step) -> np.ndarray:
+    """``_stepped_unitary(prov, t0, t1, *step)`` of a segment that may be
+    time-symmetric up to a diagonal conjugation.
+
+    A lone play under the RWA in its drive frame has H(t0 + t1 - t) =
+    Z^dagger H(t)^T Z with Z = diag(exp(2i phase N)), N the total excitation
+    number, where its envelope is even about its middle up to a conjugation
+    (a DRAG play's g is even and its g' odd) and its static part is real.
+    The symmetric three-node step is time-reversible (Blanes, Casas, Oteo &
+    Ros, Phys. Rep. 470, 151 (2009)), so the steps of the second half are
+    the mirrors of those of the first, in reverse order: the propagator is
+    (Z^dagger U_half^T Z) U_half, with U_half the first n // 2 steps, and an
+    odd count's middle step its own factor between them.  Whether the
+    relation holds is checked at the nodes (``_mirror_holds``), whatever the
+    play; where it does not, or the split is missing, the segment is
+    stepped whole.
+    """
+    dt, mids = _grid(t0, t1, *step)
+    z = np.exp(2j * phase * EXCITATIONS)
+    split = prov.drive_split()
+    if len(mids) < 2 or split is None or not _mirror_holds(split, z, dt, mids):
+        return _stepped_unitary(prov, t0, t1, *step)
+    half = len(mids) // 2
+    u = _stepped_unitary(prov, t0, t1, *step, steps=slice(0, half))
+    mirrored = _mirror(u, z)
+    if len(mids) % 2:
+        u = _stepped_unitary(prov, t0, t1, *step, steps=slice(half, half + 1)) @ u
+    return mirrored @ u
 
 
 def _rwa_flat_top(p: DeviceParams, schedule: Schedule):
@@ -580,10 +676,9 @@ def _rwa_flat_top(p: DeviceParams, schedule: Schedule):
     play = schedule.plays()[0]
     prov = rotating_frame_hamiltonian(p, FrameSpec(play.carrier_freq, play.carrier_freq), schedule, rwa=True)
     a = play.start + play.shape.risefall
-    w, v = scipy.linalg.eigh(prov(a + play.shape.width / 2.0))
+    w, v = np.linalg.eigh(prov(a + play.shape.width / 2.0))
     u_rise = _stepped_unitary(prov, play.start, a)
-    z2 = np.exp(2j * play_phase(p, schedule, play) * EXCITATIONS)
-    u_fall = z2.conj()[:, None] * u_rise.T * z2
+    u_fall = _mirror(u_rise, np.exp(2j * play_phase(p, schedule, play) * EXCITATIONS))
     if play.start > 0.0:
         u_rise = u_rise @ expm_unitary(prov(0.0), play.start)
     if schedule.duration > play.end:
@@ -612,8 +707,11 @@ def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     constant once the RWA drops its counter-rotating drive (at omega_ch + c
     in the bare frame), and is exponentiated exactly;
     its fall edge is its rise's mirror image (``_rwa_flat_top``).  Every
-    other schedule is stepped whole, split at its play edges as in the full
-    model (``_split_at_edges``).
+    other schedule is split at its play edges as in the full model
+    (``_split_at_edges``); a segment that spans one play exactly, a DRAG
+    gate for one, is stepped to its middle and mirrored where its H is
+    time-symmetric (``_mirrored_unitary``), and every other segment is
+    stepped whole.
     """
     plays = schedule.plays()
     drive = _drive_frame(p, plays)
@@ -622,21 +720,26 @@ def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
         u_rise, u_fall, w, v = _rwa_flat_top(p, schedule)
         u = u_fall @ (v * np.exp(-1j * w * play.shape.width)) @ dag(v) @ u_rise
     else:
-        u = _split_at_edges(rotating_frame_hamiltonian(p, drive, schedule, rwa=True), 0.0, schedule.duration, plays)
+        prov = rotating_frame_hamiltonian(p, drive, schedule, rwa=True)
+        phases = {(play.start, play.end): play_phase(p, schedule, play) for play in plays}
+        u = _split_at_edges(prov, 0.0, schedule.duration, plays, mirrors=phases)
     return reframe(u, drive, FrameSpec.bare(p), schedule.duration)
 
 
-def _split_at_edges(prov, t0: float, t1: float, plays, *step) -> np.ndarray:
+def _split_at_edges(prov, t0: float, t1: float, plays, *step, mirrors=None) -> np.ndarray:
     """Magnus (``_stepped_unitary``, at ``step`` ns if given) over [t0, t1],
     with a step boundary at every play edge inside it: H(t) has a kink
     there, which a step that straddles it resolves only to second order (a
     0.5 GHz CR rise starting 0.75 ns in lands 9e-8 off in the full model,
     2e-9 split; two 32.1 ns DRAG plays 1.3e-4 off under the RWA, 1.9e-8
-    split)."""
+    split).  ``mirrors`` maps a play's (start, end) to its drive phase; a
+    segment that is one of them goes to ``_mirrored_unitary``."""
     bounds = [t0, *sorted({t for play in plays for t in (play.start, play.end) if t0 < t < t1}), t1]
-    u = _stepped_unitary(prov, bounds[0], bounds[1], *step)
-    for lo, hi in zip(bounds[1:], bounds[2:]):
-        u = _stepped_unitary(prov, lo, hi, *step) @ u
+    u = None
+    for lo, hi in zip(bounds, bounds[1:]):
+        phase = (mirrors or {}).get((lo, hi))
+        piece = _stepped_unitary(prov, lo, hi, *step) if phase is None else _mirrored_unitary(prov, lo, hi, phase, *step)
+        u = piece if u is None else piece @ u
     return u
 
 

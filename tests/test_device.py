@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qutritcr import device as device_module
 from qutritcr.device import (
     DeviceParams,
     FrameSpec,
@@ -91,6 +95,36 @@ class TestStaticHamiltonian:
         j2_over_delta = TWO_PI * device.coupling_j**2 / 0.6
         assert shift < 5.0 * j2_over_delta
         assert shift > 0.1 * j2_over_delta
+
+
+@st.composite
+def _devices_away_from_collisions(draw):
+    """Devices whose bare levels that the coupling joins (|10>-|01>,
+    |20>-|11>, |11>-|02>, |21>-|12>) sit at least 20 J apart."""
+    omega1 = draw(st.floats(4.0, 6.0))
+    omega2 = draw(st.floats(4.0, 6.0))
+    delta1 = draw(st.floats(-0.5, -0.1))
+    delta2 = draw(st.floats(-0.5, -0.1))
+    j = draw(st.floats(0.0005, 0.01))
+    gaps = (omega1 - omega2, omega1 + delta1 - omega2, omega1 - omega2 - delta2, omega1 + delta1 - omega2 - delta2)
+    assume(min(abs(g) for g in gaps) >= 20.0 * j)
+    return DeviceParams(omega1=omega1, omega2=omega2, delta1=delta1, delta2=delta2, coupling_j=j)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=_devices_away_from_collisions())
+def test_dressed_labels_and_energies_match_scipy_eigh(p):
+    # the package diagonalizes with numpy's eigh (LAPACK heevd); scipy's
+    # (heevr) must give the same labels and energies to roundoff
+    h = build_static_hamiltonian(p) / TWO_PI
+    w, v = scipy.linalg.eigh(h)
+    labels = np.argmax(np.abs(v) ** 2, axis=0)
+    assert sorted(labels.tolist()) == list(range(9))
+    want = np.empty(9)
+    want[labels] = w
+    got = device_module._dressed_energies(p)
+    # relative to the spectrum's scale: |00> sits at 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _drive_operator(which):

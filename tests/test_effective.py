@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qutritcr.device import DeviceParams
 from qutritcr.effective import (
@@ -112,6 +113,19 @@ class TestIdealUCR:
         # adjoint when the conditional angles are opposite
         u = ideal_ucr("01", 0.8, signs=(1.0, -1.0, 0.0))
         assert np.allclose(u[:3, :3], dag(u[3:6, 3:6]), atol=1e-12)
+
+    @pytest.mark.parametrize("subspace", ["01", "12"])
+    @pytest.mark.parametrize("signs", [(1.0, 0.0, -1.0), (1.0, -0.3, -1.2), (-1.0, 2.0, 0.5)])
+    def test_equals_the_block_diagonal(self, subspace, signs):
+        # one R_X block per control level, as scipy's block_diag places them
+        want = scipy.linalg.block_diag(*(rx_subspace(subspace, s * 0.7) for s in signs))
+        assert np.array_equal(ideal_ucr(subspace, 0.7, signs=signs), want)
+
+    @pytest.mark.parametrize("signs", [(), (1.0, -1.0), (1.0, 0.0, -1.0, 0.5)])
+    def test_needs_one_sign_per_control_level(self, signs):
+        # block_diag would have made a 0x0, 6x6 or 12x12 "gate" of these
+        with pytest.raises(InvalidParams, match="3 signs"):
+            ideal_ucr("01", np.pi, signs=signs)
 
 
 class TestSingleQutritGates:

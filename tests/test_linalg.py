@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutritcr.errors import DimMismatch, NotHermitian
 from qutritcr.linalg import (
@@ -78,6 +81,13 @@ class TestExpmUnitary:
     def test_result_unitary(self, rng):
         h = random_hermitian(rng, 9)
         assert unitary_defect(expm_unitary(h, 2.3)) < UNITARY_TOL
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 3.0), s=st.floats(-2.0, 2.0))
+    def test_matches_scipy_expm(self, seed, scale, s):
+        # eigendecomposition by numpy's eigh against scipy's Pade expm
+        h = scale * random_hermitian(np.random.default_rng(seed), 9)
+        assert np.max(np.abs(expm_unitary(h, s) - scipy.linalg.expm(-1j * s * h))) <= 1e-14
 
     def test_rejects_non_hermitian(self):
         m = np.zeros((3, 3), dtype=complex)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from qutritcr import propagate
 from qutritcr.crpulse import FlatTopCRPulse
-from qutritcr.device import DeviceParams, FrameSpec, transition_frequencies
-from qutritcr.hamiltonian import rotating_frame_hamiltonian
+from qutritcr.device import EXCITATIONS, DeviceParams, FrameSpec, reframe, transition_frequencies
+from qutritcr.hamiltonian import play_phase, rotating_frame_hamiltonian
 from qutritcr.linalg import expm_unitary, ket2, unitary_defect
 from qutritcr.propagate import (
     EvolveOptions,
@@ -714,3 +714,64 @@ def test_kernel_buffers_are_kept_per_thread():
         sys.setswitchinterval(interval)
     for k, u in enumerate(got):
         assert np.array_equal(u, want[k % len(want)]), k
+
+
+def _spied_rwa_unitary(p, sched):
+    """rwa_unitary's propagator and the (t0, t1, steps) of every Magnus call."""
+    with mock.patch.object(propagate, "_stepped_unitary", wraps=propagate._stepped_unitary) as magnus:
+        u = rwa_unitary(p, sched)
+    return u, [(*call.args[1:3], call.kwargs.get("steps")) for call in magnus.call_args_list]
+
+
+def _stepped_whole(p, sched):
+    """rwa_unitary with every segment stepped whole: no mirror."""
+    plays = sched.plays()
+    drive = propagate._drive_frame(p, plays)
+    prov = rotating_frame_hamiltonian(p, drive, sched, rwa=True)
+    u = propagate._split_at_edges(prov, 0.0, sched.duration, plays)
+    return reframe(u, drive, FrameSpec.bare(p), sched.duration)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    channel=st.sampled_from([1, 2]),
+    sub=st.sampled_from(["01", "12"]),
+    amp=st.floats(-0.1, 0.1),
+    beta=st.floats(-2.0, 2.0),
+    phase=st.floats(-np.pi, np.pi),
+    n=st.integers(2, 500),
+    short=st.floats(0.05, 0.95),
+    start=st.sampled_from([0.0, 0.37, 5.0, 48.1]),
+)
+def test_a_lone_drag_play_is_mirrored_about_its_middle(channel, sub, amp, beta, phase, n, short, start):
+    # n Magnus steps, odd or even: the first n // 2 are stepped, the rest
+    # mirrored, and an odd count's middle step is stepped on its own
+    duration = (n - short) * propagate._MAGNUS_STEP
+    carrier = transition_frequencies(_DEVICE, dressed=True).of(channel, sub)
+    shape = DragGaussian(amp=amp, sigma=duration / 4.0, duration=duration, beta=beta)
+    sched = Schedule((Play(channel, start, shape, carrier, phase),))
+    u, calls = _spied_rwa_unitary(_DEVICE, sched)
+    end = sched.plays()[0].end
+    assert len(propagate._grid(start, end, None)[1]) == n
+    mirrored = [(start, end, slice(0, n // 2))] + ([(start, end, slice(n // 2, n // 2 + 1))] if n % 2 else [])
+    assert calls == ([(0.0, start, None)] if start else []) + mirrored
+    assert np.max(np.abs(u - _stepped_whole(_DEVICE, sched))) <= 1e-13
+
+
+def test_a_play_off_its_own_frame_is_stepped_whole():
+    # h3_1's second play (1-2 carrier) in its first play's frame (0-1
+    # carrier) oscillates at the carriers' difference, so only the first
+    # is mirrored; the second fails the relation at its nodes
+    tf = transition_frequencies(_DEVICE, dressed=True)
+    first = Schedule((Play(1, 0.0, DragGaussian(0.0325, 8.0, 32.0, 0.31), tf.w01_1),))
+    second = Schedule((Play(1, 0.0, DragGaussian(0.0256, 8.0, 32.0, -0.47), tf.w12_1, 0.4),))
+    sched = concat(first, second)
+    u, calls = _spied_rwa_unitary(_DEVICE, sched)
+    assert calls == [(0.0, 32.0, slice(0, 200)), (32.0, 64.0, None)]
+    assert np.max(np.abs(u - _stepped_whole(_DEVICE, sched))) <= 1e-13
+
+    plays = sched.plays()
+    prov = rotating_frame_hamiltonian(_DEVICE, propagate._drive_frame(_DEVICE, plays), sched, rwa=True)
+    dt, mids = propagate._grid(32.0, 64.0, None)
+    z = np.exp(2j * play_phase(_DEVICE, sched, plays[1]) * EXCITATIONS)
+    assert not propagate._mirror_holds(prov.drive_split(), z, dt, mids)
