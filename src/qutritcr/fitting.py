@@ -91,7 +91,8 @@ def _project(two_pi_u: np.ndarray, centred: np.ndarray, freq: float):
 
 
 def fit_rabi(times: np.ndarray, values: np.ndarray) -> FitResult:
-    """DFT-seeded least-squares cosine fit on a uniformly sampled trace.
+    """DFT-seeded least-squares cosine fit on a trace sampled at uniform,
+    strictly increasing times.
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)): at a trial frequency the offset and the cos/sin weights are
@@ -114,6 +115,8 @@ def fit_rabi(times: np.ndarray, values: np.ndarray) -> FitResult:
     if len(times) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a frequency estimate")
     steps = np.diff(times)
+    if not (steps > 0.0).all():
+        raise ValueError("fit_rabi requires strictly increasing times")
     if np.max(np.abs(steps - steps[0])) > 1e-6 * steps[0]:
         raise ValueError("fit_rabi requires a uniform time grid")
     if not np.isfinite(values).all():

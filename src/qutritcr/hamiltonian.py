@@ -140,10 +140,6 @@ class RotatingFrameHamiltonian:
         self._table = table.reshape(len(table), PAIR_DIM * PAIR_DIM).view(float)
         diagonal = TWO_PI * (static_diagonal(p) - number_diagonal(frame))
         self._const = np.diag(diagonal).astype(complex).reshape(-1)
-        # -i times the rows (exactly: each entry is real or imaginary), then
-        # -i const and a zero row for the real view of a weight on const
-        skew = np.concatenate([-1j * table.reshape(len(table), -1), [-1j * self._const, 0 * self._const]])
-        self._skew_table = skew.view(float)
         self._nops = len(ops)
         self._windows: list[_Window] = []
 
@@ -185,7 +181,7 @@ class RotatingFrameHamiltonian:
         under the RWA).
         """
         if isinstance(t, np.ndarray) and t.ndim:
-            return self._assemble(self.coefficients(t.astype(float, copy=False)))
+            return self._assemble(self._coefficients(t.astype(float, copy=False), self._windows))
         z = [0j] * self._nops
         for w in self._windows:
             s = t - w.t0
@@ -199,14 +195,10 @@ class RotatingFrameHamiltonian:
                 z[term.op] += c * cmath.exp(-2j * cmath.pi * term.freq * t)
         return self._assemble(np.array(z))
 
-    def coefficients(self, ts: np.ndarray) -> np.ndarray:
-        """The operator coefficients z(t) at a 1-d array of times, shape
-        (n, n_ops): H(t) = ``_assemble(z(t))``, and -i sum_j c_j H(t_j) =
-        ``skew(sum_j c_j z(t_j), sum_j c_j)``."""
-        return self._coefficients(ts, self._windows)
-
     def _coefficients(self, ts: np.ndarray, windows) -> np.ndarray:
-        """The part of ``coefficients`` that the given windows contribute."""
+        """The operator coefficients z(t) that the given windows contribute
+        at a 1-d array of times, shape (n, n_ops): with every window,
+        H(t) = ``_assemble(z(t))``."""
         z = np.zeros((len(ts), self._nops), dtype=complex)
         for w in windows:
             s = ts - w.t0
@@ -228,35 +220,32 @@ class RotatingFrameHamiltonian:
                 z[rows, term.op] += coef
         return z
 
-    def drive_split(self) -> DriveSplit | None:
-        """H(t) = H_s + sum_i e_i(t) H_i for t >= 0 with m <= 2 real envelopes
-        e_i and fixed Hermitian H_i, or None.  The split exists when every
-        term that varies in time (a play's, or one oscillating in this frame)
-        acts on one drive operator M, with the coupling static: a drive on
-        one channel in a frame that rotates both transmons alike.
+    def drive_split(self) -> DriveSplit:
+        """H(t) = H_s + sum_i e_i(t) H_i for t >= 0 with m real envelopes e_i
+        and fixed Hermitian H_i.  H_s holds every term static in this frame;
+        each operator M with a term that varies in time (a play's, or one
+        oscillating in this frame, the coupling's too) adds H_i.
 
         - m = 1: one such term, static here, with a real envelope (a lone
           Gaussian or Gaussian-square play under the RWA in its carrier
           frame).  H_1 is its scale times M, plus the conjugate.
-        - m = 2 otherwise (a DRAG play under the RWA; every play on the
-          channel without it): H_1 = M + M^dagger and H_2 = i (M - M^dagger)
-          with e_1 + i e_2 the operator's coefficient z(t), as in
-          ``coefficients``.
+        - m = 2 per operator otherwise: M + M^dagger and i (M - M^dagger),
+          with envelopes Re z and Im z of the operator's coefficient z(t)
+          over the varying terms.  A drive on one channel in a frame that
+          rotates both transmons alike has m = 2; plays on both channels,
+          or a frame that rotates the transmons apart, have m = 4 or 6.
 
         ``envelopes`` maps a 1-d array of times to the (m, n) real samples,
         0 outside every play's window."""
         static = [w.shape is None and all(term.freq == 0.0 for term in w.terms) for w in self._windows]
         driven = [w for w, fixed in zip(self._windows, static) if not fixed]
-        ops = {term.op for w in driven for term in w.terms}
-        if len(ops) != 1 or _COUPLING in ops:
-            return None
-        (op,) = ops
+        ops = sorted({term.op for w in driven for term in w.terms})
         z = np.zeros(self._nops, dtype=complex)
         for w, fixed in zip(self._windows, static):
             for term in w.terms if fixed else ():
                 z[term.op] += term.scale
-        # M + M^dagger and i (M - M^dagger)
-        pair = self._table.view(complex).reshape(-1, PAIR_DIM, PAIR_DIM)[2 * op : 2 * op + 2]
+        # M + M^dagger and i (M - M^dagger) of each operator
+        pairs = self._table.view(complex).reshape(-1, PAIR_DIM, PAIR_DIM)[[2 * op + k for op in ops for k in (0, 1)]]
         terms = [term for w in driven for term in w.terms]
         if len(terms) == 1 and terms[0].freq == 0.0 and isinstance(driven[0].shape, (Gaussian, GaussianSquare)):
             play, scale = driven[0], terms[0].scale
@@ -268,34 +257,20 @@ class RotatingFrameHamiltonian:
                 e[0, on] = play.shape.sample(s[on]).real
                 return e
 
-            return DriveSplit(self._assemble(z), (scale.real * pair[0] + scale.imag * pair[1])[None], envelopes)
+            return DriveSplit(self._assemble(z), (scale.real * pairs[0] + scale.imag * pairs[1])[None], envelopes)
 
         def envelopes(ts: np.ndarray) -> np.ndarray:
-            c = self._coefficients(ts, driven)[:, op]
-            return np.stack([c.real, c.imag])
+            # rows Re z, Im z of each operator in turn, as ``pairs``
+            coef = self._coefficients(ts, driven)[:, ops].T
+            return np.stack([coef.real, coef.imag], axis=1).reshape(-1, len(ts))
 
-        return DriveSplit(self._assemble(z), pair.copy(), envelopes)
+        return DriveSplit(self._assemble(z), pairs, envelopes)
 
     def _assemble(self, z: np.ndarray) -> np.ndarray:
         """const + [Re z, Im z] @ table for coefficients z of shape (..., n_ops)."""
         h = (z.view(float) @ self._table).view(complex)
         h += self._const
         return h.reshape(*z.shape[:-1], PAIR_DIM, PAIR_DIM)
-
-    def skew(self, z: np.ndarray, weight: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """-i (weight const + [Re z, Im z] @ table) of coefficients z of shape
-        (..., n_ops) and real weights broadcastable to z.shape[:-1], by one
-        real product into the C-contiguous ``out`` of shape (..., 9, 9).
-        With z = sum_j c_j z(t_j) and weight = sum_j c_j, this is the
-        anti-Hermitian -i sum_j c_j H(t_j)."""
-        if not out.flags.c_contiguous:
-            raise ValueError("skew writes into a C-contiguous out only")
-        zw = np.empty((*z.shape[:-1], self._nops + 1), dtype=complex)
-        zw[..., :-1] = z
-        zw[..., -1] = weight
-        rows = zw.reshape(-1, self._nops + 1).view(float)
-        np.matmul(rows, self._skew_table, out=out.reshape(len(rows), -1).view(float))
-        return out
 
 
 def rotating_frame_hamiltonian(

@@ -6,17 +6,19 @@ in a drive frame (``_drive_frame``).  Each step is the exponential of an
 anti-Hermitian matrix, taken by one algorithm for both models: a Taylor
 polynomial of degree 9 or 18 (by the step's 1-norm), unitary up to roundoff
 and free of linear solves (``_unitary_exp``).  Without the RWA the step
-resolves the counter-rotating drive at twice the carrier.  Each step's
-exponent comes by one of two routes (``_stepped_unitary``): a schedule
-driven on one operator takes it from a table generated by expanding the
-formula's brackets once (``_exponent_table``), any other from three
-commutators per step.  Under the RWA, a segment that spans one play whose
-H(t) is time-symmetric up to a diagonal conjugation, a DRAG gate for one, is
-stepped to its middle and mirrored (``_mirrored_unitary``).  The
-``evolve_*`` functions wrap scipy's adaptive DOP853 (order 8, embedded
-error control), imported on first use (``solve_ivp``); the full model uses
-it only for the one drive period of a CR flat top that is raised to a
-power.  States are never silently
+resolves the counter-rotating drive at twice the carrier.  H(t) reaches
+the kernel by one front end (``_stepped_unitary``): its provider's split
+into a static part and m real envelopes times fixed matrices, whose values
+at the steps' nodes make the formula's terms (``_node_terms``).  With
+m <= 2, a schedule driven on one operator, the exponent comes from a table
+generated by expanding the formula's brackets once (``_exponent_table``);
+with more, from three commutators per step.  Under the RWA, a segment that
+spans one play whose H(t) is time-symmetric up to a diagonal conjugation, a
+DRAG gate for one, is stepped to its middle and mirrored
+(``_mirrored_unitary``).  The ``evolve_*`` functions wrap scipy's adaptive
+DOP853 (order 8, embedded error control), imported on first use
+(``solve_ivp``); the full model uses it only for the one drive period of a
+CR flat top that is raised to a power.  States are never silently
 renormalized; norm drift is checked after every DOP853 run.
 """
 
@@ -52,15 +54,10 @@ _FULL_MODEL_STEP = 0.005
 # Magnus steps built at once, so that long schedules do not raise peak memory.
 # A block's seven (n, 9, 9) kernel buffers take 1.2 MB at 128 steps; at 512
 # the full model's 0.005 ns steps, with a dozen fresh temporaries per block,
-# raised the pipeline's peak RSS by ~2 MB over the DOP853 it replaced.
-_MAGNUS_BLOCK = 128
-
-# Steps multiplied pairwise as one group: steps k with the same k // _GROUP.
-# The groups follow the absolute step index, so the product does not depend
-# on _MAGNUS_BLOCK (blocks are rounded to whole groups).  The table route's
-# exponents are one BLAS product per group for the same reason
-# (``_table_exponents``).
-_GROUP = 128
+# raised the pipeline's peak RSS by ~2 MB over the DOP853 it replaced.  A
+# block's steps are multiplied pairwise (``_ordered_product``), and the table
+# route's exponents are one BLAS product per block (``_table_exponents``).
+_BLOCK = 128
 
 # The Magnus kernel's seven (n, 9, 9) buffers, kept per thread between calls
 # (``_kernel_buffers``).  Arrays this large that are allocated afresh come
@@ -304,25 +301,41 @@ def _kernel_buffers(n: int) -> np.ndarray:
     return flat[:need].reshape(_KERNEL_SLOTS, n, PAIR_DIM, PAIR_DIM)
 
 
-def _node_weights(dt: float) -> np.ndarray:
-    """Weights w of the three node Hamiltonians in the five matrices that
-    the sixth-order Magnus step combines linearly: sum_j w[k, j] A_j is
-    alpha_1, alpha_2, -2 alpha_3 / 60, (-20 alpha_1 - alpha_3) / 240 and
-    alpha_1 + alpha_3 / 12 for k = 0 ... 4 (``_stepped_unitary``)."""
-    a1 = np.array([0.0, dt, 0.0])
-    a2 = np.sqrt(15.0) * dt / 3.0 * np.array([-1.0, 0.0, 1.0])
-    a3 = 10.0 * dt / 3.0 * np.array([1.0, -2.0, 1.0])
-    return np.stack([a1, a2, a3 * (-2.0 / 60.0), (-20.0 * a1 - a3) / 240.0, a1 + a3 / 12.0])
+def _node_terms(split, mid, offset, h) -> np.ndarray:
+    """The (3, m, n) terms (a, b, c) of ``_exponent_table`` for the n steps
+    of length h centred at ``mid``, from the m envelopes of a
+    ``drive_split`` at each step's three nodes, ``offset`` from its middle."""
+    m, n = len(split.ops), len(mid)
+    e = split.envelopes(np.concatenate([mid - offset, mid, mid + offset])).reshape(m, 3, n)
+    x = np.empty((3, m, n))
+    np.multiply(e[:, 1], h, out=x[0])
+    np.multiply(e[:, 2] - e[:, 0], np.sqrt(15.0) * h / 3.0, out=x[1])
+    np.multiply(e[:, 2] - 2.0 * e[:, 1] + e[:, 0], 10.0 * h / 3.0, out=x[2])
+    return x
 
 
-def _commutator_exponents(prov, mid, offset, weights, buffers):
-    """Omega of the steps centred at ``mid`` into ``buffers[1]``, by the
-    per-step commutators of ``_stepped_unitary`` (any provider)."""
-    z = prov.coefficients(np.concatenate([mid - offset, mid, mid + offset])).reshape(3, -1)
-    z = (weights @ z).reshape(5, len(mid), -1)
-    # H's constant part enters each combination with its weights' sum
-    const = weights.sum(axis=1)[:, None]
-    a1, a2, x = prov.skew(z[:3], const[:3], buffers[:3])
+def _commutator_exponents(split, terms, h, buffers):
+    """Omega of the steps with ``_node_terms`` (a, b, c) into ``buffers[1]``,
+    by the per-step commutators of ``_stepped_unitary`` (any m).  The five
+    matrices that the formula combines linearly, alpha_1, alpha_2,
+    -2 alpha_3 / 60, (-20 alpha_1 - alpha_3) / 240 and alpha_1 + alpha_3 / 12
+    (the alphas of ``_exponent_table``), are each one real product of their
+    weights on P = -i H_s and the Q_i = -i H_i with those matrices: the first
+    three at once, the last two later in place of the spent alpha_1 and
+    alpha_2."""
+    a, b, c = terms
+    m, n = a.shape
+    # -i times H_s and the H_i, exactly: each entry is real or imaginary
+    generators = (-1j * np.concatenate([split.h_s[None], split.ops])).reshape(m + 1, -1).view(float)
+    weights = np.empty((5, n, m + 1))
+    weights[..., 0] = np.array([h, 0.0, 0.0, -20.0 * h / 240.0, h])[:, None]
+    weights[..., 1:] = np.stack([a, b, c * (-2.0 / 60.0), (-20.0 * a - c) / 240.0, a + c / 12.0]).transpose(0, 2, 1)
+
+    def combine(rows, out):
+        np.matmul(rows.reshape(-1, m + 1), generators, out=out.reshape(len(rows) * n, -1).view(float))
+        return out
+
+    a1, a2, x = combine(weights[:3], buffers[:3])
     c1, p = buffers[3:5]
     _commutator(a1, a2, out=c1, work=p)
     # x = -(2 alpha_3 + C_1) / 60, so that [alpha_1, x] = C_2; then x = alpha_2 + C_2
@@ -330,8 +343,7 @@ def _commutator_exponents(prov, mid, offset, weights, buffers):
     _commutator(a1, x, out=x, work=p)
     x += a2
     # y = (-20 alpha_1 - alpha_3 + C_1) / 240 and omega = alpha_1 + alpha_3 / 12
-    # take the places of the spent alpha_1 and alpha_2
-    y, omega = prov.skew(z[3:], const[3:], buffers[:2])
+    y, omega = combine(weights[3:], buffers[:2])
     y += np.multiply(c1, 1.0 / 240.0, out=p)
     omega += _commutator(y, x, out=c1, work=p)
     return omega
@@ -475,28 +487,20 @@ def _matrices_of(h_s: bytes, ops: bytes, h: float) -> np.ndarray:
     return read_only(t @ w.reshape(len(w), -1).view(float))
 
 
-def _table_exponents(split, matrices, mid, offset, h, out):
-    """Omega of the steps of length h centred at ``mid`` into ``out``, for a
-    ``drive_split``: the monomials of the envelopes' (a, b, c) at each step
-    (``_exponent_table``), one real product with ``matrices``
-    (``_exponent_matrices``) per ``_GROUP`` of steps.  A threaded BLAS
+def _table_exponents(terms, matrices, out):
+    """Omega of the steps with ``_node_terms`` (a, b, c) into ``out``: the
+    monomials of each step's terms (``_exponent_table``), then one real
+    product with ``matrices`` (``_exponent_matrices``).  A threaded BLAS
     product splits its rows by their number, and rounds by that split (a
     two-envelope product over 800 steps and over blocks of 128 differed in
-    the last bit on two threads), so each product spans the same steps
-    whatever the block: blocks begin at multiples of ``_GROUP``."""
-    m, n = len(split.ops), len(mid)
-    e = split.envelopes(np.concatenate([mid - offset, mid, mid + offset])).reshape(m, 3, n)
-    x = np.empty((3 * m, n))
-    np.multiply(e[:, 1], h, out=x[:m])
-    np.multiply(e[:, 2] - e[:, 0], np.sqrt(15.0) * h / 3.0, out=x[m : 2 * m])
-    np.multiply(e[:, 2] - 2.0 * e[:, 1] + e[:, 0], 10.0 * h / 3.0, out=x[2 * m :])
+    the last bit on two threads), so the product spans one ``_BLOCK``."""
+    _, m, n = terms.shape
+    x = terms.reshape(3 * m, n)
     mono = np.empty((len(matrices), n))
     mono[0] = 1.0
     for lo, hi, parent, var in _exponent_table(m).powers:
         np.multiply(mono[parent], x[var], out=mono[lo:hi])
-    flat = out.reshape(n, -1).view(float)
-    for g in range(0, n, _GROUP):
-        np.matmul(mono[:, g : g + _GROUP].T, matrices, out=flat[g : g + _GROUP])
+    np.matmul(mono.T, matrices, out=out.reshape(n, -1).view(float))
     return out
 
 
@@ -521,55 +525,48 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None, step
         C_1 = [alpha_1, alpha_2],  C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60,
         Omega = alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2] / 240.
 
-    The step is at most ``step`` ns, ``_MAGNUS_STEP`` by default.  Omega
-    comes in blocks of steps, by one of two routes:
+    The step is at most ``step`` ns, ``_MAGNUS_STEP`` by default.  Every
+    provider splits as H(t) = H_s + sum_i e_i(t) H_i (``prov.drive_split``),
+    and each ``_BLOCK`` of steps turns the m envelopes at its nodes into
+    alpha_1 = h P + sum_i a_i Q_i, alpha_2 = sum_i b_i Q_i and alpha_3 =
+    sum_i c_i Q_i, P = -i H_s and Q_i = -i H_i (``_node_terms``).  Omega
+    then comes by one of two routes, chosen by m alone:
 
-    - A provider driven on one operator (``prov.drive_split``: H_s plus
-      m <= 2 real envelopes times fixed matrices; a lone play under the RWA,
-      every one-channel schedule without it) takes Omega as one real
-      product of the envelopes' monomials with a fixed matrix per monomial
-      (``_table_exponents``).  The matrices combine the bracket-expanded
-      formula's words (``_exponent_matrices``), built once per (H_s, H_i, h).
-    - Any other provider takes H's operator coefficients at all the block's
-      nodes at once (``prov.coefficients``).  Every term above that is
-      linear in the A_j, the factors 1/60, 1/240 and 1/12 included, is one
-      row of ``_node_weights``; the coefficients combine by those rows, and
-      real products with -i times H's operator table (``prov.skew``) make
-      the five matrices: the first three at once, the last two later in
-      place of the spent alpha_1 and alpha_2.  The three commutators then
-      run per step (``_commutator_exponents``).
+    - m <= 2 (every one-channel schedule in a frame that rotates both
+      transmons alike): one real product of the terms' monomials with a
+      fixed matrix per monomial (``_table_exponents``).  The matrices
+      combine the bracket-expanded formula's words (``_exponent_matrices``),
+      built once per (H_s, H_i, h).
+    - m > 2: the three commutators per step (``_commutator_exponents``).
+      The table grows fast in m: 11, 72, 289 and 860 words for m = 1
+      to 4.
 
-    Omega's exponential (``_unitary_exp``) and the pairwise products within
-    each ``_GROUP`` (``_ordered_product``) run in this thread's kernel
-    buffers (``_kernel_buffers``), on either route.  Blocks and groups
-    count from the first of ``steps``.
+    Omega's exponential (``_unitary_exp``) and the pairwise products of
+    each block (``_ordered_product``) run in this thread's kernel buffers
+    (``_kernel_buffers``), on either route.  Blocks count from the first of
+    ``steps``.
     """
     dt, mids = _grid(t0, t1, step)
     if steps is not None:
         mids = mids[steps]
     offset = np.sqrt(15.0) / 10.0 * dt
-    block = max(_MAGNUS_BLOCK // _GROUP, 1) * _GROUP
     split = prov.drive_split()
-    if split is None:
-        weights = _node_weights(dt)
-    else:
-        matrices = _exponent_matrices(split, dt)
+    matrices = _exponent_matrices(split, dt) if len(split.ops) <= 2 else None
     u = None
-    for k in range(0, len(mids), block):
-        mid = mids[k : k + block]
+    for k in range(0, len(mids), _BLOCK):
+        mid = mids[k : k + _BLOCK]
         buffers = _kernel_buffers(len(mid))
-        if split is None:
-            omega = _commutator_exponents(prov, mid, offset, weights, buffers)
+        terms = _node_terms(split, mid, offset, dt)
+        if matrices is None:
+            omega = _commutator_exponents(split, terms, dt, buffers)
         else:
-            omega = _table_exponents(split, matrices, mid, offset, dt, buffers[1])
+            omega = _table_exponents(terms, matrices, buffers[1])
         # T_m runs in the four buffers besides omega and the last two, the
         # pairwise products in y and x
         y, x, c1, p = buffers[0], buffers[2], buffers[3], buffers[4]
         right = buffers[5:].view(float).reshape(len(mid), 2 * PAIR_DIM, 2 * PAIR_DIM)
-        factors = _unitary_exp(omega, (y, x, c1, p, right))
-        for g in range(0, len(factors), _GROUP):
-            group = _ordered_product(factors[g : g + _GROUP], (y, x))
-            u = group.copy() if u is None else group @ u
+        block = _ordered_product(_unitary_exp(omega, (y, x, c1, p, right)), (y, x))
+        u = block.copy() if u is None else block @ u
     return u
 
 
@@ -620,7 +617,7 @@ def _mirror_map(h_s: bytes, ops: bytes, z: bytes) -> np.ndarray | None:
     ops = np.frombuffer(ops, dtype=complex).reshape(-1, PAIR_DIM, PAIR_DIM)
     mirrored = _mirror(ops, z).reshape(len(ops), -1).view(float)
     ops = ops.reshape(len(ops), -1).view(float)
-    # least squares, from the normal equations of the m <= 2 matrices
+    # least squares, from the normal equations of the m independent matrices
     r = np.linalg.solve(ops @ ops.T, ops @ mirrored.T).T
     if np.abs(r @ ops - mirrored).max() > ulp * np.abs(mirrored).max():
         return None
@@ -641,13 +638,11 @@ def _mirrored_unitary(prov, t0: float, t1: float, phase: float, *step) -> np.nda
     (Z^dagger U_half^T Z) U_half, with U_half the first n // 2 steps, and an
     odd count's middle step its own factor between them.  Whether the
     relation holds is checked at the nodes (``_mirror_holds``), whatever the
-    play; where it does not, or the split is missing, the segment is
-    stepped whole.
+    play; where it does not, the segment is stepped whole.
     """
     dt, mids = _grid(t0, t1, *step)
     z = np.exp(2j * phase * EXCITATIONS)
-    split = prov.drive_split()
-    if len(mids) < 2 or split is None or not _mirror_holds(split, z, dt, mids):
+    if len(mids) < 2 or not _mirror_holds(prov.drive_split(), z, dt, mids):
         return _stepped_unitary(prov, t0, t1, *step)
     half = len(mids) // 2
     u = _stepped_unitary(prov, t0, t1, *step, steps=slice(0, half))

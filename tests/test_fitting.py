@@ -84,6 +84,11 @@ class TestFitRabi:
         with pytest.raises(ValueError):
             fit_rabi(t, np.sin(t))
 
+    @pytest.mark.parametrize("t", [np.zeros(32), np.arange(32.0)[::-1]], ids=["zero_step", "decreasing"])
+    def test_needs_increasing_times(self, t):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_rabi(t, np.sin(np.arange(32.0)))
+
     def test_amplitude_sign_normalized(self):
         # fits with negative seed amplitude fold the sign into the phase
         t = np.linspace(0.0, 1000.0, 101)

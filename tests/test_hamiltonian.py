@@ -189,24 +189,26 @@ class TestDriveSplit:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(sched=_schedules(), times=st.lists(st.floats(0.0, 120.0), min_size=1, max_size=20))
     def test_split_reproduces_h_or_is_none(self, rwa, carrier_frame, sched, times):
-        # the split exists for plays on one channel in the first carrier's
-        # frame, where the coupling is static, with one real envelope for a
-        # lone Gaussian or Gaussian-square play under the RWA and two
-        # otherwise; the bare frame's coupling oscillates, and two channels
-        # drive two operators
+        # every provider splits: one real envelope for a lone Gaussian or
+        # Gaussian-square play under the RWA in its carrier frame, and two
+        # per operator with a time-varying term otherwise (the reference's
+        # kept terms that are a play's or oscillate in this frame)
         carrier = sched.plays()[0].carrier_freq
         frame = FrameSpec(carrier, carrier) if carrier_frame else FrameSpec.bare(_DEVICE)
         prov = rotating_frame_hamiltonian(_DEVICE, frame, sched, rwa=rwa)
         plays = sched.plays()
-        one_channel = len({play.channel for play in plays}) == 1
+        ref = ReferenceHamiltonian(_DEVICE, frame, sched, rwa=rwa)
+        varying = [term for term in ref.terms if term[3] is not None or term[2] != 0.0]
         lone_real_play = len(plays) == 1 and not isinstance(plays[0].shape, DragGaussian)
         split = prov.drive_split()
-        assert (split is not None) == (carrier_frame and one_channel)
-        if split is not None:
-            assert len(split.ops) == (1 if rwa and lone_real_play else 2)
-            # window edges, where the plays switch on and off
-            edges = [t for play in plays for t in (play.start, play.end)]
-            ts = np.array(times + edges + [sched.duration + 1.0])
-            want = prov(ts)
-            got = split.h_s + np.einsum("in,ijk->njk", split.envelopes(ts), split.ops)
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        if len(varying) == 1 and varying[0][2] == 0.0 and lone_real_play:
+            assert len(split.ops) == 1
+        else:
+            assert len(split.ops) == 2 * len({term[0] for term in varying})
+        assert len(split.ops) == 1 or not (rwa and carrier_frame and lone_real_play)
+        # window edges, where the plays switch on and off
+        edges = [t for play in plays for t in (play.start, play.end)]
+        ts = np.array(times + edges + [sched.duration + 1.0])
+        want = prov(ts)
+        got = split.h_s + np.einsum("in,ijk->njk", split.envelopes(ts), split.ops)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -2,6 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from qutritcr import propagate
 from qutritcr.crpulse import FlatTopCRPulse
 from qutritcr.device import EXCITATIONS, DeviceParams, FrameSpec, reframe, transition_frequencies
-from qutritcr.hamiltonian import play_phase, rotating_frame_hamiltonian
+from qutritcr.hamiltonian import DriveSplit, play_phase, rotating_frame_hamiltonian
 from qutritcr.linalg import expm_unitary, ket2, unitary_defect
 from qutritcr.propagate import (
     EvolveOptions,
@@ -357,15 +358,6 @@ class TestRWAUnitary:
         u_oracle = evolve_unitary(prov, 0.0, sched.duration, ORACLE_OPTIONS)
         assert np.max(np.abs(rwa_unitary(device, sched) - u_oracle)) <= bound
 
-    def test_magnus_blocks_leave_the_product_bit_identical(self, device, monkeypatch):
-        tf = transition_frequencies(device, dressed=True)
-        drag = DragGaussian(0.06, 8.0, 32.0, 0.4)
-        sched = Schedule((Play(1, 0.0, drag, tf.w01_1), Play(1, 32.0, drag, tf.w12_1)))
-        prov = rotating_frame_hamiltonian(device, FrameSpec(tf.w01_1, tf.w01_1), sched, rwa=True)
-        blocked = propagate._stepped_unitary(prov, 0.0, sched.duration)
-        monkeypatch.setattr(propagate, "_MAGNUS_BLOCK", 10**6)
-        assert np.array_equal(blocked, propagate._stepped_unitary(prov, 0.0, sched.duration))
-
     @pytest.mark.parametrize("sub", ["01", "12"])
     @pytest.mark.parametrize("amp", [0.2, 0.35, 0.5])
     def test_cr_edges_match_a_tight_oracle(self, sub, amp):
@@ -533,7 +525,7 @@ def _reference_stepped_unitary(prov, t0, t1, step):
     dt = (t1 - t0) / n
     offset = np.sqrt(15.0) / 10.0 * dt
     mids = t0 + dt * np.arange(n) + dt / 2.0
-    block = max(propagate._MAGNUS_BLOCK // propagate._GROUP, 1) * propagate._GROUP
+    block = propagate._BLOCK
     commutator = propagate._commutator
     u = None
     for k in range(0, n, block):
@@ -546,11 +538,23 @@ def _reference_stepped_unitary(prov, t0, t1, step):
         c1 = commutator(alpha1, alpha2)
         c2 = commutator(alpha1, 2.0 * alpha3 + c1) / -60.0
         omega = alpha1 + alpha3 / 12.0 + commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
-        steps = propagate._unitary_exp(omega)
-        for g in range(0, len(steps), propagate._GROUP):
-            group = propagate._ordered_product(steps[g : g + propagate._GROUP])
-            u = group if u is None else group @ u
+        product = propagate._ordered_product(propagate._unitary_exp(omega))
+        u = product if u is None else product @ u
     return u
+
+
+def _commutator_route(prov):
+    """A stand-in for ``prov`` whose split adds zero operators with zero
+    envelopes up to m = 3: the same H(t), stepped by ``_stepped_unitary``
+    through the per-step commutators."""
+    split = prov.drive_split()
+    pad = max(3 - len(split.ops), 0)
+    padded = DriveSplit(
+        split.h_s,
+        np.concatenate([split.ops, np.zeros((pad, 9, 9), complex)]),
+        lambda ts: np.concatenate([split.envelopes(ts), np.zeros((pad, len(ts)))]),
+    )
+    return SimpleNamespace(drive_split=lambda: padded)
 
 
 @st.composite
@@ -602,11 +606,9 @@ def test_closed_form_rise_matches_the_commutator_path(sub, amp, phase, risefall,
     sched = build_cr_schedule(_DEVICE, sub, amp, 10.0, risefall, phase).shifted(lead)
     carrier = sched.plays()[0].carrier_freq
     prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec(carrier, carrier), sched, rwa=True)
-    split = prov.drive_split()
-    assert split is not None and len(split.ops) == 1
+    assert len(prov.drive_split().ops) == 1
     closed = propagate._stepped_unitary(prov, 0.0, lead + risefall)
-    prov.drive_split = lambda: None
-    stepped = propagate._stepped_unitary(prov, 0.0, lead + risefall)
+    stepped = propagate._stepped_unitary(_commutator_route(prov), 0.0, lead + risefall)
     assert np.max(np.abs(closed - stepped)) <= 1e-13
 
 
@@ -659,22 +661,21 @@ def test_exponent_table_matches_the_commutator_path(rwa, plays):
     sched = Schedule(tuple(plays))
     prov, step = _model_provider(sched, rwa)
     split = prov.drive_split()
-    assert split is not None
+    assert len(split.ops) <= 2
     n = int(np.ceil(sched.duration / step))
     dt = sched.duration / n
     offset = np.sqrt(15.0) / 10.0 * dt
     mids = dt * np.arange(n) + dt / 2.0
     matrices = propagate._exponent_matrices(split, dt)
-    weights = propagate._node_weights(dt)
-    for k in range(0, n, 128):
-        mid = mids[k : k + 128]
-        want = propagate._commutator_exponents(prov, mid, offset, weights, np.empty((7, len(mid), 9, 9), complex))
-        got = propagate._table_exponents(split, matrices, mid, offset, dt, np.empty((len(mid), 9, 9), complex))
+    for k in range(0, n, propagate._BLOCK):
+        mid = mids[k : k + propagate._BLOCK]
+        terms = propagate._node_terms(split, mid, offset, dt)
+        want = propagate._commutator_exponents(split, terms, dt, np.empty((7, len(mid), 9, 9), complex))
+        got = propagate._table_exponents(terms, matrices, np.empty((len(mid), 9, 9), complex))
         scale = np.maximum(np.abs(want).sum(axis=-2).max(axis=-1), 1.0)
         assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale), k
     table = propagate._stepped_unitary(prov, 0.0, sched.duration, step)
-    prov.drive_split = lambda: None
-    stepped = propagate._stepped_unitary(prov, 0.0, sched.duration, step)
+    stepped = propagate._stepped_unitary(_commutator_route(prov), 0.0, sched.duration, step)
     assert np.max(np.abs(table - stepped)) <= 1e-13
 
 
@@ -687,7 +688,9 @@ def test_exponent_table_matches_the_commutator_path(rwa, plays):
 )
 def test_providers_on_two_operators_get_no_split(rwa, plays, other, case):
     # plays on both channels drive two operators; a frame that rotates the
-    # transmons at different frequencies makes the coupling oscillate
+    # transmons at different frequencies makes the coupling oscillate.
+    # Either way the split has m > 2, and the steps take the per-step
+    # commutators, not the exponent table
     carrier = plays[0].carrier_freq
     frames = {
         "two_channels": FrameSpec(carrier, other[0].carrier_freq),
@@ -695,7 +698,15 @@ def test_providers_on_two_operators_get_no_split(rwa, plays, other, case):
         "split_frame": FrameSpec(carrier, carrier + 0.3),
     }
     sched = Schedule(tuple(plays + other)) if case == "two_channels" else Schedule(tuple(plays))
-    assert rotating_frame_hamiltonian(_DEVICE, frames[case], sched, rwa=rwa).drive_split() is None
+    prov = rotating_frame_hamiltonian(_DEVICE, frames[case], sched, rwa=rwa)
+    assert len(prov.drive_split().ops) > 2
+    step = propagate._MAGNUS_STEP if rwa else propagate._FULL_MODEL_STEP
+    with (
+        mock.patch.object(propagate, "_commutator_exponents", wraps=propagate._commutator_exponents) as commutators,
+        mock.patch.object(propagate, "_table_exponents", wraps=propagate._table_exponents) as table,
+    ):
+        propagate._stepped_unitary(prov, 0.0, 1.0, step)
+    assert commutators.called and not table.called
 
 
 def test_kernel_buffers_are_kept_per_thread():
