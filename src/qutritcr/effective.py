@@ -1,19 +1,18 @@
 """Analytic effective CR model and the ideal gate library.
 
-The conditional-rotation coefficients (nu0, nu1, nu2) come in two
-interpretations:
+The conditional-rotation coefficients (nu0, nu1, nu2) depend on the
+device and the CR drive frequency omega_d:
 
-* ``literal``:  eta10 = 1/omega1, eta11 = 1/(omega1 + delta1).
-* ``detuning``: the same expressions with omega1 replaced by the
-  control-target detuning Delta = omega1 - omega2.
+    eta10 = 1/(omega1 - omega_d),  eta11 = 1/(omega1 - omega_d + delta1).
 
-The detuning reading is the default: it reproduces the near-identity
-behaviour of the control-|1> branch and the opposite-sign control-|2>
-branch that the full model shows, while the literal reading does not.
+One formula serves both CR tones: at the 0-1 tone's carrier (omega_d near
+omega2) and at the 1-2 tone's (omega_d near omega2 + delta2), its rate
+ratios (nu1/nu0, nu2/nu0) match the simulator's weak-drive ratios.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ class CRCoefficients:
 
     eta10: float
     eta11: float
-    interpretation: str
 
     @property
     def nu0(self) -> float:
@@ -54,49 +52,42 @@ class CRCoefficients:
         return (self.nu1 / self.nu0, self.nu2 / self.nu0)
 
 
-def cr_coefficients(p: DeviceParams, interpretation: str = "detuning") -> CRCoefficients:
-    """The effective model's conditional rates for a device, in one of two
-    readings (module docstring); nothing in the pipeline calls this.
+def cr_coefficients(p: DeviceParams, drive_ghz: float) -> CRCoefficients:
+    """The effective model's conditional rates for a device driven at
+    ``drive_ghz`` (module docstring); nothing in the pipeline calls this.
 
     Measured against the simulator (the plateau Hamiltonian of a
-    ``FlatTopCRPulse`` block-diagonalized per control level, the target's
-    X/Y rate read off each block), the rate ratios (nu1/nu0, nu2/nu0) on
-    the default device are:
-
-    - 0-1 tone at 3 MHz: 0.2001 and -1.2000.  The "detuning" reading gives
-      0.2 and -1.2, a match.
-    - 1-2 tone at 3 MHz: -0.1428 and -0.8572, that is -1/7 and -6/7: the
-      detuning formula with omega2 replaced by the drive frequency
-      omega2 + delta2.  Neither reading matches this tone; both return the
-      same ratios for every tone.
-    - The "literal" reading gives 1.18 and -2.18, which matches neither
-      tone.
+    ``FlatTopCRPulse`` at 3 MHz block-diagonalized per control level, the
+    target's X/Y rate read off each block), the rate ratios
+    (nu1/nu0, nu2/nu0) on the default device are 0.2001 and -1.2000 for the
+    0-1 tone and -0.1428 and -0.8572 for the 1-2 tone.  At each tone's
+    dressed carrier this function gives the same to 5e-5; at the bare
+    transitions omega2 and omega2 + delta2 it gives 0.2 and -1.2, and -1/7
+    and -6/7.
     """
-    if interpretation == "literal":
-        base = p.omega1
-    elif interpretation == "detuning":
-        base = p.omega1 - p.omega2
-    else:
-        raise ValueError(f"interpretation must be 'literal' or 'detuning', got {interpretation!r}")
+    if not math.isfinite(drive_ghz):
+        raise InvalidParams(f"drive frequency must be finite, got {drive_ghz!r}")
+    base = p.omega1 - drive_ghz
     for denom in (base, base + p.delta1):
         if abs(denom) < 1e-6:
             raise SingularDenominator(f"denominator {denom:.2e} GHz too close to zero")
-    return CRCoefficients(eta10=1.0 / base, eta11=1.0 / (base + p.delta1), interpretation=interpretation)
+    return CRCoefficients(eta10=1.0 / base, eta11=1.0 / (base + p.delta1))
 
 
-def effective_hamiltonian(p: DeviceParams, coeffs: CRCoefficients, omega_d: float, t: float) -> np.ndarray:
+def effective_hamiltonian(p: DeviceParams, omega_d: float, t: float) -> np.ndarray:
     """Effective conditional drive Hamiltonian at time t (9x9, Hermitian).
 
-    (nu0 |0><0| + nu1 |1><1| + nu2 |2><2|) on the control, tensored with a
-    phase-rotating 0-1 ladder plus a sqrt(2)-weighted 1-2 ladder on the
-    target; on resonance with a transition its block becomes static.
+    (nu0 |0><0| + nu1 |1><1| + nu2 |2><2|) on the control, with the rates
+    of ``cr_coefficients`` at omega_d, tensored with a phase-rotating 0-1
+    ladder plus a sqrt(2)-weighted 1-2 ladder on the target; on resonance
+    with a transition its block becomes static.
     """
     freqs = transition_frequencies(p, dressed=False)
     phi01 = 2.0 * np.pi * (omega_d - freqs.w01_2) * t
     phi12 = 2.0 * np.pi * (omega_d - freqs.w12_2) * t
     target = np.exp(1j * phi01) * proj(0, 1) + np.exp(-1j * phi01) * proj(1, 0)
     target += np.sqrt(2.0) * (np.exp(1j * phi12) * proj(1, 2) + np.exp(-1j * phi12) * proj(2, 1))
-    control = np.diag(np.array(coeffs.nus, dtype=complex))
+    control = np.diag(np.array(cr_coefficients(p, omega_d).nus, dtype=complex))
     return kron(control, target)
 
 

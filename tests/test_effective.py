@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qutritcr.device import DeviceParams
+from qutritcr.crpulse import FlatTopCRPulse
+from qutritcr.device import DeviceParams, transition_frequencies
 from qutritcr.effective import (
     bell_reference_circuit,
     bell_state,
@@ -19,64 +22,145 @@ from qutritcr.linalg import dag, herm_defect, ket, ket2, kron, unitary_defect
 
 class TestCRCoefficients:
     def test_literal_values(self, device):
-        # [DERIVED] direct substitution: eta10 = 1/4.9, eta11 = 1/4.5
-        c = cr_coefficients(device, "literal")
+        # [DERIVED] drive at 0: eta10 = 1/4.9, eta11 = 1/4.5
+        c = cr_coefficients(device, 0.0)
         assert c.eta10 == pytest.approx(0.204082, abs=1e-6)
         assert c.eta11 == pytest.approx(0.222222, abs=1e-6)
         assert (c.nu0, c.nu1, c.nu2) == pytest.approx((-0.204082, -0.240363, 0.444444), abs=1e-6)
 
     def test_detuning_values(self, device):
-        # [DERIVED] substitution with Delta = -0.6 replacing omega1
-        c = cr_coefficients(device, "detuning")
+        # [DERIVED] drive at omega2: omega1 - omega_d = Delta = -0.6
+        c = cr_coefficients(device, device.omega2)
         assert (c.nu0, c.nu1, c.nu2) == pytest.approx((1.66667, 0.33333, -2.0), abs=1e-5)
         r1, r2 = c.ratios()
         assert (r1, r2) == pytest.approx((0.2, -1.2), abs=1e-12)
 
+    def test_12_tone_values(self, device):
+        # [DERIVED] drive at omega2 + delta2: omega1 - omega_d = -0.3
+        r1, r2 = cr_coefficients(device, device.omega2 + device.delta2).ratios()
+        assert (r1, r2) == pytest.approx((-1.0 / 7.0, -6.0 / 7.0), abs=1e-12)
+
     def test_algebraic_identities(self, device):
-        for interp in ("literal", "detuning"):
-            c = cr_coefficients(device, interp)
+        for drive in (0.0, 4.0, 5.2, 5.43, 5.5, 7.0):
+            c = cr_coefficients(device, drive)
             assert c.nu0 == -c.eta10
             assert c.nu1 == c.eta10 - 2.0 * c.eta11
             assert c.nu2 == 2.0 * c.eta11
+            assert c.nu0 + c.nu1 + c.nu2 == pytest.approx(0.0, abs=1e-12 * max(abs(v) for v in c.nus))
 
     def test_delta1_zero_limit(self):
         # [TRIVIAL: algebraic limit] delta1 -> 0 makes nu1 -> -eta10
         p = DeviceParams(delta1=-1e-9)
-        c = cr_coefficients(p, "literal")
+        c = cr_coefficients(p, 0.0)
         assert c.nu1 == pytest.approx(-c.eta10, abs=1e-9)
 
     def test_singular_denominator(self):
         # Delta + delta1 = 0.4 - 0.4 = 0 makes eta11 singular
         p = DeviceParams(omega1=5.9, omega2=5.5, delta1=-0.4)
         with pytest.raises(SingularDenominator):
-            cr_coefficients(p, "detuning")
+            cr_coefficients(p, p.omega2)
+
+    def test_singular_at_the_control_frequency(self, device):
+        # omega_d = omega1 makes eta10 singular
+        with pytest.raises(SingularDenominator):
+            cr_coefficients(device, device.omega1)
+
+    @pytest.mark.parametrize("drive", [np.nan, np.inf, -np.inf])
+    def test_needs_a_finite_drive(self, device, drive):
+        # NaN would pass the denominator guard and come back as NaN rates
+        with pytest.raises(InvalidParams, match="finite"):
+            cr_coefficients(device, drive)
 
 
 class TestEffectiveHamiltonian:
     def test_resonant_01_block_static(self, device):
         # [TRIVIAL: exponent vanishes at omega_d = w01_2]
-        c = cr_coefficients(device)
-        h1 = effective_hamiltonian(device, c, 5.5, 0.0)
-        h2 = effective_hamiltonian(device, c, 5.5, 137.0)
+        h1 = effective_hamiltonian(device, 5.5, 0.0)
+        h2 = effective_hamiltonian(device, 5.5, 137.0)
         assert h1[0, 1] == pytest.approx(h2[0, 1], abs=1e-12)
+
+    def test_resonant_12_block_static(self, device):
+        # [TRIVIAL: exponent vanishes at omega_d = w12_2]; the 1-2 ladder
+        # carries sqrt(2) nu_c at the rates of that same drive
+        drive = device.omega2 + device.delta2
+        h1 = effective_hamiltonian(device, drive, 0.0)
+        h2 = effective_hamiltonian(device, drive, 137.0)
+        assert h1[1, 2] == pytest.approx(h2[1, 2], abs=1e-12)
+        nus = cr_coefficients(device, drive).nus
+        for c in range(3):
+            assert h1[3 * c + 1, 3 * c + 2] == pytest.approx(np.sqrt(2.0) * nus[c], abs=1e-12)
 
     def test_12_block_beats_at_anharmonicity(self, device):
         # [DERIVED] at omega_d = 5.5 the 1-2 ladder rotates at 0.3 GHz
-        c = cr_coefficients(device)
         period = 1.0 / 0.3
-        h1 = effective_hamiltonian(device, c, 5.5, 0.0)
-        h2 = effective_hamiltonian(device, c, 5.5, period)
-        h3 = effective_hamiltonian(device, c, 5.5, period / 2.0)
+        h1 = effective_hamiltonian(device, 5.5, 0.0)
+        h2 = effective_hamiltonian(device, 5.5, period)
+        h3 = effective_hamiltonian(device, 5.5, period / 2.0)
         assert h1[1, 2] == pytest.approx(h2[1, 2], abs=1e-9)
         assert h3[1, 2] == pytest.approx(-h1[1, 2], abs=1e-9)
 
     def test_hermitian_and_block_diagonal(self, device):
-        c = cr_coefficients(device)
         n1 = kron(np.diag([0.0, 1.0, 2.0]), np.eye(3))
         for t in (0.0, 0.37, 12.9):
-            h = effective_hamiltonian(device, c, 5.43, t)
+            h = effective_hamiltonian(device, 5.43, t)
             assert herm_defect(h) < 1e-12
             assert np.max(np.abs(h @ n1 - n1 @ h)) < 1e-12
+
+
+def _simulator_ratios(p, subspace):
+    """(nu1/nu0, nu2/nu0) of the simulator at 3 MHz: per control level c,
+    the two plateau eigenvectors with most weight on |c, lo> and |c, lo+1>,
+    mapped onto those states by the nearest unitary (the polar factor of
+    their overlaps), give the block W diag(lambda) W^dag; its off-diagonal
+    entry is the target's X/Y rate."""
+    w, v = np.linalg.eigh(FlatTopCRPulse(p, subspace, 0.003).plateau_hamiltonian())
+    lo = 0 if subspace == "01" else 1
+    rates = []
+    for c in range(3):
+        rows = [3 * c + lo, 3 * c + lo + 1]
+        cols = np.argsort(np.sum(np.abs(v[rows]) ** 2, axis=0))[-2:]
+        left, _, right = np.linalg.svd(v[np.ix_(rows, cols)])
+        near = left @ right
+        rates.append(((near * w[cols]) @ dag(near))[0, 1])
+    return rates[1] / rates[0], rates[2] / rates[0]
+
+
+def _check_against_simulator(p, subspace):
+    drive = transition_frequencies(p, dressed=True).of(2, subspace)
+    for got, want in zip(_simulator_ratios(p, subspace), cr_coefficients(p, drive).ratios()):
+        tol = 1e-3 * max(1.0, abs(want))
+        assert abs(got - want) <= tol, (subspace, got, want)
+        assert abs(got.imag) <= tol, (subspace, got)
+
+
+@st.composite
+def _devices_off_the_cr_resonances(draw):
+    """Devices whose CR tones (omega_d = omega2 and omega2 + delta2) sit at
+    least 0.2 GHz from the control's 0-1 and 1-2 transitions and from its
+    0-2 two-photon transition; near those the weak-drive ratios leave the
+    model by more than 1e-3."""
+    omega1 = draw(st.floats(4.5, 5.3))
+    omega2 = draw(st.floats(5.2, 6.0))
+    delta1 = draw(st.floats(-0.5, -0.2))
+    delta2 = draw(st.floats(-0.5, -0.2))
+    j = draw(st.floats(0.0005, 0.005))
+    for drive in (omega2, omega2 + delta2):
+        gaps = (omega1 - drive, omega1 + delta1 - drive, 2.0 * omega1 + delta1 - 2.0 * drive)
+        assume(min(abs(g) for g in gaps) >= 0.2)
+    return DeviceParams(omega1=omega1, omega2=omega2, delta1=delta1, delta2=delta2, coupling_j=j)
+
+
+class TestAgainstSimulator:
+    @pytest.mark.parametrize("subspace", ["01", "12"])
+    def test_default_device(self, device, subspace):
+        # [DERIVED] oracle: the block-diagonalized plateau Hamiltonian
+        _check_against_simulator(device, subspace)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=_devices_off_the_cr_resonances())
+    def test_drawn_devices(self, p):
+        for subspace in ("01", "12"):
+            _check_against_simulator(p, subspace)
 
 
 class TestIdealUCR:

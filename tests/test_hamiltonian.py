@@ -188,7 +188,7 @@ class TestDriveSplit:
     @pytest.mark.parametrize("carrier_frame", [True, False], ids=["carrier_frame", "bare_frame"])
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(sched=_schedules(), times=st.lists(st.floats(0.0, 120.0), min_size=1, max_size=20))
-    def test_split_reproduces_h_or_is_none(self, rwa, carrier_frame, sched, times):
+    def test_split_reproduces_h(self, rwa, carrier_frame, sched, times):
         # every provider splits: one real envelope for a lone Gaussian or
         # Gaussian-square play under the RWA in its carrier frame, and two
         # per operator with a time-varying term otherwise (the reference's

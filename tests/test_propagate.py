@@ -686,7 +686,7 @@ def test_exponent_table_matches_the_commutator_path(rwa, plays):
     other=_one_channel_plays(2),
     case=st.sampled_from(["two_channels", "bare_frame", "split_frame"]),
 )
-def test_providers_on_two_operators_get_no_split(rwa, plays, other, case):
+def test_providers_on_two_operators_take_the_commutators(rwa, plays, other, case):
     # plays on both channels drive two operators; a frame that rotates the
     # transmons at different frequencies makes the coupling oscillate.
     # Either way the split has m > 2, and the steps take the per-step
