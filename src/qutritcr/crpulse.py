@@ -35,6 +35,15 @@ _REF_WIDTH = 100.0
 _PULSE_CACHE_SIZE = 8
 
 
+def _checked_widths(widths) -> np.ndarray:
+    """Flat-top widths (ns) as floats, each finite and >= 0 as the pulse's
+    schedule requires (``build_cr_schedule``); InvalidParams otherwise."""
+    w = np.asarray(widths, dtype=float)
+    if not (np.isfinite(w) & (w >= 0.0)).all():
+        raise InvalidParams(f"flat-top widths must be finite and >= 0 ns, got {widths}")
+    return w
+
+
 class FlatTopCRPulse:
     """One cross-resonance Gaussian-square pulse at fixed amplitude and phase.
 
@@ -85,8 +94,10 @@ class FlatTopCRPulse:
         """Full-pulse propagator (rise + flat top + fall), drive frame by default.
 
         Passing a frame re-expresses the propagator in that rotating frame,
-        e.g. the bare frame used to compose circuit-level gates.
+        e.g. the bare frame used to compose circuit-level gates.  The width
+        must be finite and >= 0, as for ``schedule``.
         """
+        _checked_widths(width)
         u_rise, u_fall, _, _ = self._pieces
         u = u_fall @ self._plateau_u(width) @ u_rise
         if frame is not None:
@@ -97,11 +108,13 @@ class FlatTopCRPulse:
         """States after the rise edge plus each plateau width (no fall edge).
 
         Useful for dense Rabi traces: one edge integration covers every
-        sample point.  Shape (len(widths), 9), drive frame.
+        sample point.  Shape (len(widths), 9), drive frame.  Each width
+        must be finite and >= 0.
         """
+        widths = _checked_widths(widths)
         u_rise, _, w, v = self._pieces
         coef = dag(v) @ (u_rise @ psi0)
-        phases = np.exp(-1j * np.outer(np.asarray(widths, dtype=float), w))
+        phases = np.exp(-1j * np.outer(widths, w))
         return (v @ (phases * coef[None, :]).T).T
 
     def states_after(self, psi0: np.ndarray, widths) -> np.ndarray:

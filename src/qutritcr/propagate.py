@@ -12,10 +12,14 @@ into a static part and m real envelopes times fixed matrices, whose values
 at the steps' nodes make the formula's terms (``_node_terms``).  With
 m <= 2, a schedule driven on one operator, the exponent comes from a table
 generated by expanding the formula's brackets once (``_exponent_table``);
-with more, from three commutators per step.  Under the RWA, a segment that
-spans one play whose H(t) is time-symmetric up to a diagonal conjugation, a
-DRAG gate for one, is stepped to its middle and mirrored
-(``_mirrored_unitary``).  The ``evolve_*`` functions wrap scipy's adaptive
+with more, from three commutators per step.  Under the RWA, one rule
+decides which plays are time-symmetric up to a diagonal conjugation
+(``_time_symmetric``): those whose carrier c > 0 the drive frame rotates
+both transmons at, whose counter-rotating drive the RWA drops, and inside
+whose window no other play is on.  Such a play's segment, a DRAG gate for
+one, is stepped to its middle and mirrored (``_mirrored_unitary``), and a
+lone Gaussian square's fall edge is its rise's mirror
+(``_rwa_flat_top``).  The ``evolve_*`` functions wrap scipy's adaptive
 DOP853 (order 8, embedded error control), imported on first use
 (``solve_ivp``); the full model uses it only for the one drive period of a
 CR flat top that is raised to a power.  States are never silently
@@ -575,98 +579,70 @@ def _mirror(u: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z.conj()[:, None] * np.swapaxes(u, -1, -2) * z
 
 
-# Units of roundoff by which the mirror relation may miss at the Magnus
-# nodes (``_mirror_holds``).  Where it holds, a node time rounds by ~eps t1,
-# which moves the envelope by that times its slope, ~max |H| / (t1 - t0):
-# DRAG plays missed by 2-12 such units at starts of 0-100 ns, by 31-74 at
-# ~600 ns.  Where it does not hold, it misses by O(1).
-_MIRROR_ULPS = 64
+def _time_symmetric(p: DeviceParams, frame: FrameSpec, play, plays) -> bool:
+    """Whether a play's RWA Hamiltonian in ``frame`` is time-symmetric up to
+    a diagonal conjugation over its window [t0, t1]: H(t0 + t1 - t) =
+    Z^dagger H(t)^T Z with Z = diag(exp(2i phi N)), N the total excitation
+    number and phi the play's phase (``play_phase``).  It is, for every
+    shape, when
 
+    - the frame rotates both transmons at the play's carrier c > 0,
+    - the RWA drops its counter-rotating drive (``keeps_counter_rotating``),
+    - and no other play is on inside its window.
 
-def _mirror_holds(split, z: np.ndarray, dt: float, mids: np.ndarray) -> bool:
-    """Whether H(t0 + t1 - t) = Z^dagger H(t)^T Z, Z = diag(z), at every
-    node of the Magnus steps of length dt centred at ``mids`` over [t0, t1],
-    read off a ``drive_split`` H_s + sum_i e_i(t) H_i: the matrices map as
-    ``_mirror_map`` requires, with some R, and the envelopes at each node's
-    mirror (node 2 - j of step n - 1 - k for node j of step k) are R^T
-    times those at the node, to ``_MIRROR_ULPS`` units of roundoff."""
-    r = _mirror_map(split.h_s.tobytes(), split.ops.tobytes(), z.tobytes())
-    if r is None:
-        return False
-    m, n = len(r), len(mids)
-    offset = np.sqrt(15.0) / 10.0 * dt
-    e = split.envelopes(np.concatenate([mids - offset, mids, mids + offset]))
-    miss = np.abs(e.reshape(m, 3, n)[:, ::-1, ::-1].reshape(m, -1) - r.T @ e).max()
-    t0, t1 = mids[0] - dt / 2.0, mids[-1] + dt / 2.0
-    return miss <= _MIRROR_ULPS * np.finfo(float).eps * np.abs(e).max() * max(abs(t0), abs(t1)) / (t1 - t0)
-
-
-@lru_cache(maxsize=2)
-def _mirror_map(h_s: bytes, ops: bytes, z: bytes) -> np.ndarray | None:
-    """The real m x m matrix R with Z^dagger H_i^T Z = sum_j R_ij H_j for
-    the H_i of a ``drive_split`` (for a DRAG play's pair, a reflection by
-    twice the drive phase), given that Z^dagger H_s^T Z = H_s; None unless
-    both hold to ``_MIRROR_ULPS`` units of roundoff.  From the bytes of H_s,
-    the H_i and diag(Z), so that a tune-up, which keeps all three, finds
-    it once."""
-    ulp = _MIRROR_ULPS * np.finfo(float).eps
-    z = np.frombuffer(z, dtype=complex)
-    h_s = np.frombuffer(h_s, dtype=complex).reshape(PAIR_DIM, PAIR_DIM)
-    if np.abs(_mirror(h_s, z) - h_s).max() > ulp * np.abs(h_s).max():
-        return None
-    ops = np.frombuffer(ops, dtype=complex).reshape(-1, PAIR_DIM, PAIR_DIM)
-    mirrored = _mirror(ops, z).reshape(len(ops), -1).view(float)
-    ops = ops.reshape(len(ops), -1).view(float)
-    # least squares, from the normal equations of the m independent matrices
-    r = np.linalg.solve(ops @ ops.T, ops @ mirrored.T).T
-    if np.abs(r @ ops - mirrored).max() > ulp * np.abs(mirrored).max():
-        return None
-    return read_only(r)
+    The coupling and the co-rotating drive are then static, so H(t) =
+    Z'^dagger H0(t) Z' with Z' = diag(exp(i phi N)) and H0(t)^T =
+    H0(t0 + t1 - t): H0's real symmetric part has an even envelope (the
+    static terms, a Gaussian, a DRAG play's in-phase part), its imaginary
+    antisymmetric part an odd one (a DRAG play's quadrature).
+    """
+    c = play.carrier_freq
+    return (
+        c > 0
+        and frame.frame1 == frame.frame2 == c
+        and not keeps_counter_rotating(p, play.channel, c)
+        and not any(q is not play and q.start < play.end and q.end > play.start for q in plays)
+    )
 
 
 def _mirrored_unitary(prov, t0: float, t1: float, phase: float, *step) -> np.ndarray:
-    """``_stepped_unitary(prov, t0, t1, *step)`` of a segment that may be
-    time-symmetric up to a diagonal conjugation.
+    """``_stepped_unitary(prov, t0, t1, *step)`` of a segment whose H is
+    time-symmetric, H(t0 + t1 - t) = Z^dagger H(t)^T Z with Z =
+    diag(exp(2i phase N)): a play that passes ``_time_symmetric``.
 
-    A lone play under the RWA in its drive frame has H(t0 + t1 - t) =
-    Z^dagger H(t)^T Z with Z = diag(exp(2i phase N)), N the total excitation
-    number, where its envelope is even about its middle up to a conjugation
-    (a DRAG play's g is even and its g' odd) and its static part is real.
     The symmetric three-node step is time-reversible (Blanes, Casas, Oteo &
     Ros, Phys. Rep. 470, 151 (2009)), so the steps of the second half are
     the mirrors of those of the first, in reverse order: the propagator is
     (Z^dagger U_half^T Z) U_half, with U_half the first n // 2 steps, and an
-    odd count's middle step its own factor between them.  Whether the
-    relation holds is checked at the nodes (``_mirror_holds``), whatever the
-    play; where it does not, the segment is stepped whole.
+    odd count's middle step its own factor between them.  A segment of one
+    step is stepped whole.
     """
-    dt, mids = _grid(t0, t1, *step)
-    z = np.exp(2j * phase * EXCITATIONS)
-    if len(mids) < 2 or not _mirror_holds(prov.drive_split(), z, dt, mids):
+    n = len(_grid(t0, t1, *step)[1])
+    if n < 2:
         return _stepped_unitary(prov, t0, t1, *step)
-    half = len(mids) // 2
+    half = n // 2
     u = _stepped_unitary(prov, t0, t1, *step, steps=slice(0, half))
-    mirrored = _mirror(u, z)
-    if len(mids) % 2:
+    mirrored = _mirror(u, np.exp(2j * phase * EXCITATIONS))
+    if n % 2:
         u = _stepped_unitary(prov, t0, t1, *step, steps=slice(half, half + 1)) @ u
     return mirrored @ u
 
 
 def _rwa_flat_top(p: DeviceParams, schedule: Schedule):
     """(u_rise, u_fall, w, v) of a schedule whose lone play is a Gaussian
-    square at carrier c > 0 whose counter-rotating drive the RWA drops
-    (``keeps_counter_rotating``): in the frame rotating at c,
-    the propagators over [0, flat-top start] and [flat-top end, duration],
-    and the flat top's constant Hamiltonian v diag(w) v^dagger.
+    square that passes ``_time_symmetric`` in the frame rotating at its
+    carrier c on both transmons: in that frame, the propagators over
+    [0, flat-top start] and [flat-top end, duration], and the flat top's
+    constant Hamiltonian v diag(w) v^dagger.
 
-    Every retained term is static in that frame, so H(t) = Z^dagger H0(t) Z
-    with H0(t) real symmetric, Z = diag(exp(i phi N)), N the total excitation
-    number and phi the play's phase (``play_phase``), and H0's envelope is
-    even about the flat top's middle.  Magnus steps only the rise; its
-    symmetric three-node step is time-reversible (Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470, 151 (2009)), which makes the fall Z2^dagger u_rise^T Z2
-    with Z2 = Z^2.  Idle stretches before and after the play are
-    exponentiated exactly, so the stepped rise mirrors the fall.
+    Every retained term is static in that frame, so the flat top is
+    constant and exponentiated exactly.  Magnus steps only the rise: the
+    play's H is time-symmetric about its middle, and the symmetric
+    three-node step is time-reversible (Blanes, Casas, Oteo & Ros, Phys.
+    Rep. 470, 151 (2009)), which makes the fall Z^dagger u_rise^T Z with
+    Z = diag(exp(2i phi N)), phi the play's phase (``play_phase``).  Idle
+    stretches before and after the play are exponentiated exactly, so the
+    stepped rise mirrors the fall.
     """
     play = schedule.plays()[0]
     prov = rotating_frame_hamiltonian(p, FrameSpec(play.carrier_freq, play.carrier_freq), schedule, rwa=True)
@@ -698,26 +674,27 @@ def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     Magnus runs in the drive frame (``_drive_frame``), where each transmon
     rotates at its channel's carrier, so no channel's first drive oscillates
     (in one shared frame, two DRAG plays on two channels landed 1.25e-7 off
-    the oracle, not 9e-10).  A lone Gaussian-square play's flat top is then
-    constant once the RWA drops its counter-rotating drive (at omega_ch + c
-    in the bare frame), and is exponentiated exactly;
-    its fall edge is its rise's mirror image (``_rwa_flat_top``).  Every
-    other schedule is split at its play edges as in the full model
-    (``_split_at_edges``); a segment that spans one play exactly, a DRAG
-    gate for one, is stepped to its middle and mirrored where its H is
-    time-symmetric (``_mirrored_unitary``), and every other segment is
-    stepped whole.
+    the oracle, not 9e-10).  One rule decides every mirror: a play is
+    time-symmetric when the frame rotates both transmons at its carrier
+    c > 0, the RWA drops its counter-rotating drive (at omega_ch + c in the
+    bare frame) and no other play is on inside its window
+    (``_time_symmetric``).  A lone Gaussian-square play that passes has a
+    constant flat top, exponentiated exactly, and a fall edge that is its
+    rise's mirror image (``_rwa_flat_top``).  Every other schedule is split
+    at its play edges as in the full model (``_split_at_edges``); the
+    segment of each time-symmetric play, a DRAG gate for one, is stepped to
+    its middle and mirrored (``_mirrored_unitary``), and every other
+    segment is stepped whole.
     """
     plays = schedule.plays()
     drive = _drive_frame(p, plays)
-    play = plays[0] if len(plays) == 1 else None
-    if play and isinstance(play.shape, GaussianSquare) and play.carrier_freq > 0 and not keeps_counter_rotating(p, play.channel, play.carrier_freq):
+    mirrors = {(q.start, q.end): play_phase(p, schedule, q) for q in plays if _time_symmetric(p, drive, q, plays)}
+    if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare) and mirrors:
         u_rise, u_fall, w, v = _rwa_flat_top(p, schedule)
-        u = u_fall @ (v * np.exp(-1j * w * play.shape.width)) @ dag(v) @ u_rise
+        u = u_fall @ (v * np.exp(-1j * w * plays[0].shape.width)) @ dag(v) @ u_rise
     else:
         prov = rotating_frame_hamiltonian(p, drive, schedule, rwa=True)
-        phases = {(play.start, play.end): play_phase(p, schedule, play) for play in plays}
-        u = _split_at_edges(prov, 0.0, schedule.duration, plays, mirrors=phases)
+        u = _split_at_edges(prov, 0.0, schedule.duration, plays, mirrors=mirrors)
     return reframe(u, drive, FrameSpec.bare(p), schedule.duration)
 
 
@@ -727,8 +704,9 @@ def _split_at_edges(prov, t0: float, t1: float, plays, *step, mirrors=None) -> n
     there, which a step that straddles it resolves only to second order (a
     0.5 GHz CR rise starting 0.75 ns in lands 9e-8 off in the full model,
     2e-9 split; two 32.1 ns DRAG plays 1.3e-4 off under the RWA, 1.9e-8
-    split).  ``mirrors`` maps a play's (start, end) to its drive phase; a
-    segment that is one of them goes to ``_mirrored_unitary``."""
+    split).  ``mirrors`` maps the (start, end) of each play that passes
+    ``_time_symmetric`` to its drive phase: its segment, which no other
+    play's edge splits, goes to ``_mirrored_unitary``."""
     bounds = [t0, *sorted({t for play in plays for t in (play.start, play.end) if t0 < t < t1}), t1]
     u = None
     for lo, hi in zip(bounds, bounds[1:]):

@@ -229,3 +229,27 @@ def test_flat_top_below_the_rwa_cutoff_is_rejected():
     # a 1.2 GHz carrier has 2c above the cutoff but omega1 + c = 1.8 GHz below it
     with pytest.raises(InvalidParams, match="not constant"):
         FlatTopCRPulse(DeviceParams(omega1=0.6, omega2=1.2), "01", 0.05)
+
+
+@pytest.mark.parametrize("width", [-50.0, -1e-12, np.nan, np.inf, -np.inf])
+def test_widths_the_schedule_rejects_are_rejected(device, pulse, width):
+    # a flat top of negative or non-finite width has no schedule, so no
+    # propagator or states either (a NaN width gave a NaN matrix)
+    with pytest.raises(InvalidParams, match="width"):
+        pulse.schedule(width)
+    with pytest.raises(InvalidParams, match="finite and >= 0"):
+        pulse.unitary(width)
+    with pytest.raises(InvalidParams, match="finite and >= 0"):
+        pulse.unitary(width, FrameSpec.bare(device))
+    psi0 = ket2(1, 0)
+    with pytest.raises(InvalidParams, match="finite and >= 0"):
+        pulse.plateau_states(psi0, [10.0, width])
+    with pytest.raises(InvalidParams, match="finite and >= 0"):
+        pulse.states_after(psi0, [width])
+
+
+@pytest.mark.parametrize("mode", ["pulsed", "plateau"])
+def test_rabi_scan_rejects_a_negative_width(device, mode):
+    # a -20 ns width would report a 20 ns pulse, shorter than its two 20 ns edges
+    with pytest.raises(InvalidParams, match="finite and >= 0"):
+        calibrate.run_rabi_scan(device, "01", 0.3, 0, [-20.0, 10.0], mode=mode)

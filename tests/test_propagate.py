@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from qutritcr import propagate
 from qutritcr.crpulse import FlatTopCRPulse
-from qutritcr.device import EXCITATIONS, DeviceParams, FrameSpec, reframe, transition_frequencies
-from qutritcr.hamiltonian import DriveSplit, play_phase, rotating_frame_hamiltonian
+from qutritcr.device import DeviceParams, FrameSpec, reframe, transition_frequencies
+from qutritcr.hamiltonian import DriveSplit, rotating_frame_hamiltonian
 from qutritcr.linalg import expm_unitary, ket2, unitary_defect
 from qutritcr.propagate import (
     EvolveOptions,
@@ -772,7 +772,7 @@ def test_a_lone_drag_play_is_mirrored_about_its_middle(channel, sub, amp, beta, 
 def test_a_play_off_its_own_frame_is_stepped_whole():
     # h3_1's second play (1-2 carrier) in its first play's frame (0-1
     # carrier) oscillates at the carriers' difference, so only the first
-    # is mirrored; the second fails the relation at its nodes
+    # is mirrored; the frame does not rotate at the second's carrier
     tf = transition_frequencies(_DEVICE, dressed=True)
     first = Schedule((Play(1, 0.0, DragGaussian(0.0325, 8.0, 32.0, 0.31), tf.w01_1),))
     second = Schedule((Play(1, 0.0, DragGaussian(0.0256, 8.0, 32.0, -0.47), tf.w12_1, 0.4),))
@@ -782,7 +782,81 @@ def test_a_play_off_its_own_frame_is_stepped_whole():
     assert np.max(np.abs(u - _stepped_whole(_DEVICE, sched))) <= 1e-13
 
     plays = sched.plays()
-    prov = rotating_frame_hamiltonian(_DEVICE, propagate._drive_frame(_DEVICE, plays), sched, rwa=True)
-    dt, mids = propagate._grid(32.0, 64.0, None)
-    z = np.exp(2j * play_phase(_DEVICE, sched, plays[1]) * EXCITATIONS)
-    assert not propagate._mirror_holds(prov.drive_split(), z, dt, mids)
+    drive = propagate._drive_frame(_DEVICE, plays)
+    assert not propagate._time_symmetric(_DEVICE, drive, plays[1], plays)
+
+
+# the default device, and one whose RWA drops the coupling (omega2 - omega1
+# = 2.5 GHz is above the cutoff)
+_MIRROR_DEVICES = (_DEVICE, DeviceParams(omega1=4.5, omega2=7.0))
+
+
+@st.composite
+def _mirror_schedules(draw, p):
+    """1-3 plays of every shape on either channel, at the device's four
+    dressed transitions or at 3.0 GHz (whose drive the RWA drops on the
+    default device's channel 2), each after the last with a gap, touching
+    it or overlapping it on the other channel, and never before the end of
+    its own channel's last play.  Durations are shared by
+    every shape, so that two windows can coincide."""
+    tf = transition_frequencies(p, dressed=True)
+    carriers = [tf.of(ch, sub) for ch in (1, 2) for sub in ("01", "12")] + [3.0]
+    plays = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["gaussian", "square", "drag"]))
+        amp = draw(st.floats(-0.1, 0.1))
+        duration = draw(st.sampled_from([8.0, 12.5, 20.0]))
+        if kind == "square":
+            risefall = draw(st.sampled_from([2.5, 4.0]))
+            shape = GaussianSquare(amp, risefall / 2.0, risefall, duration - 2.0 * risefall)
+        elif kind == "gaussian":
+            shape = Gaussian(amp, duration / 4.0, duration)
+        else:
+            shape = DragGaussian(amp, duration / 4.0, duration, draw(st.floats(-2.0, 2.0)))
+        how = draw(st.sampled_from(["gapped", "touching", "overlapping"])) if plays else None
+        if how is None:
+            channel, start = draw(st.sampled_from([1, 2])), draw(st.sampled_from([0.0, 1.3]))
+        elif how == "overlapping":
+            channel = 3 - plays[-1].channel
+            start = plays[-1].end - draw(st.sampled_from([0.3, 1.0])) * plays[-1].duration
+        else:
+            channel = draw(st.sampled_from([1, 2]))
+            start = plays[-1].end + (2.1 if how == "gapped" else 0.0)
+        # never before the end of the channel's last play
+        start = max([start] + [q.end for q in plays if q.channel == channel])
+        plays.append(Play(channel, start, shape, draw(st.sampled_from(carriers)), draw(st.floats(-np.pi, np.pi))))
+    return Schedule(tuple(plays))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), p=st.sampled_from(_MIRROR_DEVICES))
+def test_every_mirror_the_rule_allows_is_exact(data, p):
+    # the mirror of every play that passes _time_symmetric is the stepped
+    # propagator to roundoff; a wrong rule (a frame off the play's carrier,
+    # another play on inside its window) lands 1e-2 or more off
+    sched = data.draw(_mirror_schedules(p))
+    plays = sched.plays()
+    if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare):
+        # the flat-top route, whose plateau is exponentiated exactly: its
+        # fall edge is its rise's mirror
+        play, c = plays[0], plays[0].carrier_freq
+        prov = rotating_frame_hamiltonian(p, FrameSpec(c, c), sched, rwa=True)
+        _, u_fall, _, _ = propagate._rwa_flat_top(p, sched)
+        fall = propagate._stepped_unitary(prov, play.end - play.shape.risefall, play.end)
+        assert np.max(np.abs(u_fall - fall)) <= 1e-13
+    else:
+        assert np.max(np.abs(rwa_unitary(p, sched) - _stepped_whole(p, sched))) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [DragGaussian(0.05, 8.0, 32.0, 0.3), Gaussian(0.05, 8.0, 32.0)])
+def test_a_play_the_rwa_drops_leaves_the_static_propagator(shape):
+    # omega2 - c = 2.5 GHz and omega2 + c are above the cutoff, so the split
+    # has no envelope at all and H is H_s throughout (the play is mirrored,
+    # which once failed on the empty split)
+    sched = Schedule((Play(2, 0.0, shape, 3.0),))
+    drive = FrameSpec(3.0, 3.0)
+    prov = rotating_frame_hamiltonian(_DEVICE, drive, sched, rwa=True)
+    want = reframe(expm_unitary(prov(0.0), 32.0), drive, FrameSpec.bare(_DEVICE), 32.0)
+    assert np.max(np.abs(rwa_unitary(_DEVICE, sched) - want)) <= 1e-12
+    assert prov.drive_split().ops.shape == (0, 9, 9)
+    assert propagate._time_symmetric(_DEVICE, drive, sched.plays()[0], sched.plays())
