@@ -53,6 +53,9 @@ GATE_SET = (
 # How cmd_bell obtains each gate's propagator.
 BELL_METHODS = ("full", "rwa", "store")
 
+# The most shots numpy's binomial and multinomial draw: a C long (int64).
+MAX_SHOTS = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -84,6 +87,8 @@ class ExperimentConfig:
                 raise InvalidParams(f"{key} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
         if self.shots < 1:
             raise InvalidParams("shots must be >= 1")
+        if self.shots > MAX_SHOTS:
+            raise InvalidParams(f"shots must be <= {MAX_SHOTS}")
         if self.seed < 0:
             raise InvalidParams("seed must be >= 0")
         for a in (self.cr01_amp, self.cr12_amp, self.scan_amp):
@@ -117,14 +122,9 @@ class ExperimentConfig:
         return cls.from_dict(read_json_object(path))
 
     def calibration_defaults(self) -> dict:
-        """Pulse-affecting defaults; seed and shots do not enter the hash."""
-        return {
-            "cr01_amp_ghz": self.cr01_amp,
-            "cr12_amp_ghz": self.cr12_amp,
-            "risefall_ns": self.risefall,
-            "sq_duration_ns": self.sq_duration,
-            "sq_sigma_ns": self.sq_sigma,
-        }
+        """Pulse-affecting defaults; seed, shots and the Rabi-scan amplitude do
+        not enter the hash."""
+        return {key: getattr(self, attr) for key, attr in self._KEYS.items() if attr not in ("seed", "shots", "scan_amp")}
 
     def fingerprint(self) -> str:
         return config_fingerprint(self.device, self.calibration_defaults())
@@ -165,8 +165,8 @@ def sample_shots(probabilities, shots: int, seed: int) -> np.ndarray:
         raise BadDistribution(f"expected a 9-vector, got shape {probs.shape}")
     if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-6:
         raise BadDistribution(f"not a probability vector (sum {probs.sum():.8f})")
-    if shots < 1:
-        raise BadDistribution("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise BadDistribution(f"shots must be in [1, {MAX_SHOTS}]")
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

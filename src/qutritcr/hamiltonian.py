@@ -31,6 +31,7 @@ from .device import (
     lowering_operator,
     number_diagonal,
     static_diagonal,
+    transition_frequencies,
 )
 from .linalg import PAIR_DIM, dag
 from .pulses import Gaussian, GaussianSquare, Play, PulseShape, Schedule
@@ -75,9 +76,8 @@ def _scaled(env: np.ndarray, term: _OscTerm) -> np.ndarray:
 
 def _nearest_subspace(p: DeviceParams, channel: int, carrier: float) -> str:
     """Which virtual-phase frame a pulse belongs to, by carrier proximity."""
-    w01 = p.omega1 if channel == 1 else p.omega2
-    w12 = w01 + (p.delta1 if channel == 1 else p.delta2)
-    return "01" if abs(carrier - w01) <= abs(carrier - w12) else "12"
+    tf = transition_frequencies(p)
+    return "01" if abs(carrier - tf.of(channel, "01")) <= abs(carrier - tf.of(channel, "12")) else "12"
 
 
 def _rwa_keeps(bare_freq: float) -> bool:
@@ -88,7 +88,7 @@ def _rwa_keeps(bare_freq: float) -> bool:
 def _bare_drive_frequencies(p: DeviceParams, channel: int, carrier: float) -> tuple[float, float]:
     """Bare-frame frequencies (GHz) of a drive's co- and counter-rotating
     parts: omega_ch - c and omega_ch + c."""
-    w_ch = p.omega1 if channel == 1 else p.omega2
+    w_ch = transition_frequencies(p).of(channel, "01")
     return w_ch - carrier, w_ch + carrier
 
 

@@ -6,21 +6,22 @@ in a drive frame (``_drive_frame``).  Each step is the exponential of an
 anti-Hermitian matrix, taken by one algorithm for both models: a Taylor
 polynomial of degree 9 or 18 (by the step's 1-norm), unitary up to roundoff
 and free of linear solves (``_unitary_exp``).  Without the RWA the step
-resolves the counter-rotating drive at twice the carrier.  H(t) reaches
-the kernel by one front end (``_stepped_unitary``): its provider's split
-into a static part and m real envelopes times fixed matrices, whose values
-at the steps' nodes make the formula's terms (``_node_terms``).  With
-m <= 2, a schedule driven on one operator, the exponent comes from a table
-generated by expanding the formula's brackets once (``_exponent_table``);
-with more, from three commutators per step.  Under the RWA, one rule
-decides which plays are time-symmetric up to a diagonal conjugation
-(``_time_symmetric``): those whose carrier c > 0 the drive frame rotates
-both transmons at, whose counter-rotating drive the RWA drops, and inside
-whose window no other play is on.  Such a play's segment, a DRAG gate for
-one, is stepped to its middle and mirrored (``_mirrored_unitary``), and a
-lone Gaussian square's fall edge is its rise's mirror
-(``_rwa_flat_top``).  The ``evolve_*`` functions wrap scipy's adaptive
-DOP853 (order 8, embedded error control), imported on first use
+resolves the counter-rotating drive at twice the carrier.  Each model names
+its step (``_MAGNUS_STEP``, ``_FULL_MODEL_STEP``) and builds its split
+once, H(t) as a static part plus m real envelopes times fixed matrices
+(``drive_split``); the kernel (``_stepped_unitary``) steps the grid it is
+handed (``_grid``), with the formula's terms from the envelopes at the
+nodes (``_node_terms``).  With m <= 2, a schedule driven on one operator,
+the exponent comes from a table generated by expanding the formula's
+brackets once (``_exponent_table``); with more, from three commutators per
+step.  Under the RWA, one rule decides which plays are time-symmetric up to
+a diagonal conjugation (``_time_symmetric``): those whose carrier c > 0 the
+drive frame rotates both transmons at, whose counter-rotating drive the RWA
+drops, and inside whose window no other play is on.  Such a play's segment,
+a DRAG gate for one, is stepped to its middle and mirrored
+(``_mirrored_unitary``), and a lone Gaussian square's fall edge is its
+rise's mirror (``_rwa_flat_top``).  The ``evolve_*`` functions wrap scipy's
+adaptive DOP853 (order 8, embedded error control), imported on first use
 (``solve_ivp``); the full model uses it only for the one drive period of a
 CR flat top that is raised to a power.  States are never silently
 renormalized; norm drift is checked after every DOP853 run.
@@ -305,11 +306,12 @@ def _kernel_buffers(n: int) -> np.ndarray:
     return flat[:need].reshape(_KERNEL_SLOTS, n, PAIR_DIM, PAIR_DIM)
 
 
-def _node_terms(split, mid, offset, h) -> np.ndarray:
+def _node_terms(split, mid, h) -> np.ndarray:
     """The (3, m, n) terms (a, b, c) of ``_exponent_table`` for the n steps
     of length h centred at ``mid``, from the m envelopes of a
-    ``drive_split`` at each step's three nodes, ``offset`` from its middle."""
+    ``drive_split`` at each step's three nodes, sqrt(15)/10 h from its middle."""
     m, n = len(split.ops), len(mid)
+    offset = np.sqrt(15.0) / 10.0 * h
     e = split.envelopes(np.concatenate([mid - offset, mid, mid + offset])).reshape(m, 3, n)
     x = np.empty((3, m, n))
     np.multiply(e[:, 1], h, out=x[0])
@@ -508,17 +510,18 @@ def _table_exponents(terms, matrices, out):
     return out
 
 
-def _grid(t0: float, t1: float, step: float | None = None):
+def _grid(t0: float, t1: float, step: float):
     """(dt, midpoints) of the n equal Magnus steps over [t0, t1], n the
-    fewest that keep each at most ``step`` ns, ``_MAGNUS_STEP`` by default."""
-    n = max(int(np.ceil((t1 - t0) / (_MAGNUS_STEP if step is None else step))), 1)
+    fewest that keep each at most ``step`` ns."""
+    n = max(int(np.ceil((t1 - t0) / step)), 1)
     dt = (t1 - t0) / n
     return dt, t0 + dt * np.arange(n) + dt / 2.0
 
 
-def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None, steps: slice | None = None) -> np.ndarray:
-    """Sixth-order Magnus propagator over [t0, t1] (three-point Gauss nodes),
-    or over the ``steps`` of its grid (``_grid``) if given.
+def _stepped_unitary(split, dt: float, mids: np.ndarray) -> np.ndarray:
+    """Sixth-order Magnus propagator of a ``drive_split`` over the steps of
+    length ``dt`` centred at ``mids`` (three-point Gauss nodes), in order:
+    a segment's ``_grid``, or a contiguous run of it.
 
     Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 4: with
     A_j = -i H at the nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
@@ -529,12 +532,11 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None, step
         C_1 = [alpha_1, alpha_2],  C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60,
         Omega = alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2] / 240.
 
-    The step is at most ``step`` ns, ``_MAGNUS_STEP`` by default.  Every
-    provider splits as H(t) = H_s + sum_i e_i(t) H_i (``prov.drive_split``),
-    and each ``_BLOCK`` of steps turns the m envelopes at its nodes into
-    alpha_1 = h P + sum_i a_i Q_i, alpha_2 = sum_i b_i Q_i and alpha_3 =
-    sum_i c_i Q_i, P = -i H_s and Q_i = -i H_i (``_node_terms``).  Omega
-    then comes by one of two routes, chosen by m alone:
+    The split is H(t) = H_s + sum_i e_i(t) H_i, and each ``_BLOCK`` of
+    steps, counted from ``mids[0]``, turns the m envelopes at its nodes
+    into alpha_1 = h P + sum_i a_i Q_i, alpha_2 = sum_i b_i Q_i and
+    alpha_3 = sum_i c_i Q_i, P = -i H_s and Q_i = -i H_i (``_node_terms``).
+    Omega then comes by one of two routes, chosen by m alone:
 
     - m <= 2 (every one-channel schedule in a frame that rotates both
       transmons alike): one real product of the terms' monomials with a
@@ -547,20 +549,14 @@ def _stepped_unitary(prov, t0: float, t1: float, step: float | None = None, step
 
     Omega's exponential (``_unitary_exp``) and the pairwise products of
     each block (``_ordered_product``) run in this thread's kernel buffers
-    (``_kernel_buffers``), on either route.  Blocks count from the first of
-    ``steps``.
+    (``_kernel_buffers``), on either route.
     """
-    dt, mids = _grid(t0, t1, step)
-    if steps is not None:
-        mids = mids[steps]
-    offset = np.sqrt(15.0) / 10.0 * dt
-    split = prov.drive_split()
     matrices = _exponent_matrices(split, dt) if len(split.ops) <= 2 else None
     u = None
     for k in range(0, len(mids), _BLOCK):
         mid = mids[k : k + _BLOCK]
         buffers = _kernel_buffers(len(mid))
-        terms = _node_terms(split, mid, offset, dt)
+        terms = _node_terms(split, mid, dt)
         if matrices is None:
             omega = _commutator_exponents(split, terms, dt, buffers)
         else:
@@ -605,8 +601,8 @@ def _time_symmetric(p: DeviceParams, frame: FrameSpec, play, plays) -> bool:
     )
 
 
-def _mirrored_unitary(prov, t0: float, t1: float, phase: float, *step) -> np.ndarray:
-    """``_stepped_unitary(prov, t0, t1, *step)`` of a segment whose H is
+def _mirrored_unitary(split, dt: float, mids: np.ndarray, phase: float) -> np.ndarray:
+    """``_stepped_unitary(split, dt, mids)`` of a segment whose H is
     time-symmetric, H(t0 + t1 - t) = Z^dagger H(t)^T Z with Z =
     diag(exp(2i phase N)): a play that passes ``_time_symmetric``.
 
@@ -617,14 +613,13 @@ def _mirrored_unitary(prov, t0: float, t1: float, phase: float, *step) -> np.nda
     odd count's middle step its own factor between them.  A segment of one
     step is stepped whole.
     """
-    n = len(_grid(t0, t1, *step)[1])
-    if n < 2:
-        return _stepped_unitary(prov, t0, t1, *step)
-    half = n // 2
-    u = _stepped_unitary(prov, t0, t1, *step, steps=slice(0, half))
+    half = len(mids) // 2
+    if not half:
+        return _stepped_unitary(split, dt, mids)
+    u = _stepped_unitary(split, dt, mids[:half])
     mirrored = _mirror(u, np.exp(2j * phase * EXCITATIONS))
-    if n % 2:
-        u = _stepped_unitary(prov, t0, t1, *step, steps=slice(half, half + 1)) @ u
+    if len(mids) % 2:
+        u = _stepped_unitary(split, dt, mids[half : half + 1]) @ u
     return mirrored @ u
 
 
@@ -648,7 +643,7 @@ def _rwa_flat_top(p: DeviceParams, schedule: Schedule):
     prov = rotating_frame_hamiltonian(p, FrameSpec(play.carrier_freq, play.carrier_freq), schedule, rwa=True)
     a = play.start + play.shape.risefall
     w, v = np.linalg.eigh(prov(a + play.shape.width / 2.0))
-    u_rise = _stepped_unitary(prov, play.start, a)
+    u_rise = _stepped_unitary(prov.drive_split(), *_grid(play.start, a, _MAGNUS_STEP))
     u_fall = _mirror(u_rise, np.exp(2j * play_phase(p, schedule, play) * EXCITATIONS))
     if play.start > 0.0:
         u_rise = u_rise @ expm_unitary(prov(0.0), play.start)
@@ -693,25 +688,27 @@ def rwa_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
         u_rise, u_fall, w, v = _rwa_flat_top(p, schedule)
         u = u_fall @ (v * np.exp(-1j * w * plays[0].shape.width)) @ dag(v) @ u_rise
     else:
-        prov = rotating_frame_hamiltonian(p, drive, schedule, rwa=True)
-        u = _split_at_edges(prov, 0.0, schedule.duration, plays, mirrors=mirrors)
+        split = rotating_frame_hamiltonian(p, drive, schedule, rwa=True).drive_split()
+        u = _split_at_edges(split, 0.0, schedule.duration, plays, _MAGNUS_STEP, mirrors)
     return reframe(u, drive, FrameSpec.bare(p), schedule.duration)
 
 
-def _split_at_edges(prov, t0: float, t1: float, plays, *step, mirrors=None) -> np.ndarray:
-    """Magnus (``_stepped_unitary``, at ``step`` ns if given) over [t0, t1],
-    with a step boundary at every play edge inside it: H(t) has a kink
-    there, which a step that straddles it resolves only to second order (a
-    0.5 GHz CR rise starting 0.75 ns in lands 9e-8 off in the full model,
-    2e-9 split; two 32.1 ns DRAG plays 1.3e-4 off under the RWA, 1.9e-8
-    split).  ``mirrors`` maps the (start, end) of each play that passes
-    ``_time_symmetric`` to its drive phase: its segment, which no other
-    play's edge splits, goes to ``_mirrored_unitary``."""
+def _split_at_edges(split, t0: float, t1: float, plays, step: float, mirrors=None) -> np.ndarray:
+    """Magnus of a ``drive_split`` (``_stepped_unitary``, steps of at most
+    ``step`` ns) over [t0, t1], one ``_grid`` per piece between the play
+    edges inside it: H(t) has a kink at an edge, which a step that
+    straddles it resolves only to second order (a 0.5 GHz CR rise starting
+    0.75 ns in lands 9e-8 off in the full model, 2e-9 split; two 32.1 ns
+    DRAG plays 1.3e-4 off under the RWA, 1.9e-8 split).  ``mirrors`` maps
+    the (start, end) of each play that passes ``_time_symmetric`` to its
+    drive phase: its piece, which no other play's edge splits, goes to
+    ``_mirrored_unitary``."""
     bounds = [t0, *sorted({t for play in plays for t in (play.start, play.end) if t0 < t < t1}), t1]
     u = None
     for lo, hi in zip(bounds, bounds[1:]):
+        dt, mids = _grid(lo, hi, step)
         phase = (mirrors or {}).get((lo, hi))
-        piece = _stepped_unitary(prov, lo, hi, *step) if phase is None else _mirrored_unitary(prov, lo, hi, phase, *step)
+        piece = _stepped_unitary(split, dt, mids) if phase is None else _mirrored_unitary(split, dt, mids, phase)
         u = piece if u is None else piece @ u
     return u
 
@@ -736,6 +733,7 @@ def full_model_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
     plays = schedule.plays()
     drive = _drive_frame(p, plays[:1])
     prov = rotating_frame_hamiltonian(p, drive, schedule, rwa=False)
+    split = prov.drive_split()
     if len(plays) == 1 and isinstance(plays[0].shape, GaussianSquare) and plays[0].carrier_freq > 0:
         play = plays[0]
         period = 0.5 / play.carrier_freq
@@ -744,11 +742,11 @@ def full_model_unitary(p: DeviceParams, schedule: Schedule) -> np.ndarray:
         n = int(play.shape.width // period)
         while n and a + n * period > b:  # roundoff at widths that are whole periods
             n -= 1
-        u = _split_at_edges(prov, 0.0, a, plays, _FULL_MODEL_STEP)
+        u = _split_at_edges(split, 0.0, a, plays, _FULL_MODEL_STEP)
         if n:
             u = np.linalg.matrix_power(evolve_unitary(prov, a, a + period, FULL_MODEL_OPTIONS), n) @ u
-        u = _split_at_edges(prov, a + n * period, b, plays, _FULL_MODEL_STEP) @ u
-        u = _split_at_edges(prov, b, schedule.duration, plays, _FULL_MODEL_STEP) @ u
+        u = _split_at_edges(split, a + n * period, b, plays, _FULL_MODEL_STEP) @ u
+        u = _split_at_edges(split, b, schedule.duration, plays, _FULL_MODEL_STEP) @ u
     else:
-        u = _split_at_edges(prov, 0.0, schedule.duration, plays, _FULL_MODEL_STEP)
+        u = _split_at_edges(split, 0.0, schedule.duration, plays, _FULL_MODEL_STEP)
     return reframe(u, drive, FrameSpec.bare(p), schedule.duration)

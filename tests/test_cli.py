@@ -208,8 +208,12 @@ def test_env_seed_override(runner, cal_store, config, monkeypatch):
         (None, "abc", [], "QUTRITCR_SEED must be an integer"),
         (None, "-4", [], "seed must be >= 0"),
         (None, None, ["--shots", "0"], "shots must be >= 1"),
+        # one past numpy's int64 draw limit, by flag and by config file
+        (None, None, ["--shots", "9223372036854775808"], "shots must be <= 9223372036854775807"),
+        ('{"shots": 9223372036854775808}', None, [], "shots must be <= 9223372036854775807"),
     ],
-    ids=["unknown_key", "malformed_json", "seed_not_int", "seed_negative", "zero_shots"],
+    ids=["unknown_key", "malformed_json", "seed_not_int", "seed_negative", "zero_shots", "shots_too_large",
+         "config_shots_too_large"],
 )
 def test_config_errors_are_reported_without_traceback(runner, tmp_path, monkeypatch, config_text, env_seed, extra, message):
     store = tmp_path / "cal.json"

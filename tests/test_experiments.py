@@ -45,6 +45,12 @@ class TestSampleShots:
         with pytest.raises(BadDistribution):
             sample_shots(np.eye(9)[0], 0, 0)  # no shots
 
+    def test_shots_up_to_the_int64_draw_limit(self):
+        # numpy's multinomial overflows one shot past int64
+        assert sample_shots(np.eye(9)[0], 2**63 - 1, 3)[0] == 2**63 - 1
+        with pytest.raises(BadDistribution):
+            sample_shots(np.eye(9)[0], 2**63, 3)
+
 
 class TestExperimentConfig:
     def test_defaults(self, config):

@@ -2,7 +2,6 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from qutritcr import propagate
 from qutritcr.crpulse import FlatTopCRPulse
 from qutritcr.device import DeviceParams, FrameSpec, reframe, transition_frequencies
-from qutritcr.hamiltonian import DriveSplit, rotating_frame_hamiltonian
+from qutritcr.hamiltonian import DriveSplit, RotatingFrameHamiltonian, rotating_frame_hamiltonian
 from qutritcr.linalg import expm_unitary, ket2, unitary_defect
 from qutritcr.propagate import (
     EvolveOptions,
@@ -153,15 +152,42 @@ class TestTraceAndPopulations:
         assert np.max(np.abs(states[-1] - evolve_state(const(h), ket2(0, 0), 0.0, 50.0))) < 1e-7
 
 
+def _stepped(split, t0, t1, step=propagate._MAGNUS_STEP):
+    """Magnus over the whole ``_grid`` of [t0, t1] at steps of at most ``step`` ns."""
+    return propagate._stepped_unitary(split, *propagate._grid(t0, t1, step))
+
+
+def _magnus_calls(model, *args):
+    """model(*args), and the (t0, t1, steps, dt) of every Magnus call it
+    made: the [t0, t1] of the latest ``_grid``, the slice of that grid's
+    steps that the call was handed (None for all of them) and its dt.  Each
+    call must step a contiguous run of that grid at the grid's dt."""
+    grids, calls = [], []
+    grid, stepped = propagate._grid, propagate._stepped_unitary
+
+    def spy_grid(t0, t1, step):
+        dt, mids = grid(t0, t1, step)
+        grids.append((t0, t1, dt, mids))
+        return dt, mids
+
+    def spy_stepped(split, dt, mids):
+        t0, t1, grid_dt, grid_mids = grids[-1]
+        k = int(np.searchsorted(grid_mids, mids[0]))
+        assert dt == grid_dt and np.array_equal(mids, grid_mids[k : k + len(mids)])
+        calls.append((t0, t1, None if len(mids) == len(grid_mids) else slice(k, k + len(mids)), dt))
+        return stepped(split, dt, mids)
+
+    with mock.patch.object(propagate, "_grid", spy_grid), mock.patch.object(propagate, "_stepped_unitary", spy_stepped):
+        u = model(*args)
+    return u, calls
+
+
 def _traced_pieces(p, sched):
     """full_model_unitary's propagator, the [t0, t1] of every Magnus piece it
     stepped and of every DOP853 piece it ran."""
-    with (
-        mock.patch.object(propagate, "_stepped_unitary", wraps=propagate._stepped_unitary) as magnus,
-        mock.patch.object(propagate, "evolve_unitary", wraps=propagate.evolve_unitary) as dop853,
-    ):
-        u = full_model_unitary(p, sched)
-    return u, [call.args[1:3] for call in magnus.call_args_list], [call.args[1:3] for call in dop853.call_args_list]
+    with mock.patch.object(propagate, "evolve_unitary", wraps=propagate.evolve_unitary) as dop853:
+        u, magnus = _magnus_calls(full_model_unitary, p, sched)
+    return u, [call[:2] for call in magnus], [call.args[1:3] for call in dop853.call_args_list]
 
 
 def _other_schedule(case):
@@ -286,7 +312,7 @@ class TestRWAUnitary:
         "omega1,carrier,steps",
         [(None, None, [(0.0, 20.0)]), (None, 0.9, [(0.0, 20.0)]), (0.6, 0.9, [(0.0, 190.0)])],
     )
-    def test_magnus_steps_a_flat_top_only_where_it_is_not_constant(self, monkeypatch, omega1, carrier, steps):
+    def test_magnus_steps_a_flat_top_only_where_it_is_not_constant(self, omega1, carrier, steps):
         # with omega1 + c <= RWA_CUTOFF_GHZ (0.6 + 0.9 GHz) the counter-rotating
         # term is kept, so the plateau is not constant and the whole play is
         # stepped; at 4.9 + 0.9 GHz the RWA drops it, and a 0.9 GHz carrier's
@@ -295,16 +321,8 @@ class TestRWAUnitary:
         sched = build_cr_schedule(_DEVICE, "01", 0.3, 150.0)
         if carrier is not None:
             sched = Schedule((Play(1, 0.0, sched.plays()[0].shape, carrier),))
-        calls = []
-        real = propagate._stepped_unitary
-
-        def spy(prov, t0, t1):
-            calls.append((t0, t1))
-            return real(prov, t0, t1)
-
-        monkeypatch.setattr(propagate, "_stepped_unitary", spy)
-        rwa_unitary(device, sched)
-        assert calls == steps
+        _, calls = _magnus_calls(rwa_unitary, device, sched)
+        assert [call[:2] for call in calls] == steps
 
     def test_schedule_without_a_play(self, device):
         # a hand-edited store can hold one: integrated in the bare frame
@@ -389,8 +407,8 @@ class TestRWAUnitary:
         sched = Schedule((*shifts, play))
         u_rise, u_fall, _, _ = propagate._rwa_flat_top(_DEVICE, sched)
         prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec(c, c), sched, rwa=True)
-        fall = propagate._stepped_unitary(prov, start + 77.3, play.end)
-        rise = propagate._stepped_unitary(prov, start, start + 20.0)
+        fall = _stepped(prov.drive_split(), start + 77.3, play.end)
+        rise = _stepped(prov.drive_split(), start, start + 20.0)
         if sched.duration > play.end:
             fall = expm_unitary(prov(sched.duration), sched.duration - play.end) @ fall
         if start > 0.0:
@@ -398,15 +416,14 @@ class TestRWAUnitary:
         assert np.max(np.abs(u_fall - fall)) <= 1e-13
         assert np.max(np.abs(u_rise - rise)) <= 1e-13
 
-    def test_magnus_error_falls_as_the_sixth_power_of_the_step(self, monkeypatch):
+    def test_magnus_error_falls_as_the_sixth_power_of_the_step(self):
         # halving h cuts a sixth-order error 64x (a fourth-order one 16x)
         pulse = FlatTopCRPulse(_DEVICE, "01", 0.35)
         prov = rotating_frame_hamiltonian(_DEVICE, pulse.frame, pulse.schedule(100.0), rwa=True)
         rise = evolve_unitary(prov, 0.0, 20.0, EDGE_ORACLE_OPTIONS)
         errors = []
         for step in (0.4, 0.2):
-            monkeypatch.setattr(propagate, "_MAGNUS_STEP", step)
-            errors.append(np.max(np.abs(propagate._stepped_unitary(prov, 0.0, 20.0) - rise)))
+            errors.append(np.max(np.abs(_stepped(prov.drive_split(), 0.0, 20.0, step) - rise)))
         assert errors[0] >= 32.0 * errors[1]
 
 
@@ -544,17 +561,16 @@ def _reference_stepped_unitary(prov, t0, t1, step):
 
 
 def _commutator_route(prov):
-    """A stand-in for ``prov`` whose split adds zero operators with zero
-    envelopes up to m = 3: the same H(t), stepped by ``_stepped_unitary``
-    through the per-step commutators."""
+    """``prov``'s split with zero operators of zero envelopes added up to
+    m = 3: the same H(t), stepped by ``_stepped_unitary`` through the
+    per-step commutators."""
     split = prov.drive_split()
     pad = max(3 - len(split.ops), 0)
-    padded = DriveSplit(
+    return DriveSplit(
         split.h_s,
         np.concatenate([split.ops, np.zeros((pad, 9, 9), complex)]),
         lambda ts: np.concatenate([split.envelopes(ts), np.zeros((pad, len(ts)))]),
     )
-    return SimpleNamespace(drive_split=lambda: padded)
 
 
 @st.composite
@@ -588,7 +604,7 @@ def test_kernel_matches_the_node_stack_reference(rwa, sched):
     frame = propagate._drive_frame(_DEVICE, plays if rwa else plays[:1])
     prov = rotating_frame_hamiltonian(_DEVICE, frame, sched, rwa=rwa)
     step = propagate._MAGNUS_STEP if rwa else propagate._FULL_MODEL_STEP
-    got = propagate._stepped_unitary(prov, 0.0, sched.duration, step)
+    got = _stepped(prov.drive_split(), 0.0, sched.duration, step)
     assert np.max(np.abs(got - _reference_stepped_unitary(prov, 0.0, sched.duration, step))) <= 1e-13
 
 
@@ -607,8 +623,8 @@ def test_closed_form_rise_matches_the_commutator_path(sub, amp, phase, risefall,
     carrier = sched.plays()[0].carrier_freq
     prov = rotating_frame_hamiltonian(_DEVICE, FrameSpec(carrier, carrier), sched, rwa=True)
     assert len(prov.drive_split().ops) == 1
-    closed = propagate._stepped_unitary(prov, 0.0, lead + risefall)
-    stepped = propagate._stepped_unitary(_commutator_route(prov), 0.0, lead + risefall)
+    closed = _stepped(prov.drive_split(), 0.0, lead + risefall)
+    stepped = _stepped(_commutator_route(prov), 0.0, lead + risefall)
     assert np.max(np.abs(closed - stepped)) <= 1e-13
 
 
@@ -664,18 +680,17 @@ def test_exponent_table_matches_the_commutator_path(rwa, plays):
     assert len(split.ops) <= 2
     n = int(np.ceil(sched.duration / step))
     dt = sched.duration / n
-    offset = np.sqrt(15.0) / 10.0 * dt
     mids = dt * np.arange(n) + dt / 2.0
     matrices = propagate._exponent_matrices(split, dt)
     for k in range(0, n, propagate._BLOCK):
         mid = mids[k : k + propagate._BLOCK]
-        terms = propagate._node_terms(split, mid, offset, dt)
+        terms = propagate._node_terms(split, mid, dt)
         want = propagate._commutator_exponents(split, terms, dt, np.empty((7, len(mid), 9, 9), complex))
         got = propagate._table_exponents(terms, matrices, np.empty((len(mid), 9, 9), complex))
         scale = np.maximum(np.abs(want).sum(axis=-2).max(axis=-1), 1.0)
         assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale), k
-    table = propagate._stepped_unitary(prov, 0.0, sched.duration, step)
-    stepped = propagate._stepped_unitary(_commutator_route(prov), 0.0, sched.duration, step)
+    table = _stepped(split, 0.0, sched.duration, step)
+    stepped = _stepped(_commutator_route(prov), 0.0, sched.duration, step)
     assert np.max(np.abs(table - stepped)) <= 1e-13
 
 
@@ -705,7 +720,7 @@ def test_providers_on_two_operators_take_the_commutators(rwa, plays, other, case
         mock.patch.object(propagate, "_commutator_exponents", wraps=propagate._commutator_exponents) as commutators,
         mock.patch.object(propagate, "_table_exponents", wraps=propagate._table_exponents) as table,
     ):
-        propagate._stepped_unitary(prov, 0.0, 1.0, step)
+        _stepped(prov.drive_split(), 0.0, 1.0, step)
     assert commutators.called and not table.called
 
 
@@ -713,13 +728,14 @@ def test_kernel_buffers_are_kept_per_thread():
     # four threads on two cores step CR rises at once, each in its own
     # buffers: every result equals the serial one
     pulses = [FlatTopCRPulse(_DEVICE, sub, amp) for sub in ("01", "12") for amp in (0.2, 0.45)]
-    provs = [rotating_frame_hamiltonian(_DEVICE, p.frame, p.schedule(100.0), rwa=True) for p in pulses]
-    want = [propagate._stepped_unitary(prov, 0.0, 20.0) for prov in provs]
+    splits = [rotating_frame_hamiltonian(_DEVICE, p.frame, p.schedule(100.0), rwa=True).drive_split() for p in pulses]
+    grid = propagate._grid(0.0, 20.0, propagate._MAGNUS_STEP)
+    want = [propagate._stepped_unitary(split, *grid) for split in splits]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(propagate._stepped_unitary, prov, 0.0, 20.0) for prov in provs * 5]
+            futures = [pool.submit(propagate._stepped_unitary, split, *grid) for split in splits * 5]
             got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -729,9 +745,8 @@ def test_kernel_buffers_are_kept_per_thread():
 
 def _spied_rwa_unitary(p, sched):
     """rwa_unitary's propagator and the (t0, t1, steps) of every Magnus call."""
-    with mock.patch.object(propagate, "_stepped_unitary", wraps=propagate._stepped_unitary) as magnus:
-        u = rwa_unitary(p, sched)
-    return u, [(*call.args[1:3], call.kwargs.get("steps")) for call in magnus.call_args_list]
+    u, calls = _magnus_calls(rwa_unitary, p, sched)
+    return u, [call[:3] for call in calls]
 
 
 def _stepped_whole(p, sched):
@@ -739,7 +754,7 @@ def _stepped_whole(p, sched):
     plays = sched.plays()
     drive = propagate._drive_frame(p, plays)
     prov = rotating_frame_hamiltonian(p, drive, sched, rwa=True)
-    u = propagate._split_at_edges(prov, 0.0, sched.duration, plays)
+    u = propagate._split_at_edges(prov.drive_split(), 0.0, sched.duration, plays, propagate._MAGNUS_STEP)
     return reframe(u, drive, FrameSpec.bare(p), sched.duration)
 
 
@@ -763,7 +778,7 @@ def test_a_lone_drag_play_is_mirrored_about_its_middle(channel, sub, amp, beta, 
     sched = Schedule((Play(channel, start, shape, carrier, phase),))
     u, calls = _spied_rwa_unitary(_DEVICE, sched)
     end = sched.plays()[0].end
-    assert len(propagate._grid(start, end, None)[1]) == n
+    assert len(propagate._grid(start, end, propagate._MAGNUS_STEP)[1]) == n
     mirrored = [(start, end, slice(0, n // 2))] + ([(start, end, slice(n // 2, n // 2 + 1))] if n % 2 else [])
     assert calls == ([(0.0, start, None)] if start else []) + mirrored
     assert np.max(np.abs(u - _stepped_whole(_DEVICE, sched))) <= 1e-13
@@ -842,7 +857,7 @@ def test_every_mirror_the_rule_allows_is_exact(data, p):
         play, c = plays[0], plays[0].carrier_freq
         prov = rotating_frame_hamiltonian(p, FrameSpec(c, c), sched, rwa=True)
         _, u_fall, _, _ = propagate._rwa_flat_top(p, sched)
-        fall = propagate._stepped_unitary(prov, play.end - play.shape.risefall, play.end)
+        fall = _stepped(prov.drive_split(), play.end - play.shape.risefall, play.end)
         assert np.max(np.abs(u_fall - fall)) <= 1e-13
     else:
         assert np.max(np.abs(rwa_unitary(p, sched) - _stepped_whole(p, sched))) <= 1e-13
@@ -860,3 +875,33 @@ def test_a_play_the_rwa_drops_leaves_the_static_propagator(shape):
     assert np.max(np.abs(rwa_unitary(_DEVICE, sched) - want)) <= 1e-12
     assert prov.drive_split().ops.shape == (0, 9, 9)
     assert propagate._time_symmetric(_DEVICE, drive, sched.plays()[0], sched.plays())
+
+
+def _contract_schedule(case):
+    """A CR gate after an idle lead, or one of ``_other_schedule``'s."""
+    if case == "cr":
+        return build_cr_schedule(_DEVICE, "01", 0.3, 30.0, 4.0, 0.7).shifted(0.75)
+    return _other_schedule(case)
+
+
+def _flat_top_pieces():
+    return FlatTopCRPulse(_DEVICE, "12", 0.3)._pieces
+
+
+_MODEL_CALLS = [
+    (model, case, step)
+    for model, step in ((rwa_unitary, propagate._MAGNUS_STEP), (full_model_unitary, propagate._FULL_MODEL_STEP))
+    for case in ("cr", "drag", "two_plays", "h3_concat")
+] + [(_flat_top_pieces, None, propagate._MAGNUS_STEP)]
+
+
+@pytest.mark.parametrize("model,case,step", _MODEL_CALLS, ids=lambda x: getattr(x, "__name__", x))
+def test_each_model_call_builds_one_split_and_names_its_step(model, case, step):
+    # the split is built once and handed to every piece; no Magnus step is
+    # longer than the model's, and each call is handed a contiguous run of
+    # its piece's grid (``_magnus_calls``)
+    real = RotatingFrameHamiltonian.drive_split
+    with mock.patch.object(RotatingFrameHamiltonian, "drive_split", autospec=True, side_effect=real) as builds:
+        _, calls = _magnus_calls(model, *(() if case is None else (_DEVICE, _contract_schedule(case))))
+    assert builds.call_count == 1
+    assert calls and all(dt <= step for *_, dt in calls)

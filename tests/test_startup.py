@@ -1,5 +1,5 @@
-"""Which scipy modules a process loads, and the optimizer and integrator
-names that ``bench/tracer.py`` rebinds."""
+"""Which scipy modules a process loads, and the lazy scipy wrappers, two of
+which ``bench/tracer.py`` rebinds."""
 
 import json
 import os
@@ -57,7 +57,9 @@ def test_rabi_and_phase_solves_never_load_the_optimizer_or_integrator(tmp_path):
 
 
 def test_the_tracer_hooks_are_module_attributes():
-    # bench/tracer.py rebinds these names in every qutritcr module that holds them
+    # bench/tracer.py rebinds minimize and solve_ivp in every qutritcr module
+    # that holds them; minimize_scalar, which it leaves alone, is the other
+    # lazy scipy wrapper
     for module, name in ((calibrate, "minimize"), (calibrate, "minimize_scalar"), (propagate, "solve_ivp")):
         assert callable(vars(module)[name]), name
 
