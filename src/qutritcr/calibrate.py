@@ -30,7 +30,6 @@ from .propagate import full_model_unitary, rwa_unitary
 from .pulses import (
     DEFAULT_RISEFALL_NS,
     DragGaussian,
-    GaussianSquare,
     Play,
     Schedule,
     concat,
@@ -492,12 +491,6 @@ def run_rabi_scan(
 # cross-resonance calibration
 
 
-def edge_equivalent_width(amp: float, risefall: float) -> float:
-    """Flat-top time equivalent, in area, to the two Gaussian edges."""
-    gs = GaussianSquare(amp=amp, sigma=risefall / 2.0, risefall=risefall, width=0.0)
-    return gs.area() / amp
-
-
 def calibrate_cr_gate(
     p: DeviceParams,
     subspace: str,
@@ -523,9 +516,11 @@ def calibrate_cr_gate(
     scan_w = np.linspace(0.0, 4000.0, 2001)
     trace = run_rabi_scan(p, subspace, amp_default, 0, scan_w, risefall, mode="plateau")
     fit = fit_rabi(trace.times, trace.observable)
-    w_guess = max(abs(theta) / (2.0 * np.pi * fit.freq) - edge_equivalent_width(amp_default, risefall), 1.0)
+    # less the flat-top time equal in area to the pulse's two edges
+    edges = cr_pulse(p, subspace, amp_default, risefall).schedule(0.0).plays()[0].shape.area() / amp_default
+    w_guess = max(abs(theta) / (2.0 * np.pi * fit.freq) - edges, 1.0)
 
-    lo, hi = (1.0 - CR_AMP_BAND) * amp_default, (1.0 + CR_AMP_BAND) * amp_default
+    lo, hi = sorted(((1.0 - CR_AMP_BAND) * amp_default, (1.0 + CR_AMP_BAND) * amp_default))
     evals = [0]
 
     def objective(z):

@@ -18,11 +18,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .device import DeviceParams, FrameSpec, reframe, transition_frequencies
+from .device import DeviceParams, FrameSpec, reframe
 from .errors import InvalidParams
-from .hamiltonian import RWA_CUTOFF_GHZ, keeps_counter_rotating
+from .hamiltonian import RWA_CUTOFF_GHZ
 from .linalg import dag
-from .propagate import _rwa_flat_top, _stepped_unitary  # noqa: F401  (bench/tracer.py binds _stepped_unitary here)
+from .propagate import _rwa_flat_top, _stepped_unitary, _time_symmetric  # noqa: F401  (bench/tracer.py binds _stepped_unitary here)
 from .pulses import DEFAULT_RISEFALL_NS, Schedule, build_cr_schedule
 
 # Reference width used to build the (width-independent) edge propagators.
@@ -45,12 +45,13 @@ def _checked_widths(widths) -> np.ndarray:
 
 
 class FlatTopCRPulse:
-    """One cross-resonance Gaussian-square pulse at fixed amplitude and phase.
+    """One cross-resonance Gaussian-square pulse at fixed amplitude and phase,
+    the play of ``build_cr_schedule``, in the frame rotating at its carrier c.
 
-    The RWA must drop its counter-rotating drive, whose bare-frame frequency
-    is omega_1 + c at carrier c: where it is within the RWA cutoff, the
-    flat top is not constant and the pulse raises InvalidParams
-    (``propagate.rwa_unitary`` steps such a play whole).
+    Its flat top is constant where the play passes ``_time_symmetric``,
+    whose RWA drops its counter-rotating drive at omega_1 + c; elsewhere
+    the pulse raises InvalidParams (``propagate.rwa_unitary`` steps such a
+    play whole).
     """
 
     def __init__(
@@ -66,20 +67,22 @@ class FlatTopCRPulse:
         self.amp = amp
         self.risefall = risefall
         self.phase = phase
-        self.carrier = transition_frequencies(p, dressed=True).of(2, subspace)
-        if keeps_counter_rotating(p, 1, self.carrier):
+        self._reference = self.schedule(_REF_WIDTH)
+        play = self._reference.plays()[0]
+        self.carrier = play.carrier_freq
+        self.frame = FrameSpec(self.carrier, self.carrier)
+        if not _time_symmetric(p, self.frame, play, [play]):
             raise InvalidParams(
                 f"CR carrier {self.carrier:.4g} GHz: its flat top is not constant under the RWA "
                 f"(omega1 + c <= {RWA_CUTOFF_GHZ} GHz keeps the counter-rotating drive)"
             )
-        self.frame = FrameSpec(self.carrier, self.carrier)
 
     def schedule(self, width: float) -> Schedule:
         return build_cr_schedule(self.params, self.subspace, self.amp, width, self.risefall, self.phase)
 
     @cached_property
     def _pieces(self):
-        return _rwa_flat_top(self.params, self.schedule(_REF_WIDTH))
+        return _rwa_flat_top(self.params, self._reference)
 
     def plateau_hamiltonian(self) -> np.ndarray:
         """Constant drive-frame Hamiltonian during the flat top (rad/ns)."""

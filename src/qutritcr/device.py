@@ -27,31 +27,61 @@ from .linalg import PAIR_DIM, QUTRIT_DIM, dag, kron, read_only
 
 TWO_PI = 2.0 * np.pi
 
-_CONFIG_KEYS = {
-    "omega1_ghz": "omega1",
-    "omega2_ghz": "omega2",
-    "delta1_ghz": "delta1",
-    "delta2_ghz": "delta2",
-    "j_ghz": "coupling_j",
-    "levels": "levels",
-}
 
+class ConfigRecord:
+    """Reader and writer of a frozen dataclass kept as a JSON object: the
+    device and the experiment configuration.  A subclass maps each number's
+    JSON key to its field (``_KEYS``), names the integer fields
+    (``_INTEGERS``), each nested record's key, also its field, and class
+    (``_RECORDS``) and its messages' prefix (``_PREFIX``), and calls
+    ``_check_numbers`` first in ``__post_init__``.
+    """
 
-def read_json_object(path: str) -> dict:
-    """The JSON object in the config file at path; InvalidParams if the file
-    holds bad JSON or another JSON value."""
-    with open(path) as f:
-        try:
-            d = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(d, dict):
-        raise InvalidParams(f"config {path} must hold a JSON object")
-    return d
+    _RECORDS = {}
+    _PREFIX = ""
+
+    def _check_numbers(self):
+        """Store each number field as a Python int or float, so that 20, 20.0
+        and a numpy scalar name one configuration; InvalidParams unless it is
+        an integer or a finite number."""
+        for key, attr in self._KEYS.items():
+            value = getattr(self, attr)
+            integer = attr in self._INTEGERS
+            kind = numbers.Integral if integer else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not (integer or math.isfinite(value)):
+                raise InvalidParams(f"{self._PREFIX}{key} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+            object.__setattr__(self, attr, int(value) if integer else float(value))
+
+    @classmethod
+    def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise InvalidParams(f"{cls._PREFIX}config must be a JSON object, got {type(d).__name__}")
+        unknown = set(d) - set(cls._KEYS) - set(cls._RECORDS)
+        if unknown:
+            raise InvalidParams(f"unknown {cls._PREFIX}config keys: {sorted(unknown)}")
+        kwargs = {key: record.from_dict(d[key]) for key, record in cls._RECORDS.items() if key in d}
+        return cls(**kwargs, **{attr: d[key] for key, attr in cls._KEYS.items() if key in d})
+
+    @classmethod
+    def from_json(cls, path: str):
+        """The record in the config file at path; InvalidParams if the file
+        holds bad JSON or another JSON value."""
+        with open(path) as f:
+            try:
+                d = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(d, dict):
+            raise InvalidParams(f"config {path} must hold a JSON object")
+        return cls.from_dict(d)
+
+    def to_dict(self) -> dict:
+        nested = {key: getattr(self, key).to_dict() for key in self._RECORDS}
+        return nested | {key: getattr(self, attr) for key, attr in self._KEYS.items()}
 
 
 @dataclass(frozen=True)
-class DeviceParams:
+class DeviceParams(ConfigRecord):
     """Device parameters in cyclic GHz (omega_i = w_i/2pi, etc.)."""
 
     omega1: float = 4.9
@@ -61,11 +91,19 @@ class DeviceParams:
     coupling_j: float = 0.0027
     levels: int = 3
 
+    _KEYS = {
+        "omega1_ghz": "omega1",
+        "omega2_ghz": "omega2",
+        "delta1_ghz": "delta1",
+        "delta2_ghz": "delta2",
+        "j_ghz": "coupling_j",
+        "levels": "levels",
+    }
+    _INTEGERS = ("levels",)
+    _PREFIX = "device "
+
     def __post_init__(self):
-        for key, attr in _CONFIG_KEYS.items():
-            value = getattr(self, attr)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise InvalidParams(f"device {key} must be a finite number, got {value!r}")
+        self._check_numbers()
         if self.levels != 3:
             raise InvalidParams(f"only 3-level transmons supported, got levels={self.levels}")
         if self.omega1 <= 0 or self.omega2 <= 0:
@@ -76,23 +114,6 @@ class DeviceParams:
             raise InvalidParams("coupling strength must be positive")
         if abs(self.coupling_j) >= abs(self.omega1 - self.omega2) / 10.0:
             raise InvalidParams("coupling too strong for the dispersive regime")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeviceParams":
-        if not isinstance(d, dict):
-            raise InvalidParams(f"device config must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - set(_CONFIG_KEYS)
-        if unknown:
-            raise InvalidParams(f"unknown device config keys: {sorted(unknown)}")
-        kwargs = {attr: d[key] for key, attr in _CONFIG_KEYS.items() if key in d}
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path: str) -> "DeviceParams":
-        return cls.from_dict(read_json_object(path))
-
-    def to_dict(self) -> dict:
-        return {key: getattr(self, attr) for key, attr in _CONFIG_KEYS.items()}
 
 
 @dataclass(frozen=True)

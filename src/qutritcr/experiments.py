@@ -8,8 +8,6 @@ timestamps are written and floating-point formatting is fixed.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -27,7 +25,7 @@ from .calibrate import (
     SINGLE_QUTRIT_MIN_FID,
     _subspace_leakage,
 )
-from .device import DeviceParams, read_json_object
+from .device import ConfigRecord, DeviceParams
 from .effective import bell_state, ideal_ucr, on_transmon, rx_subspace
 from .errors import BadDistribution, InvalidParams, NoOscillation
 from .fitting import MAX_SAMPLES, MIN_SAMPLES, fit_rabi
@@ -58,7 +56,7 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ConfigRecord):
     """Device plus pipeline defaults.
 
     The CR amplitudes set the operating point of the Bell preparation: they
@@ -78,13 +76,21 @@ class ExperimentConfig:
     sq_duration: float = 32.0  # ns, single-qutrit pulse length
     sq_sigma: float = 8.0  # ns
 
+    _KEYS = {
+        "seed": "seed",
+        "shots": "shots",
+        "cr01_amp_ghz": "cr01_amp",
+        "cr12_amp_ghz": "cr12_amp",
+        "scan_amp_ghz": "scan_amp",
+        "risefall_ns": "risefall",
+        "sq_duration_ns": "sq_duration",
+        "sq_sigma_ns": "sq_sigma",
+    }
+    _INTEGERS = ("seed", "shots")
+    _RECORDS = {"device": DeviceParams}
+
     def __post_init__(self):
-        for key, attr in self._KEYS.items():
-            value = getattr(self, attr)
-            integer = attr in ("seed", "shots")
-            kind = numbers.Integral if integer else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind) or not (integer or math.isfinite(value)):
-                raise InvalidParams(f"{key} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+        self._check_numbers()
         if self.shots < 1:
             raise InvalidParams("shots must be >= 1")
         if self.shots > MAX_SHOTS:
@@ -97,34 +103,10 @@ class ExperimentConfig:
         if min(self.risefall, self.sq_duration, self.sq_sigma) <= 0:
             raise InvalidParams("risefall_ns, sq_duration_ns and sq_sigma_ns must be > 0")
 
-    _KEYS = {
-        "seed": "seed",
-        "shots": "shots",
-        "cr01_amp_ghz": "cr01_amp",
-        "cr12_amp_ghz": "cr12_amp",
-        "scan_amp_ghz": "scan_amp",
-        "risefall_ns": "risefall",
-        "sq_duration_ns": "sq_duration",
-        "sq_sigma_ns": "sq_sigma",
-    }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        device = DeviceParams.from_dict(d.pop("device")) if "device" in d else DeviceParams()
-        unknown = set(d) - set(cls._KEYS)
-        if unknown:
-            raise InvalidParams(f"unknown config keys: {sorted(unknown)}")
-        return cls(device=device, **{cls._KEYS[k]: v for k, v in d.items()})
-
-    @classmethod
-    def from_json(cls, path: str) -> "ExperimentConfig":
-        return cls.from_dict(read_json_object(path))
-
     def calibration_defaults(self) -> dict:
         """Pulse-affecting defaults; seed, shots and the Rabi-scan amplitude do
-        not enter the hash."""
-        return {key: getattr(self, attr) for key, attr in self._KEYS.items() if attr not in ("seed", "shots", "scan_amp")}
+        not enter the hash, and the device enters it on its own."""
+        return {k: v for k, v in self.to_dict().items() if k not in ("device", "seed", "shots", "scan_amp_ghz")}
 
     def fingerprint(self) -> str:
         return config_fingerprint(self.device, self.calibration_defaults())

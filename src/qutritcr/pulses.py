@@ -297,8 +297,6 @@ def build_cr_schedule(p, subspace: str, amp: float, width: float, risefall: floa
     """
     if subspace not in ("01", "12"):
         raise InvalidParams("subspace must be '01' or '12'")
-    if width < 0:
-        raise InvalidParams("width must be >= 0")
     carrier = transition_frequencies(p, dressed=True).of(2, subspace)
     shape = GaussianSquare(amp=amp, sigma=risefall / 2.0, risefall=risefall, width=width)
     return Schedule((Play(channel=1, start=0.0, shape=shape, carrier_freq=carrier, carrier_phase=phase),))

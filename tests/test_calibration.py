@@ -14,6 +14,7 @@ from scipy.stats import unitary_group
 
 from qutritcr.calibrate import (
     CalibratedGate,
+    CR_AMP_BAND,
     CalibrationStore,
     _FREE_GAIN,
     _apply_phases,
@@ -23,6 +24,7 @@ from qutritcr.calibrate import (
     _newton,
     _subspace_leakage,
     _wrap,
+    calibrate_cr_gate,
     calibrate_single_qutrit,
     calibrate_virtual_phases,
     config_fingerprint,
@@ -383,6 +385,15 @@ class TestCRGates:
         assert g2.schedule == g.schedule
         assert np.allclose(g2.unitary, g.unitary, atol=1e-12)
         assert g2.fidelity == g.fidelity
+
+    def test_a_negative_amplitude_is_searched(self, device):
+        # the amp band of a negative default is (1.15 a, 0.85 a); ordered the
+        # other way, every objective call was refused and the search returned
+        # its seed at the band edge (F 0.9945 at -0.1265 GHz)
+        g = calibrate_cr_gate(device, "12", np.pi / 2.0, -0.11, name="csx12")
+        amp = g.schedule.plays()[0].shape.amp
+        assert (1.0 + CR_AMP_BAND) * -0.11 < amp < (1.0 - CR_AMP_BAND) * -0.11
+        assert g.fidelity > 0.996
 
 
 class TestRabiScan:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qutritcr.calibrate as calibrate
@@ -229,6 +229,26 @@ def test_flat_top_below_the_rwa_cutoff_is_rejected():
     # a 1.2 GHz carrier has 2c above the cutoff but omega1 + c = 1.8 GHz below it
     with pytest.raises(InvalidParams, match="not constant"):
         FlatTopCRPulse(DeviceParams(omega1=0.6, omega2=1.2), "01", 0.05)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(omega1=st.floats(0.3, 6.0), omega2=st.floats(0.6, 6.0), subspace=st.sampled_from(["01", "12"]))
+@example(omega1=0.6, omega2=1.6, subspace="12")
+@example(omega1=0.6, omega2=1.6, subspace="01")
+@example(omega1=0.6, omega2=1.2, subspace="01")
+def test_flat_top_is_refused_exactly_where_the_mirror_rule_refuses_its_play(omega1, omega2, subspace):
+    # the pulse's flat top is constant exactly where its play, the one of
+    # build_cr_schedule in the frame rotating at its carrier, is time-symmetric
+    assume(abs(omega1 - omega2) > 0.05)  # the dispersive check, with room for dressed labelling
+    p = DeviceParams(omega1=omega1, omega2=omega2)
+    schedule = build_cr_schedule(p, subspace, 0.05, 100.0)
+    play = schedule.plays()[0]
+    frame = FrameSpec(play.carrier_freq, play.carrier_freq)
+    if propagate._time_symmetric(p, frame, play, schedule.plays()):
+        assert FlatTopCRPulse(p, subspace, 0.05).frame == frame
+    else:
+        with pytest.raises(InvalidParams, match="not constant"):
+            FlatTopCRPulse(p, subspace, 0.05)
 
 
 @pytest.mark.parametrize("width", [-50.0, -1e-12, np.nan, np.inf, -np.inf])

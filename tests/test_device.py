@@ -60,6 +60,19 @@ class TestDeviceParams:
         with pytest.raises(InvalidParams, match=message):
             DeviceParams.from_json(str(path))
 
+    @pytest.mark.parametrize(
+        "d,message",
+        [
+            ({"levels": 3.0}, "device levels must be an integer"),
+            ({"levels": True}, "device levels must be an integer"),
+            ({"omega1_ghz": float("nan")}, "device omega1_ghz must be a finite number"),
+        ],
+        ids=["levels_float", "levels_bool", "nan"],
+    )
+    def test_numbers_of_the_wrong_kind_rejected(self, d, message):
+        with pytest.raises(InvalidParams, match=message):
+            DeviceParams.from_dict(d)
+
     def test_unknown_keys_rejected(self, device):
         d = device.to_dict()
         d["omega3_ghz"] = 6.0

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qutritcr import experiments
+from qutritcr.device import DeviceParams
 from qutritcr.errors import BadDistribution, InvalidParams, NoOscillation
 from qutritcr.experiments import (
     CSV_POP_HEADERS,
@@ -71,10 +73,45 @@ class TestExperimentConfig:
         assert cfg.seed == 9 and cfg.shots == 5000 and cfg.device == config.device
 
     def test_fingerprint_ignores_seed(self, config):
-        from dataclasses import replace
-
         assert replace(config, seed=99).fingerprint() == config.fingerprint()
         assert replace(config, cr01_amp=0.3).fingerprint() != config.fingerprint()
+
+    @pytest.mark.parametrize("record", [DeviceParams, ExperimentConfig])
+    @pytest.mark.parametrize("value", [5, "ab", [1, 2], None], ids=["int", "str", "list", "null"])
+    def test_a_record_that_is_not_an_object_is_rejected(self, record, value):
+        with pytest.raises(InvalidParams, match="config must be a JSON object"):
+            record.from_dict(value)
+
+    def test_numpy_scalars_are_kept_as_python_numbers(self):
+        cfg = ExperimentConfig(
+            device=DeviceParams(omega1=np.float32(4.9), levels=np.int64(3)),
+            seed=np.int64(7),
+            shots=np.uint16(1000),
+            cr01_amp=np.float32(0.35),
+        )
+        kept = (cfg.device.omega1, cfg.device.levels, cfg.seed, cfg.shots, cfg.cr01_amp)
+        assert [type(v) for v in kept] == [float, int, int, int, float]
+        same = ExperimentConfig(device=DeviceParams(omega1=float(np.float32(4.9))), cr01_amp=float(np.float32(0.35)))
+        assert cfg.fingerprint() == same.fingerprint()
+
+    @pytest.mark.parametrize(
+        "spelling,as_float",
+        [
+            ({"risefall_ns": 20}, {"risefall_ns": 20.0}),
+            ({"sq_duration_ns": 32}, {"sq_duration_ns": 32.0}),
+            ({"device": {"omega1_ghz": 5}}, {"device": {"omega1_ghz": 5.0}}),
+        ],
+        ids=["risefall", "sq_duration", "device_omega1"],
+    )
+    def test_an_integer_spelling_names_the_same_configuration(self, spelling, as_float):
+        cfg = ExperimentConfig.from_dict(spelling)
+        assert cfg == ExperimentConfig.from_dict(as_float)
+        assert cfg.fingerprint() == ExperimentConfig.from_dict(as_float).fingerprint()
+
+    def test_dict_round_trip(self):
+        cfg = ExperimentConfig(device=DeviceParams(omega2=5.6), seed=3, shots=10, cr12_amp=0.12, risefall=18.0)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
 
 
 class TestExperimentResult:
@@ -185,8 +222,6 @@ class TestCmdBell:
 
     def test_shot_estimate_converges(self, config, cal_store):
         # sampled fidelity approaches the exact value as shots grow
-        from dataclasses import replace
-
         exact = cmd_bell(config, cal_store, method="store").metrics[0].value
         errs = []
         for shots in (10**3, 10**4, 10**5):
@@ -208,6 +243,13 @@ class TestCmdBell:
         payload = json.loads((d1 / "bell_result.json").read_text())
         assert payload["pipeline"] == "bell"
         assert payload["config_hash"] == config.fingerprint()
+
+    def test_a_numpy_seed_writes_the_same_files(self, config, cal_store, tmp_path):
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        cmd_bell(config, cal_store, out_dir=str(d1), method="store")
+        cmd_bell(replace(config, seed=np.int64(config.seed)), cal_store, out_dir=str(d2), method="store")
+        for name in ("bell_result.json", "bell_metrics.jsonl"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_full_and_store_methods_agree(self, config, cal_store, bell_result):
         # every stored unitary is its schedule's full-model propagator
