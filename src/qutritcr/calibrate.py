@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crpulse import cr_pulse
-from .device import EXCITATIONS, DeviceParams, FrameSpec, transition_frequencies
+from .device import EXCITATIONS, DeviceParams, FrameSpec, finite_float, transition_frequencies
 from .effective import ideal_ucr, on_transmon, rx_subspace
 from .errors import CalibrationFailed, InvalidParams
 from .fitting import fit_rabi
@@ -108,28 +108,27 @@ class CalibratedGate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibratedGate":
-        return cls(
+        """The stored gate d; InvalidParams unless every number passes
+        ``finite_float``, the phases are (9,) and the unitary is (9, 9) and
+        unitary within STORED_UNITARY_TOL."""
+        g = cls(
             name=d["name"],
             schedule=schedule_from_dicts(d["schedule"]),
-            pre_phases=np.array(d["pre_phases"], dtype=float),
-            post_phases=np.array(d["post_phases"], dtype=float),
-            unitary=np.array(d["unitary_re"]) + 1j * np.array(d["unitary_im"]),
-            fidelity=float(d["fidelity"]),
-            leakage=None if d.get("leakage") is None else float(d["leakage"]),
+            pre_phases=np.array(_floats(d["pre_phases"], "pre_phases")),
+            post_phases=np.array(_floats(d["post_phases"], "post_phases")),
+            unitary=np.array(_floats(d["unitary_re"], "unitary_re")) + 1j * np.array(_floats(d["unitary_im"], "unitary_im")),
+            fidelity=finite_float(d["fidelity"], "fidelity"),
+            leakage=None if d.get("leakage") is None else finite_float(d["leakage"], "leakage"),
         )
+        shaped = g.pre_phases.shape == g.post_phases.shape == (PAIR_DIM,) and g.unitary.shape == (PAIR_DIM, PAIR_DIM)
+        if not (shaped and unitary_defect(g.unitary) <= STORED_UNITARY_TOL):
+            raise InvalidParams(f"stored gate {g.name!r} needs (9,) phases and a (9, 9) unitary within {STORED_UNITARY_TOL:.0e}")
+        return g
 
 
-def _well_formed(g: CalibratedGate) -> bool:
-    """Finite (9, 9) unitary within STORED_UNITARY_TOL, finite (9,) phases,
-    finite fidelity, and finite or unmeasured (None) leakage."""
-    leakage = [] if g.leakage is None else [g.leakage]
-    arrays = (g.unitary, g.pre_phases, g.post_phases, np.array([g.fidelity, *leakage]))
-    return (
-        g.unitary.shape == (PAIR_DIM, PAIR_DIM)
-        and g.pre_phases.shape == g.post_phases.shape == (PAIR_DIM,)
-        and all(np.isfinite(a).all() for a in arrays)
-        and unitary_defect(g.unitary) <= STORED_UNITARY_TOL
-    )
+def _floats(value, name: str):
+    """A stored number, or a (nested) list of them, each read by ``finite_float``."""
+    return [_floats(v, name) for v in value] if isinstance(value, list) else finite_float(value, name)
 
 
 def _apply_phases(u: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -650,7 +649,8 @@ class CalibrationStore:
         """Load a store if present, uncorrupted, and fingerprint-matched.
 
         A file that is not a JSON object with a ``gates`` object, or that
-        holds a malformed gate (see _well_formed), counts as corrupted.
+        holds a gate that ``CalibratedGate.from_dict`` rejects, counts as
+        corrupted.
         """
         if not os.path.exists(path):
             return None
@@ -662,8 +662,6 @@ class CalibrationStore:
             if not isinstance(payload["gates"], dict):
                 return None
             gates = {n: CalibratedGate.from_dict(d) for n, d in payload["gates"].items()}
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, InvalidParams):
-            return None
-        if not all(_well_formed(g) for g in gates.values()):
+        except (KeyError, TypeError, ValueError, InvalidParams):  # ValueError covers bad JSON
             return None
         return cls(path=path, fingerprint=fingerprint, gates=gates)

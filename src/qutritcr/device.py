@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,17 @@ from .errors import InvalidParams
 from .linalg import PAIR_DIM, QUTRIT_DIM, dag, kron, read_only
 
 TWO_PI = 2.0 * np.pi
+
+
+def finite_float(value, name: str) -> float:
+    """value as a float; InvalidParams unless it is a real number, not a
+    bool, that is finite as a float (an integer past 1.8e308 is not)."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer or fraction past the float range
+        pass
+    raise InvalidParams(f"{name} must be a finite number, got {reprlib.repr(value)}")
 
 
 class ConfigRecord:
@@ -43,14 +55,12 @@ class ConfigRecord:
     def _check_numbers(self):
         """Store each number field as a Python int or float, so that 20, 20.0
         and a numpy scalar name one configuration; InvalidParams unless it is
-        an integer or a finite number."""
+        an integer or passes ``finite_float``."""
         for key, attr in self._KEYS.items():
-            value = getattr(self, attr)
-            integer = attr in self._INTEGERS
-            kind = numbers.Integral if integer else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind) or not (integer or math.isfinite(value)):
-                raise InvalidParams(f"{self._PREFIX}{key} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
-            object.__setattr__(self, attr, int(value) if integer else float(value))
+            value, name, integer = getattr(self, attr), f"{self._PREFIX}{key}", attr in self._INTEGERS
+            if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise InvalidParams(f"{name} must be an integer, got {reprlib.repr(value)}")
+            object.__setattr__(self, attr, int(value) if integer else finite_float(value, name))
 
     @classmethod
     def from_dict(cls, d):
@@ -69,7 +79,7 @@ class ConfigRecord:
         with open(path) as f:
             try:
                 d = json.load(f)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
                 raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(d, dict):
             raise InvalidParams(f"config {path} must hold a JSON object")

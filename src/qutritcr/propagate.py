@@ -13,18 +13,19 @@ once, H(t) as a static part plus m real envelopes times fixed matrices
 handed (``_grid``), with the formula's terms from the envelopes at the
 nodes (``_node_terms``).  With m <= 2, a schedule driven on one operator,
 the exponent comes from a table generated by expanding the formula's
-brackets once (``_exponent_table``); with more, from three commutators per
-step.  Under the RWA, one rule decides which plays are time-symmetric up to
-a diagonal conjugation (``_time_symmetric``): those whose carrier c > 0 the
-drive frame rotates both transmons at, whose counter-rotating drive the RWA
-drops, and inside whose window no other play is on.  Such a play's segment,
-a DRAG gate for one, is stepped to its middle and mirrored
-(``_mirrored_unitary``), and a lone Gaussian square's fall edge is its
-rise's mirror (``_rwa_flat_top``).  The ``evolve_*`` functions wrap scipy's
-adaptive DOP853 (order 8, embedded error control), imported on first use
-(``solve_ivp``); the full model uses it only for the one drive period of a
-CR flat top that is raised to a power.  States are never silently
-renormalized; norm drift is checked after every DOP853 run.
+brackets once (``_exponent_table``); with more, from the formula as
+written (``_commutator_exponents``).  Under the RWA, one rule decides which
+plays are time-symmetric up to a diagonal conjugation
+(``_time_symmetric``): those whose carrier c > 0 the drive frame rotates
+both transmons at, whose counter-rotating drive the RWA drops, and inside
+whose window no other play is on.  Such a play's segment, a DRAG gate for
+one, is stepped to its middle and mirrored (``_mirrored_unitary``), and a
+lone Gaussian square's fall edge is its rise's mirror (``_rwa_flat_top``).
+The ``evolve_*`` functions wrap scipy's adaptive DOP853 (order 8, embedded
+error control), imported on first use (``solve_ivp``); the full model uses
+it only for the one drive period of a CR flat top that is raised to a
+power.  States are never silently renormalized; norm drift is checked
+after every DOP853 run.
 """
 
 from __future__ import annotations
@@ -167,11 +168,11 @@ def evolve_unitary(hprov, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OP
     return u
 
 
-def _commutator(a, b, out=None, work=None):
+def _commutator(a, b, out=None):
     """[a, b] for anti-Hermitian a and b (or stacks of them), into ``out``
-    with ``work`` for the product when given.  Then (ab)^dagger = ba, so one
-    product does, and the result is exactly anti-Hermitian."""
-    ab = np.matmul(a, b, out=work)
+    when given.  Then (ab)^dagger = ba, so one product does, and the result
+    is exactly anti-Hermitian."""
+    ab = a @ b
     out = np.conjugate(ab.swapaxes(-1, -2), out=out)
     return np.subtract(ab, out, out=out)
 
@@ -320,39 +321,20 @@ def _node_terms(split, mid, h) -> np.ndarray:
     return x
 
 
-def _commutator_exponents(split, terms, h, buffers):
-    """Omega of the steps with ``_node_terms`` (a, b, c) into ``buffers[1]``,
-    by the per-step commutators of ``_stepped_unitary`` (any m).  The five
-    matrices that the formula combines linearly, alpha_1, alpha_2,
-    -2 alpha_3 / 60, (-20 alpha_1 - alpha_3) / 240 and alpha_1 + alpha_3 / 12
-    (the alphas of ``_exponent_table``), are each one real product of their
-    weights on P = -i H_s and the Q_i = -i H_i with those matrices: the first
-    three at once, the last two later in place of the spent alpha_1 and
-    alpha_2."""
-    a, b, c = terms
-    m, n = a.shape
+def _commutator_exponents(split, terms, h):
+    """Omega of the steps with ``_node_terms`` (a, b, c), by the formula of
+    ``_stepped_unitary`` as written (any m): alpha_1, alpha_2 and alpha_3
+    from one real product of their weights with P = -i H_s and the
+    Q_i = -i H_i, then C_1, C_2 and Omega, each a fresh array."""
+    m, n = terms.shape[1:]
     # -i times H_s and the H_i, exactly: each entry is real or imaginary
     generators = (-1j * np.concatenate([split.h_s[None], split.ops])).reshape(m + 1, -1).view(float)
-    weights = np.empty((5, n, m + 1))
-    weights[..., 0] = np.array([h, 0.0, 0.0, -20.0 * h / 240.0, h])[:, None]
-    weights[..., 1:] = np.stack([a, b, c * (-2.0 / 60.0), (-20.0 * a - c) / 240.0, a + c / 12.0]).transpose(0, 2, 1)
-
-    def combine(rows, out):
-        np.matmul(rows.reshape(-1, m + 1), generators, out=out.reshape(len(rows) * n, -1).view(float))
-        return out
-
-    a1, a2, x = combine(weights[:3], buffers[:3])
-    c1, p = buffers[3:5]
-    _commutator(a1, a2, out=c1, work=p)
-    # x = -(2 alpha_3 + C_1) / 60, so that [alpha_1, x] = C_2; then x = alpha_2 + C_2
-    x -= np.multiply(c1, 1.0 / 60.0, out=p)
-    _commutator(a1, x, out=x, work=p)
-    x += a2
-    # y = (-20 alpha_1 - alpha_3 + C_1) / 240 and omega = alpha_1 + alpha_3 / 12
-    y, omega = combine(weights[3:], buffers[:2])
-    y += np.multiply(c1, 1.0 / 240.0, out=p)
-    omega += _commutator(y, x, out=c1, work=p)
-    return omega
+    weights = np.concatenate([np.zeros((3, n, 1)), terms.transpose(0, 2, 1)], axis=2)
+    weights[0, :, 0] = h
+    alpha1, alpha2, alpha3 = (weights @ generators).view(complex).reshape(3, n, PAIR_DIM, PAIR_DIM)
+    c1 = _commutator(alpha1, alpha2)
+    c2 = _commutator(alpha1, 2.0 * alpha3 + c1) / -60.0
+    return alpha1 + alpha3 / 12.0 + _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
 
 
 # Lie polynomials in the generators P = -i H_s (letter 0) and Q_i = -i H_i
@@ -543,13 +525,14 @@ def _stepped_unitary(split, dt: float, mids: np.ndarray) -> np.ndarray:
       fixed matrix per monomial (``_table_exponents``).  The matrices
       combine the bracket-expanded formula's words (``_exponent_matrices``),
       built once per (H_s, H_i, h).
-    - m > 2: the three commutators per step (``_commutator_exponents``).
-      The table grows fast in m: 11, 72, 289 and 860 words for m = 1
-      to 4.
+    - m > 2 (plays on both channels, or a frame that rotates the
+      transmons apart; no command builds either): the formula as written
+      (``_commutator_exponents``).  The table grows fast in m: 11, 72, 289
+      and 860 words for m = 1 to 4.
 
     Omega's exponential (``_unitary_exp``) and the pairwise products of
     each block (``_ordered_product``) run in this thread's kernel buffers
-    (``_kernel_buffers``), on either route.
+    (``_kernel_buffers``), and so do the table route's exponents.
     """
     matrices = _exponent_matrices(split, dt) if len(split.ops) <= 2 else None
     u = None
@@ -557,15 +540,11 @@ def _stepped_unitary(split, dt: float, mids: np.ndarray) -> np.ndarray:
         mid = mids[k : k + _BLOCK]
         buffers = _kernel_buffers(len(mid))
         terms = _node_terms(split, mid, dt)
-        if matrices is None:
-            omega = _commutator_exponents(split, terms, dt, buffers)
-        else:
-            omega = _table_exponents(terms, matrices, buffers[1])
-        # T_m runs in the four buffers besides omega and the last two, the
-        # pairwise products in y and x
-        y, x, c1, p = buffers[0], buffers[2], buffers[3], buffers[4]
-        right = buffers[5:].view(float).reshape(len(mid), 2 * PAIR_DIM, 2 * PAIR_DIM)
-        block = _ordered_product(_unitary_exp(omega, (y, x, c1, p, right)), (y, x))
+        omega = _commutator_exponents(split, terms, dt) if matrices is None else _table_exponents(terms, matrices, buffers[0])
+        # T_m runs in the next four buffers and the last two, the pairwise
+        # products in the first two of those
+        work = (*buffers[1:5], buffers[5:].view(float).reshape(len(mid), 2 * PAIR_DIM, 2 * PAIR_DIM))
+        block = _ordered_product(_unitary_exp(omega, work), work[:2])
         u = block.copy() if u is None else block @ u
     return u
 

@@ -11,13 +11,14 @@ endpoints, so a DRAG drive switches on and off with a small jump.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Union, get_args
 
 import numpy as np
 
-from .device import transition_frequencies
+from .device import finite_float, transition_frequencies
 from .errors import InvalidParams, OutOfRange
 
 AMP_CAP_GHZ = 1.0
@@ -174,8 +175,10 @@ def _check_window(t, duration):
         raise OutOfRange(f"t = {t} ns outside [0, {duration}] ns")
 
 
-def _check_instruction(start, *values):
-    """An instruction's start is finite and >= 0, and its other numbers finite."""
+def _check_instruction(channel, start, *values):
+    """An instruction's channel is 1 or 2, its start finite and >= 0, and its other numbers finite."""
+    if isinstance(channel, bool) or not isinstance(channel, numbers.Integral) or channel not in (1, 2):
+        raise InvalidParams("channel must be 1 or 2")
     if not 0.0 <= start < math.inf:
         raise InvalidParams(f"instruction start must be finite and >= 0, got {start}")
     if not all(math.isfinite(v) for v in values):
@@ -193,9 +196,7 @@ class Play:
     carrier_phase: float = 0.0  # rad
 
     def __post_init__(self):
-        _check_instruction(self.start, self.carrier_freq, self.carrier_phase)
-        if self.channel not in (1, 2):
-            raise InvalidParams("channel must be 1 or 2")
+        _check_instruction(self.channel, self.start, self.carrier_freq, self.carrier_phase)
 
     @property
     def duration(self) -> float:
@@ -216,7 +217,7 @@ class PhaseShift:
     start: float = 0.0
 
     def __post_init__(self):
-        _check_instruction(self.start, self.angle)
+        _check_instruction(self.channel, self.start, self.angle)
         if self.subspace not in ("01", "12"):
             raise InvalidParams("subspace must be '01' or '12'")
 
@@ -340,6 +341,7 @@ def _from_record(record, union):
     if cls is None:
         raise InvalidParams(f"unknown schedule record kind {kind!r}")
     kwargs = {f.name: record[_KEYS.get(f.name, f.name)] for f in fields(cls)}
+    kwargs |= {name: finite_float(kwargs[name], key) for name, key in _KEYS.items() if name in kwargs}
     if cls is Play:
         kwargs["shape"] = _from_record(kwargs["shape"], PulseShape)
     return cls(**kwargs)

@@ -41,7 +41,7 @@ from qutritcr.experiments import GATE_SET
 from qutritcr.linalg import ket2, kron, unitary_defect
 from qutritcr.metrics import average_gate_fidelity
 from qutritcr.propagate import full_model_unitary, rwa_unitary
-from qutritcr.pulses import DragGaussian, Play, Schedule, schedule_to_dicts
+from qutritcr.pulses import DragGaussian, GaussianSquare, PhaseShift, Play, Schedule, schedule_to_dicts
 
 
 def _empty_gate(name):
@@ -53,6 +53,27 @@ def _nan_start_schedule():
     shape = DragGaussian(amp=0.06, sigma=8.0, duration=32.0, beta=0.5)
     (record,) = schedule_to_dicts(Schedule((Play(channel=2, start=0.0, shape=shape, carrier_freq=5.0),)))
     return [{**record, "start_ns": float("nan")}]
+
+
+def _three_record_gate(name):
+    """A gate whose schedule holds a DRAG play, a phase shift and a
+    Gaussian-square play: every stored number field but a Gaussian's."""
+    sched = Schedule((
+        Play(1, 0.0, DragGaussian(0.06, 8.0, 32.0, 0.5), 5.0, 0.1),
+        PhaseShift(2, "12", 0.3, 32.0),
+        Play(2, 32.0, GaussianSquare(0.1, 5.0, 10.0, 4.0), 5.5, -0.2),
+    ))
+    return CalibratedGate(name, sched, np.zeros(9), np.zeros(9), np.eye(9, dtype=complex), 1.0, 1e-4)
+
+
+# Where each number of a stored gate sits in its JSON record
+_STORED_NUMBERS = [
+    ("pre_phases", 0), ("post_phases", 0), ("unitary_re", 0, 0), ("unitary_im", 0, 0), ("fidelity",), ("leakage",),
+    *(("schedule", 0, key) for key in ("channel", "start_ns", "carrier_ghz", "phase_rad")),
+    *(("schedule", 0, "shape", key) for key in ("amp_ghz", "sigma_ns", "duration_ns", "beta_ns")),
+    *(("schedule", 1, key) for key in ("channel", "start_ns", "angle_rad")),
+    *(("schedule", 2, "shape", key) for key in ("risefall_ns", "width_ns")),
+]
 
 
 class TestSingleQutrit:
@@ -423,7 +444,7 @@ class TestStore:
     def test_fingerprint_mismatch_discards(self, tmp_path, device):
         path = str(tmp_path / "cal.json")
         store = CalibrationStore(path=path, fingerprint="aaa")
-        from qutritcr.pulses import DragGaussian, Play, Schedule, schedule_to_dicts
+        from qutritcr.pulses import DragGaussian, GaussianSquare, PhaseShift, Play, Schedule, schedule_to_dicts
 
         store.put(CalibratedGate("x", Schedule(()), np.zeros(9), np.zeros(9), np.eye(9, dtype=complex), 1.0))
         store.save()
@@ -533,6 +554,28 @@ class TestStore:
         store.save()
         payload = json.loads(path.read_text())
         payload["gates"]["x01_pi_2"]["leakage"] = value
+        path.write_text(json.dumps(payload))
+        assert CalibrationStore.load(str(path), "aaa") is None
+
+    @pytest.mark.parametrize("value", [10**400, True], ids=["huge_int", "true"])
+    @pytest.mark.parametrize("where", _STORED_NUMBERS, ids=["/".join(map(str, w)) for w in _STORED_NUMBERS])
+    def test_a_number_past_the_float_range_or_a_bool_discards_store(self, tmp_path, where, value):
+        # one number rule for every stored number (``device.finite_float``):
+        # an integer past 1.8e308 raised OverflowError on load, or on the
+        # first propagation, and true loaded as 1
+        import json
+
+        path = tmp_path / "cal.json"
+        store = CalibrationStore(path=str(path), fingerprint="aaa")
+        store.put(_three_record_gate("x"))
+        store.save()
+        assert CalibrationStore.load(str(path), "aaa").get("x").schedule == store.get("x").schedule
+        payload = json.loads(path.read_text())
+        *parents, last = where
+        record = payload["gates"]["x"]
+        for key in parents:
+            record = record[key]
+        record[last] = value
         path.write_text(json.dumps(payload))
         assert CalibrationStore.load(str(path), "aaa") is None
 

@@ -211,9 +211,11 @@ def test_env_seed_override(runner, cal_store, config, monkeypatch):
         # one past numpy's int64 draw limit, by flag and by config file
         (None, None, ["--shots", "9223372036854775808"], "shots must be <= 9223372036854775807"),
         ('{"shots": 9223372036854775808}', None, [], "shots must be <= 9223372036854775807"),
+        # an integer of 5,000 digits is past Python's integer-parsing limit: the JSON reader raises ValueError
+        ('{"cr01_amp_ghz": 1%s}' % ("0" * 5000), None, [], "is not valid JSON"),
     ],
     ids=["unknown_key", "malformed_json", "seed_not_int", "seed_negative", "zero_shots", "shots_too_large",
-         "config_shots_too_large"],
+         "config_shots_too_large", "config_int_digit_limit"],
 )
 def test_config_errors_are_reported_without_traceback(runner, tmp_path, monkeypatch, config_text, env_seed, extra, message):
     store = tmp_path / "cal.json"
@@ -244,12 +246,16 @@ def test_config_errors_are_reported_without_traceback(runner, tmp_path, monkeypa
         ({"cr01_amp_ghz": None}, "cr01_amp_ghz must be a finite number"),
         ({"device": 5}, "device config must be a JSON object"),
         ({"device": {"omega1_ghz": "5"}}, "device omega1_ghz must be a finite number"),
+        # past the float range: math.isfinite raised OverflowError
+        ({"device": {"omega1_ghz": 10**400}}, "device omega1_ghz must be a finite number"),
+        ({"cr01_amp_ghz": 10**400}, "cr01_amp_ghz must be a finite number"),
+        ({"cr01_amp_ghz": True}, "cr01_amp_ghz must be a finite number"),
         ({"risefall_ns": 0}, "risefall_ns, sq_duration_ns and sq_sigma_ns must be > 0"),
         ({"sq_sigma_ns": -8.0}, "risefall_ns, sq_duration_ns and sq_sigma_ns must be > 0"),
         ({"sq_duration_ns": 0.0}, "risefall_ns, sq_duration_ns and sq_sigma_ns must be > 0"),
     ],
-    ids=["seed_str", "seed_bool", "shots_float", "amp_null", "device_int", "device_field_str",
-         "risefall_zero", "sigma_negative", "duration_zero"],
+    ids=["seed_str", "seed_bool", "shots_float", "amp_null", "device_int", "device_field_str", "device_field_huge",
+         "amp_huge", "amp_bool", "risefall_zero", "sigma_negative", "duration_zero"],
 )
 def test_config_values_of_wrong_type_or_range_are_rejected(runner, tmp_path, config, message):
     store = tmp_path / "cal.json"

@@ -66,8 +66,11 @@ class TestDeviceParams:
             ({"levels": 3.0}, "device levels must be an integer"),
             ({"levels": True}, "device levels must be an integer"),
             ({"omega1_ghz": float("nan")}, "device omega1_ghz must be a finite number"),
+            # math.isfinite raised OverflowError on an integer past the float range
+            ({"omega1_ghz": 10**400}, "device omega1_ghz must be a finite number"),
+            ({"omega1_ghz": True}, "device omega1_ghz must be a finite number"),
         ],
-        ids=["levels_float", "levels_bool", "nan"],
+        ids=["levels_float", "levels_bool", "nan", "huge_int", "bool"],
     )
     def test_numbers_of_the_wrong_kind_rejected(self, d, message):
         with pytest.raises(InvalidParams, match=message):

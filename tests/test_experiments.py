@@ -325,3 +325,30 @@ class TestBellShotEstimatePinned:
             phases = np.exp(1j * np.angle(psi))
             boot = [concurrence(np.sqrt(rng.multinomial(shots, pops) / shots) * phases) for _ in range(200)]
             assert res.metrics[2].stderr == float(np.std(boot)), seed
+
+
+def test_the_pipeline_steps_only_by_the_exponent_table(config, cal_store, tmp_path):
+    # every gate the pipeline builds drives one channel, so its Magnus
+    # blocks take the exponent table, and the m > 2 route of plays on both
+    # channels (``propagate._commutator_exponents``) is written for clarity,
+    # not speed.  A gate that drives both channels fails here, and says so
+    from unittest import mock
+
+    from qutritcr import crpulse, propagate
+    from qutritcr.experiments import BELL_METHODS, GATE_SET
+
+    crpulse.cr_pulse.cache_clear()  # each Rabi sweep steps its CR rise afresh
+    with (
+        mock.patch.object(propagate, "_commutator_exponents", wraps=propagate._commutator_exponents) as commutators,
+        mock.patch.object(propagate, "_table_exponents", wraps=propagate._table_exponents) as table,
+    ):
+        for method in BELL_METHODS:
+            cmd_bell(config, cal_store, method=method)
+        cmd_rabi(config, "01", amp=0.5, out_dir=str(tmp_path / "rabi01"))
+        cmd_rabi(config, "12", amp=0.11, out_dir=str(tmp_path / "rabi12"))
+        for name in GATE_SET:
+            schedule = cal_store.get(name).schedule
+            propagate.rwa_unitary(config.device, schedule)
+            propagate.full_model_unitary(config.device, schedule)
+    assert commutators.call_count == 0
+    assert table.call_count > 0

@@ -685,7 +685,7 @@ def test_exponent_table_matches_the_commutator_path(rwa, plays):
     for k in range(0, n, propagate._BLOCK):
         mid = mids[k : k + propagate._BLOCK]
         terms = propagate._node_terms(split, mid, dt)
-        want = propagate._commutator_exponents(split, terms, dt, np.empty((7, len(mid), 9, 9), complex))
+        want = propagate._commutator_exponents(split, terms, dt)
         got = propagate._table_exponents(terms, matrices, np.empty((len(mid), 9, 9), complex))
         scale = np.maximum(np.abs(want).sum(axis=-2).max(axis=-1), 1.0)
         assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale), k
@@ -722,6 +722,53 @@ def test_providers_on_two_operators_take_the_commutators(rwa, plays, other, case
     ):
         _stepped(prov.drive_split(), 0.0, 1.0, step)
     assert commutators.called and not table.called
+
+
+@st.composite
+def _two_channel_plays(draw):
+    """A DRAG or Gaussian play on each channel, near any dressed transition
+    and at any phase.  The second starts with the first, inside its window,
+    at its end, or after a gap.  A Gaussian square is left out: among
+    several plays its kinks fall inside steps."""
+    tf = transition_frequencies(_DEVICE, dressed=True)
+    first = draw(st.sampled_from([1, 2]))
+    timing = draw(st.sampled_from(["parallel", "staggered", "touch", "apart"]))
+    plays = []
+    for channel in (first, 3 - first):
+        start = draw(st.floats(0.0, 2.0))
+        if plays:
+            lead = plays[0]
+            start = {
+                "parallel": lead.start,
+                "staggered": lead.start + draw(st.floats(0.1, 0.9)) * lead.duration,
+                "touch": lead.end,
+                "apart": lead.end + draw(st.floats(0.1, 3.0)),
+            }[timing]
+        amp = draw(st.floats(-0.3, 0.3))
+        if draw(st.booleans()):
+            shape = DragGaussian(amp, 2.0, draw(st.floats(4.0, 10.0)), draw(st.floats(-1.0, 1.0)))
+        else:
+            shape = Gaussian(amp, 1.5, draw(st.floats(3.0, 8.0)))
+        carrier = draw(st.sampled_from([tf.w01_1, tf.w12_1, tf.w01_2, tf.w12_2])) + draw(st.floats(-0.05, 0.05))
+        plays.append(Play(channel, start, shape, carrier, draw(st.floats(-np.pi, np.pi))))
+    return Schedule(tuple(plays))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(sched=_two_channel_plays())
+def test_plays_on_both_channels_match_the_oracle(sched):
+    # the m > 2 route (``_commutator_exponents``) in both models against
+    # bare-frame DOP853.  Over 520 random draws the RWA read at most 1.9e-7
+    # (a median of ~4e-10: the 0.08 ns step against a 1.5 ns Gaussian in a
+    # frame that rotates the transmons apart) and the full model 4.3e-9.
+    # These 20 draws read 4.6e-8 and 7.0e-10, and 3.8e-6 and 7.3e-8 with
+    # C_2 twice its size
+    for model, rwa, bound in ((rwa_unitary, True, 3e-7), (full_model_unitary, False, 1e-8)):
+        prov, _ = _model_provider(sched, rwa)
+        assert len(prov.drive_split().ops) > 2
+        oracle = rotating_frame_hamiltonian(_DEVICE, FrameSpec.bare(_DEVICE), sched, rwa=rwa)
+        u_oracle = evolve_unitary(oracle, 0.0, sched.duration, ORACLE_OPTIONS)
+        assert np.max(np.abs(model(_DEVICE, sched) - u_oracle)) <= bound, model.__name__
 
 
 def test_kernel_buffers_are_kept_per_thread():

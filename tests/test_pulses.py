@@ -154,6 +154,17 @@ class TestNonFiniteParams:
             make(bad)
 
 
+@pytest.mark.parametrize("channel", [True, 1.0, 0, 3], ids=["true", "float", "zero", "three"])
+@pytest.mark.parametrize("kind", ["play", "shift"])
+def test_a_channel_is_the_integer_1_or_2(kind, channel):
+    # True and 1.0 equal 1 but name no transition: "w01_True" raised AttributeError at propagation
+    with pytest.raises(InvalidParams, match="channel must be 1 or 2"):
+        if kind == "play":
+            Play(channel, 0.0, Gaussian(0.02, 8.0, 32.0), 5.0)
+        else:
+            PhaseShift(channel, "01", 0.5)
+
+
 class TestSchedule:
     def test_width_zero_duration(self, device):
         # [TRIVIAL: definition] width=0 edge case
