@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -133,6 +133,16 @@ def _floats(value, name: str):
 
 def _apply_phases(u: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
     return np.exp(1j * post)[:, None] * u * np.exp(1j * pre)[None, :]
+
+
+def _corrected(name: str, schedule: Schedule, u: np.ndarray, target: np.ndarray, floor: float) -> CalibratedGate:
+    """The gate of schedule, whose bare-frame propagator is u, under its
+    best virtual-phase correction toward target; CalibrationFailed if its
+    corrected fidelity is below floor."""
+    f, pre, post = optimize_phase_correction(u, target)
+    if f < floor:
+        raise CalibrationFailed(f"{name}: fidelity {f:.6f} < {floor}")
+    return CalibratedGate(name, schedule, pre, post, _apply_phases(u, pre, post), f)
 
 
 # ---------------------------------------------------------------------------
@@ -344,36 +354,31 @@ def calibrate_single_qutrit(
     target = on_transmon(channel, rx_subspace(subspace, theta))
 
     def fid_of(amp, beta):
-        sched = _drag_schedule(channel, carrier, amp, beta, duration, sigma)
-        u = rwa_unitary(p, sched)
-        f, pre, post = optimize_phase_correction(u, target)
-        return f, u, pre, post, sched
+        u = rwa_unitary(p, _drag_schedule(channel, carrier, amp, beta, duration, sigma))
+        return optimize_phase_correction(u, target)[0]
 
     # coarse beta scan, then 1-d refinements of amp and beta
     betas = np.linspace(-1.5, 1.5, 21)
-    scores = [fid_of(amp0, b)[0] for b in betas]
+    scores = [fid_of(amp0, b) for b in betas]
     beta = float(betas[int(np.argmax(scores))])
     res = minimize_scalar(
-        lambda a: -fid_of(a, beta)[0],
+        lambda a: -fid_of(a, beta),
         bounds=(0.9 * amp0, 1.1 * amp0) if amp0 > 0 else (1.1 * amp0, 0.9 * amp0),
         method="bounded",
         options={"xatol": 1e-7},
     )
     amp = float(res.x)
     res = minimize_scalar(
-        lambda b: -fid_of(amp, b)[0],
+        lambda b: -fid_of(amp, b),
         bounds=(beta - 0.3, beta + 0.3),
         method="bounded",
         options={"xatol": 1e-5},
     )
     beta = float(res.x)
 
-    f, u, pre, post, sched = fid_of(amp, beta)
-    if f < SINGLE_QUTRIT_MIN_FID:
-        raise CalibrationFailed(f"{name}: fidelity {f:.6f} < {SINGLE_QUTRIT_MIN_FID}")
-    corrected = _apply_phases(u, pre, post)
-    leak = _subspace_leakage(corrected, channel, subspace)
-    return CalibratedGate(name, sched, pre, post, corrected, f, leak)
+    sched = _drag_schedule(channel, carrier, amp, beta, duration, sigma)
+    gate = _corrected(name, sched, rwa_unitary(p, sched), target, SINGLE_QUTRIT_MIN_FID)
+    return replace(gate, leakage=_subspace_leakage(gate.unitary, channel, subspace))
 
 
 def compose_calibrated(p: DeviceParams, name: str, target: np.ndarray, parts: list) -> CalibratedGate:
@@ -520,16 +525,13 @@ def calibrate_cr_gate(
     w_guess = max(abs(theta) / (2.0 * np.pi * fit.freq) - edges, 1.0)
 
     lo, hi = sorted(((1.0 - CR_AMP_BAND) * amp_default, (1.0 + CR_AMP_BAND) * amp_default))
-    evals = [0]
 
     def objective(z):
         amp, width = z
-        if not (lo <= amp <= hi) or width < 0 or evals[0] >= CR_MAX_EVALS:
+        if not (lo <= amp <= hi) or width < 0:
             return 0.0
-        evals[0] += 1
         u = cr_pulse(p, subspace, amp, risefall).unitary(width, frame=bare)
-        f, _, _ = optimize_phase_correction(u, target)
-        return -f
+        return -optimize_phase_correction(u, target)[0]
 
     res = minimize(
         objective,
@@ -539,11 +541,7 @@ def calibrate_cr_gate(
     )
     amp, width = float(np.clip(res.x[0], lo, hi)), max(float(res.x[1]), 0.0)
     best = cr_pulse(p, subspace, amp, risefall)
-    u = best.unitary(width, frame=bare)
-    f, pre, post = optimize_phase_correction(u, target)
-    if f < CR_MIN_FID:
-        raise CalibrationFailed(f"{name}: fidelity {f:.4f} < {CR_MIN_FID} after {evals[0]} evals")
-    return CalibratedGate(name, best.schedule(width), pre, post, _apply_phases(u, pre, post), f)
+    return _corrected(name, best.schedule(width), best.unitary(width, frame=bare), target, CR_MIN_FID)
 
 
 def refine_full_model(
@@ -567,11 +565,7 @@ def refine_full_model(
     """
     if not gate.schedule.instructions:
         return gate
-    u = full_model_unitary(p, gate.schedule)
-    f, pre, post = optimize_phase_correction(u, target)
-    if f < min_fidelity:
-        raise CalibrationFailed(f"{gate.name}: full-model fidelity {f:.4f} < {min_fidelity}")
-    return CalibratedGate(gate.name, gate.schedule, pre, post, _apply_phases(u, pre, post), f)
+    return _corrected(gate.name, gate.schedule, full_model_unitary(p, gate.schedule), target, min_fidelity)
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,12 @@ _PULSE_CACHE_SIZE = 8
 
 
 def _checked_widths(widths) -> np.ndarray:
-    """Flat-top widths (ns) as floats, each finite and >= 0 as the pulse's
-    schedule requires (``build_cr_schedule``); InvalidParams otherwise."""
-    w = np.asarray(widths, dtype=float)
-    if not (np.isfinite(w) & (w >= 0.0)).all():
+    """Flat-top widths (ns) as floats, each an integer or float (not a bool),
+    finite and >= 0 as the pulse's schedule requires; InvalidParams otherwise."""
+    w = np.asarray(widths)
+    if w.dtype.kind not in "iuf" or not (np.isfinite(w) & (w >= 0.0)).all():
         raise InvalidParams(f"flat-top widths must be finite and >= 0 ns, got {widths}")
-    return w
+    return w.astype(float, copy=False)
 
 
 class FlatTopCRPulse:

@@ -134,9 +134,7 @@ class FrameSpec:
     frame2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.frame1) and np.isfinite(self.frame2)):
-            raise InvalidParams("frame frequencies must be finite")
-        if self.frame1 < 0 or self.frame2 < 0:
+        if finite_float(self.frame1, "frame1") < 0 or finite_float(self.frame2, "frame2") < 0:
             raise InvalidParams("frame frequencies must be non-negative")
 
     @classmethod

@@ -12,12 +12,11 @@ ratios (nu1/nu0, nu2/nu0) match the simulator's weak-drive ratios.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceParams, transition_frequencies
+from .device import DeviceParams, finite_float, transition_frequencies
 from .errors import InvalidParams, SingularDenominator, UnknownGate
 from .linalg import QUTRIT_DIM, expm_unitary, ket2, kron, proj
 
@@ -65,8 +64,7 @@ def cr_coefficients(p: DeviceParams, drive_ghz: float) -> CRCoefficients:
     transitions omega2 and omega2 + delta2 it gives 0.2 and -1.2, and -1/7
     and -6/7.
     """
-    if not math.isfinite(drive_ghz):
-        raise InvalidParams(f"drive frequency must be finite, got {drive_ghz!r}")
+    finite_float(drive_ghz, "drive frequency")
     base = p.omega1 - drive_ghz
     for denom in (base, base + p.delta1):
         if abs(denom) < 1e-6:

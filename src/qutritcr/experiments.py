@@ -25,14 +25,14 @@ from .calibrate import (
     SINGLE_QUTRIT_MIN_FID,
     _subspace_leakage,
 )
-from .device import ConfigRecord, DeviceParams
+from .crpulse import cr_pulse
+from .device import ConfigRecord, DeviceParams, finite_float
 from .effective import bell_state, ideal_ucr, on_transmon, rx_subspace
 from .errors import BadDistribution, InvalidParams, NoOscillation
 from .fitting import MAX_SAMPLES, MIN_SAMPLES, fit_rabi
 from .linalg import ket2
 from .metrics import MetricReport, concurrence, state_fidelity
 from .propagate import full_model_unitary, rwa_unitary
-from .pulses import AMP_CAP_GHZ
 
 H3_THETA1 = 2.0 * np.arccos(1.0 / np.sqrt(3.0))
 
@@ -349,17 +349,15 @@ def cmd_rabi(
         amp = config.scan_amp
     if np.isscalar(control_states):
         control_states = (int(control_states),)
-    if subspace not in ("01", "12"):
-        raise InvalidParams(f"subspace must be '01' or '12', not {subspace!r}")
     if any(c not in (0, 1, 2) for c in control_states):
         raise InvalidParams(f"control states must be 0, 1 or 2, got {tuple(control_states)}")
     t0 = 2.0 * config.risefall
-    if not np.isfinite(t_max) or t_max <= t0 or points < MIN_SAMPLES:
+    if finite_float(t_max, "t_max") <= t0 or points < MIN_SAMPLES:
         raise InvalidParams(f"need a finite t_max > {t0} ns and at least {MIN_SAMPLES} points")
     if points > MAX_SAMPLES:
         raise InvalidParams(f"at most {MAX_SAMPLES} points, got {points}")
-    if not abs(amp) <= AMP_CAP_GHZ:
-        raise InvalidParams(f"amp must be finite with |amp| <= {AMP_CAP_GHZ} GHz, got {amp}")
+    # the tone every sweep shares: its subspace, amplitude and flat top are checked here
+    cr_pulse(config.device, subspace, amp, config.risefall)
     widths = np.linspace(0.0, t_max - t0, int(points))
     os.makedirs(out_dir, exist_ok=True)
 

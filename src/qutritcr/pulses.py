@@ -10,7 +10,6 @@ endpoints, so a DRAG drive switches on and off with a small jump.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -87,7 +86,7 @@ class GaussianSquare(_Lifted):
     width: float
 
     def __post_init__(self):
-        if not (0.0 < self.risefall < math.inf and 0.0 <= self.width < math.inf):
+        if not (finite_float(self.risefall, "risefall") > 0.0 and finite_float(self.width, "width") >= 0.0):
             raise InvalidParams("risefall must be finite and > 0, and width finite and >= 0")
         _check_shape(self.amp, self.sigma, self.duration)
 
@@ -134,8 +133,7 @@ class DragGaussian(_Lifted):
 
     def __post_init__(self):
         _check_shape(self.amp, self.sigma, self.duration)
-        if not math.isfinite(self.beta):
-            raise InvalidParams(f"beta must be finite, got {self.beta}")
+        finite_float(self.beta, "beta")
 
     @cached_property
     def _reach(self) -> float:
@@ -159,10 +157,11 @@ PulseShape = Union[Gaussian, GaussianSquare, DragGaussian]
 
 
 def _check_shape(amp, sigma, duration):
-    if not (0.0 < duration < math.inf and 0.0 < sigma < math.inf):
+    """Each number passes ``finite_float``, sigma and duration are > 0 and |amp| <= AMP_CAP_GHZ."""
+    if not (finite_float(duration, "duration") > 0.0 and finite_float(sigma, "sigma") > 0.0):
         raise InvalidParams("sigma and duration must be finite and positive")
-    if not abs(amp) <= AMP_CAP_GHZ:
-        raise InvalidParams(f"|amp| = {abs(amp):.3f} GHz: amp must be finite, within the {AMP_CAP_GHZ} GHz cap")
+    if abs(finite_float(amp, "amp")) > AMP_CAP_GHZ:
+        raise InvalidParams(f"|amp| = {abs(amp):.3f} GHz: amp must be within the {AMP_CAP_GHZ} GHz cap")
 
 
 def _check_window(t, duration):
@@ -175,14 +174,15 @@ def _check_window(t, duration):
         raise OutOfRange(f"t = {t} ns outside [0, {duration}] ns")
 
 
-def _check_instruction(channel, start, *values):
-    """An instruction's channel is 1 or 2, its start finite and >= 0, and its other numbers finite."""
+def _check_instruction(channel, start, **values):
+    """An instruction's channel is 1 or 2, its start >= 0, and its start and
+    named ``values`` pass ``finite_float``."""
     if isinstance(channel, bool) or not isinstance(channel, numbers.Integral) or channel not in (1, 2):
         raise InvalidParams("channel must be 1 or 2")
-    if not 0.0 <= start < math.inf:
+    if finite_float(start, "instruction start") < 0.0:
         raise InvalidParams(f"instruction start must be finite and >= 0, got {start}")
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidParams(f"instruction carrier and phase values must be finite, got {values}")
+    for name, value in values.items():
+        finite_float(value, name)
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class Play:
     carrier_phase: float = 0.0  # rad
 
     def __post_init__(self):
-        _check_instruction(self.channel, self.start, self.carrier_freq, self.carrier_phase)
+        _check_instruction(self.channel, self.start, carrier_freq=self.carrier_freq, carrier_phase=self.carrier_phase)
 
     @property
     def duration(self) -> float:
@@ -217,7 +217,7 @@ class PhaseShift:
     start: float = 0.0
 
     def __post_init__(self):
-        _check_instruction(self.channel, self.start, self.angle)
+        _check_instruction(self.channel, self.start, angle=self.angle)
         if self.subspace not in ("01", "12"):
             raise InvalidParams("subspace must be '01' or '12'")
 
@@ -298,6 +298,7 @@ def build_cr_schedule(p, subspace: str, amp: float, width: float, risefall: floa
     """
     if subspace not in ("01", "12"):
         raise InvalidParams("subspace must be '01' or '12'")
+    finite_float(risefall, "risefall")  # before it is halved into sigma
     carrier = transition_frequencies(p, dressed=True).of(2, subspace)
     shape = GaussianSquare(amp=amp, sigma=risefall / 2.0, risefall=risefall, width=width)
     return Schedule((Play(channel=1, start=0.0, shape=shape, carrier_freq=carrier, carrier_phase=phase),))
@@ -341,7 +342,6 @@ def _from_record(record, union):
     if cls is None:
         raise InvalidParams(f"unknown schedule record kind {kind!r}")
     kwargs = {f.name: record[_KEYS.get(f.name, f.name)] for f in fields(cls)}
-    kwargs |= {name: finite_float(kwargs[name], key) for name, key in _KEYS.items() if name in kwargs}
     if cls is Play:
         kwargs["shape"] = _from_record(kwargs["shape"], PulseShape)
     return cls(**kwargs)

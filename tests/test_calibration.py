@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.stats import unitary_group
 
+from qutritcr import calibrate
 from qutritcr.calibrate import (
     CalibratedGate,
     CR_AMP_BAND,
@@ -415,6 +416,28 @@ class TestCRGates:
         amp = g.schedule.plays()[0].shape.amp
         assert (1.0 + CR_AMP_BAND) * -0.11 < amp < (1.0 - CR_AMP_BAND) * -0.11
         assert g.fidelity > 0.996
+
+    def test_the_search_stops_at_cr_max_evals(self, device, monkeypatch):
+        # scipy's Nelder-Mead raises before its objective is called past
+        # maxfev, so the objective keeps no count of its own
+        calls = []
+
+        real_minimize = calibrate.minimize
+
+        def spied(fun, x0, method=None, **kwargs):
+            def counted(z):
+                calls.append(z)
+                return fun(z)
+
+            return real_minimize(counted if method == "Nelder-Mead" else fun, x0, method=method, **kwargs)
+
+        monkeypatch.setattr(calibrate, "CR_MAX_EVALS", 5)
+        monkeypatch.setattr(calibrate, "minimize", spied)
+        try:
+            calibrate_cr_gate(device, "01", np.pi, 0.35)
+        except CalibrationFailed:
+            pass
+        assert 0 < len(calls) <= 5
 
 
 class TestRabiScan:
