@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .crpulse import cr_pulse
-from .device import EXCITATIONS, DeviceParams, FrameSpec, finite_float, transition_frequencies
-from .effective import ideal_ucr, on_transmon, rx_subspace
+from .device import EXCITATIONS, LEVELS, DeviceParams, FrameSpec, discrete, finite_float, on_transmon, transition_frequencies
+from .effective import ideal_ucr, rx_subspace
 from .errors import CalibrationFailed, InvalidParams
 from .fitting import fit_rabi
 from .linalg import PAIR_DIM, dag, ket2, read_only, unitary_defect
@@ -446,8 +446,7 @@ def prepare_control_state(p: DeviceParams, c: int, store: "CalibrationStore | No
     otherwise uses ideal rotations, whose read-only state is shared by
     every call.  Returns (psi0, prep_duration_ns).
     """
-    if c not in (0, 1, 2):
-        raise InvalidParams(f"control state must be 0, 1, or 2, got {c}")
+    c = discrete(c, "control state", LEVELS)
     if store is None:
         return _IDEAL_CONTROL_STATES[c], 0.0
     psi = ket2(0, 0)
@@ -475,19 +474,17 @@ def run_rabi_scan(
     mode="pulsed" simulates one full flat-top pulse per point;
     mode="plateau" records a continuous trace along a single long plateau.
     """
-    widths = np.asarray(widths, dtype=float)
     psi0, _ = prepare_control_state(p, control_state)
     if subspace == "12":
         psi0 = _TARGET_MINUS @ psi0
     pulse = cr_pulse(p, subspace, amp, risefall)
-    if mode == "pulsed":
+    # the pulse checks the widths as given: as floats, True would pass as 1.0
+    if discrete(mode, "scan mode", ("pulsed", "plateau")) == "pulsed":
         states = pulse.states_after(psi0, widths)
-        times = widths + 2.0 * risefall
-    elif mode == "plateau":
-        states = pulse.plateau_states(psi0, widths)
-        times = widths
+        times = np.asarray(widths, dtype=float) + 2.0 * risefall
     else:
-        raise InvalidParams(f"unknown scan mode {mode!r}")
+        states = pulse.plateau_states(psi0, widths)
+        times = np.asarray(widths, dtype=float)
     return RabiTrace(subspace, control_state, amp, times, states)
 
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .device import DeviceParams, FrameSpec, reframe
+from .device import SUBSPACES, DeviceParams, FrameSpec, discrete, finite_float, reframe
 from .errors import InvalidParams
 from .hamiltonian import RWA_CUTOFF_GHZ
 from .linalg import dag
@@ -129,7 +129,9 @@ class FlatTopCRPulse:
         return (u_fall @ self.plateau_states(psi0, widths).T).T
 
 
-@lru_cache(maxsize=_PULSE_CACHE_SIZE)
+_shared_pulse = lru_cache(maxsize=_PULSE_CACHE_SIZE)(FlatTopCRPulse)
+
+
 def cr_pulse(
     p: DeviceParams,
     subspace: str,
@@ -142,6 +144,14 @@ def cr_pulse(
     A pulse is a deterministic function of its settings, so callers that
     drive the same tone (every control state of a Rabi sweep, a CR tune-up's
     rate scan and its search) share one edge integration.  The
-    returned pulse is shared: treat it as read-only.
+    returned pulse is shared: treat it as read-only.  The settings are
+    checked before the cache is asked, so that an unhashable one raises
+    InvalidParams, and True is refused even where the pulse of 1 is cached.
     """
-    return FlatTopCRPulse(p, subspace, amp, risefall, phase)
+    return _shared_pulse(
+        p, discrete(subspace, "subspace", SUBSPACES), finite_float(amp, "amp"),
+        finite_float(risefall, "risefall"), finite_float(phase, "phase"),
+    )
+
+
+cr_pulse.cache_clear = _shared_pulse.cache_clear

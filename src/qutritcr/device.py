@@ -40,6 +40,23 @@ def finite_float(value, name: str) -> float:
     raise InvalidParams(f"{name} must be a finite number, got {reprlib.repr(value)}")
 
 
+# The transmons (1 is the control), control levels and target subspaces.
+TRANSMONS = (1, 2)
+LEVELS = tuple(range(QUTRIT_DIM))
+SUBSPACES = ("01", "12")
+
+
+def discrete(value, name: str, options: tuple | None = None) -> int | str:
+    """value as a Python int or str: one of ``options``, or any integer when
+    none are given; an integer may be a numpy integer but not a bool.
+    InvalidParams otherwise, with one message that names the options."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if (integer or isinstance(value, str)) and (value in options if options else integer):
+        return int(value) if integer else str(value)
+    wanted = "an integer" if options is None else ", ".join(map(repr, options[:-1])) + f" or {options[-1]!r}"
+    raise InvalidParams(f"{name} must be {wanted}, got {reprlib.repr(value)}")
+
+
 class ConfigRecord:
     """Reader and writer of a frozen dataclass kept as a JSON object: the
     device and the experiment configuration.  A subclass maps each number's
@@ -57,10 +74,8 @@ class ConfigRecord:
         and a numpy scalar name one configuration; InvalidParams unless it is
         an integer or passes ``finite_float``."""
         for key, attr in self._KEYS.items():
-            value, name, integer = getattr(self, attr), f"{self._PREFIX}{key}", attr in self._INTEGERS
-            if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise InvalidParams(f"{name} must be an integer, got {reprlib.repr(value)}")
-            object.__setattr__(self, attr, int(value) if integer else finite_float(value, name))
+            value, name = getattr(self, attr), f"{self._PREFIX}{key}"
+            object.__setattr__(self, attr, discrete(value, name) if attr in self._INTEGERS else finite_float(value, name))
 
     @classmethod
     def from_dict(cls, d):
@@ -147,16 +162,19 @@ def destroy() -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, QUTRIT_DIM)).astype(complex), k=1)
 
 
-@lru_cache(maxsize=None)
+def on_transmon(which: int, op: np.ndarray) -> np.ndarray:
+    """A 3x3 operator on transmon ``which`` (1, the control, or 2) of the pair."""
+    eye = np.eye(QUTRIT_DIM)
+    return kron(op, eye) if discrete(which, "transmon", TRANSMONS) == 1 else kron(eye, op)
+
+
 def lowering_operator(which: int) -> np.ndarray:
     """a on the chosen transmon, identity on the other (9x9): built once per
     transmon and shared, so it is read-only."""
-    if which == 1:
-        return read_only(kron(destroy(), np.eye(QUTRIT_DIM)))
-    if which == 2:
-        return read_only(kron(np.eye(QUTRIT_DIM), destroy()))
-    raise InvalidParams(f"transmon index must be 1 or 2, got {which}")
+    return _LOWERING[discrete(which, "transmon", TRANSMONS) - 1]
 
+
+_LOWERING = tuple(read_only(on_transmon(which, destroy())) for which in TRANSMONS)
 
 # Total excitation number n1 + n2 per basis index 3 q1 + q2.  The coupling
 # conserves it, so a carrier-phase shift phi on both transmons is
@@ -207,9 +225,7 @@ class TransitionFrequencies:
     w12_2: float
 
     def of(self, which: int, subspace: str) -> float:
-        if which not in (1, 2) or subspace not in ("01", "12"):
-            raise InvalidParams(f"need transmon 1 or 2 and subspace '01' or '12', got {which!r}, {subspace!r}")
-        return getattr(self, f"w{subspace}_{which}")
+        return getattr(self, f"w{discrete(subspace, 'subspace', SUBSPACES)}_{discrete(which, 'transmon', TRANSMONS)}")
 
 
 def _dressed_energies(p: DeviceParams) -> np.ndarray:

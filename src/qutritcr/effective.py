@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceParams, finite_float, transition_frequencies
+from .device import SUBSPACES, DeviceParams, discrete, finite_float, on_transmon, transition_frequencies
 from .errors import InvalidParams, SingularDenominator, UnknownGate
 from .linalg import QUTRIT_DIM, expm_unitary, ket2, kron, proj
 
@@ -91,16 +91,9 @@ def effective_hamiltonian(p: DeviceParams, omega_d: float, t: float) -> np.ndarr
 
 def rx_subspace(subspace: str, phi: float) -> np.ndarray:
     """3x3 rotation exp(-i (|a><b| + |b><a|) phi / 2) on levels a-b."""
-    if subspace not in ("01", "12"):
-        raise InvalidParams(f"subspace must be '01' or '12', got {subspace!r}")
-    a, b = (0, 1) if subspace == "01" else (1, 2)
+    a, b = (0, 1) if discrete(subspace, "subspace", SUBSPACES) == "01" else (1, 2)
     gen = proj(a, b) + proj(b, a)
     return expm_unitary(gen, phi / 2.0)
-
-
-def on_transmon(channel: int, op: np.ndarray) -> np.ndarray:
-    """A 3x3 operator on transmon ``channel`` (1, the control, or 2) of the pair."""
-    return kron(op, np.eye(QUTRIT_DIM)) if channel == 1 else kron(np.eye(QUTRIT_DIM), op)
 
 
 def ideal_ucr(subspace: str, theta: float, signs=IDEAL_CSX_SIGNS) -> np.ndarray:

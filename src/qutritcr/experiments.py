@@ -26,8 +26,8 @@ from .calibrate import (
     _subspace_leakage,
 )
 from .crpulse import cr_pulse
-from .device import ConfigRecord, DeviceParams, finite_float
-from .effective import bell_state, ideal_ucr, on_transmon, rx_subspace
+from .device import LEVELS, ConfigRecord, DeviceParams, discrete, finite_float, on_transmon
+from .effective import bell_state, ideal_ucr, rx_subspace
 from .errors import BadDistribution, InvalidParams, NoOscillation
 from .fitting import MAX_SAMPLES, MIN_SAMPLES, fit_rabi
 from .linalg import ket2
@@ -147,6 +147,9 @@ def sample_shots(probabilities, shots: int, seed: int) -> np.ndarray:
         raise BadDistribution(f"expected a 9-vector, got shape {probs.shape}")
     if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-6:
         raise BadDistribution(f"not a probability vector (sum {probs.sum():.8f})")
+    shots, seed = discrete(shots, "shots"), discrete(seed, "seed")
+    if seed < 0:
+        raise InvalidParams("seed must be >= 0")
     if not 1 <= shots <= MAX_SHOTS:
         raise BadDistribution(f"shots must be in [1, {MAX_SHOTS}]")
     probs = np.clip(probs, 0.0, None)
@@ -249,8 +252,7 @@ def cmd_bell(config: ExperimentConfig, store: CalibrationStore, out_dir: str | N
     control-phase correction is read off the state's diagonal amplitudes,
     standing in for the phase calibration a hardware run would do.
     """
-    if method not in BELL_METHODS:
-        raise InvalidParams(f"method must be one of {', '.join(BELL_METHODS)}, got {method!r}")
+    method = discrete(method, "method", BELL_METHODS)
     p = config.device
     sequence = ("h3_1", "cr01_pi", "csx12", "v_2", "x01_pi_2")
     psi = ket2(0, 0)
@@ -347,10 +349,10 @@ def cmd_rabi(
     """
     if amp is None:
         amp = config.scan_amp
-    if np.isscalar(control_states):
-        control_states = (int(control_states),)
-    if any(c not in (0, 1, 2) for c in control_states):
-        raise InvalidParams(f"control states must be 0, 1 or 2, got {tuple(control_states)}")
+    if np.ndim(control_states) == 0:
+        control_states = (control_states,)
+    control_states = [discrete(c, "control state", LEVELS) for c in control_states]
+    points = discrete(points, "points")
     t0 = 2.0 * config.risefall
     if finite_float(t_max, "t_max") <= t0 or points < MIN_SAMPLES:
         raise InvalidParams(f"need a finite t_max > {t0} ns and at least {MIN_SAMPLES} points")
@@ -358,7 +360,7 @@ def cmd_rabi(
         raise InvalidParams(f"at most {MAX_SAMPLES} points, got {points}")
     # the tone every sweep shares: its subspace, amplitude and flat top are checked here
     cr_pulse(config.device, subspace, amp, config.risefall)
-    widths = np.linspace(0.0, t_max - t0, int(points))
+    widths = np.linspace(0.0, t_max - t0, points)
     os.makedirs(out_dir, exist_ok=True)
 
     fits: dict = {}
@@ -380,7 +382,7 @@ def cmd_rabi(
     summary: dict = {}
     if fits.get(0) is not None:
         f0 = fits[0].freq
-        for c in (1, 2):
+        for c in LEVELS[1:]:
             if fits.get(c) is not None:
                 summary[f"freq_ratio_{c}_over_0"] = fits[c].freq / f0
     if subspace == "12" and fits.get(0) is not None and fits.get(2) is not None:

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .device import EXCITATIONS, DeviceParams, FrameSpec, finite_float, reframe
+from .device import EXCITATIONS, TRANSMONS, DeviceParams, FrameSpec, finite_float, reframe
 from .errors import InvalidParams, NormDrift, StepFailure
 from .hamiltonian import keeps_counter_rotating, play_phase, rotating_frame_hamiltonian
 from .linalg import PAIR_DIM, dag, expm_unitary, read_only, unitary_defect
@@ -112,8 +112,8 @@ def _state_rhs(hprov):
 
 
 def _solve(rhs, y0, t0, t1, opts, t_eval=None):
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
+    if not finite_float(t0, "t0") <= finite_float(t1, "t1"):
+        raise InvalidParams(f"t1 must be >= t0, got t0 = {t0}, t1 = {t1}")
     if t1 == t0:
         return y0.copy(), None
     sol = solve_ivp(
@@ -133,17 +133,20 @@ def _solve(rhs, y0, t0, t1, opts, t_eval=None):
 
 
 def evolve_state(hprov, psi0, t0: float, t1: float, opts: EvolveOptions = DEFAULT_OPTIONS):
-    """Solve i dpsi/dt = H(t) psi from t0 to t1; returns the final state."""
-    return evolve_trace(hprov, psi0, [t0, t1], opts)[-1]
+    """Solve i dpsi/dt = H(t) psi from t0 to t1 >= t0; returns the final state."""
+    return evolve_trace(hprov, psi0, [t0] if t1 == t0 else [t0, t1], opts)[-1]
 
 
 def evolve_trace(hprov, psi0, t_grid, opts: EvolveOptions = DEFAULT_OPTIONS):
-    """States sampled on an increasing time grid (one continuous integration).
+    """States sampled on a strictly increasing time grid (one continuous
+    integration).
 
     Returns an array of shape (len(t_grid), dim).
     """
     psi0 = np.asarray(psi0, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not len(t_grid) or not (np.diff(t_grid) > 0.0).all():
+        raise InvalidParams(f"the time grid must be 1-d and strictly increasing, got {t_grid}")
     t0, t1 = float(t_grid[0]), float(t_grid[-1])
     if t1 == t0:
         return np.tile(psi0, (len(t_grid), 1))
@@ -640,7 +643,7 @@ def _drive_frame(p: DeviceParams, plays) -> FrameSpec:
     play or the first play's carrier is not positive."""
     if not plays or plays[0].carrier_freq <= 0:
         return FrameSpec.bare(p)
-    own = [next((q.carrier_freq for q in plays if q.channel == ch), 0.0) for ch in (1, 2)]
+    own = [next((q.carrier_freq for q in plays if q.channel == ch), 0.0) for ch in TRANSMONS]
     return FrameSpec(*(c if c > 0 else plays[0].carrier_freq for c in own))
 
 

@@ -10,14 +10,13 @@ endpoints, so a DRAG drive switches on and off with a small jump.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Union, get_args
 
 import numpy as np
 
-from .device import finite_float, transition_frequencies
+from .device import SUBSPACES, TRANSMONS, discrete, finite_float, transition_frequencies
 from .errors import InvalidParams, OutOfRange
 
 AMP_CAP_GHZ = 1.0
@@ -174,13 +173,12 @@ def _check_window(t, duration):
         raise OutOfRange(f"t = {t} ns outside [0, {duration}] ns")
 
 
-def _check_instruction(channel, start, **values):
-    """An instruction's channel is 1 or 2, its start >= 0, and its start and
-    named ``values`` pass ``finite_float``."""
-    if isinstance(channel, bool) or not isinstance(channel, numbers.Integral) or channel not in (1, 2):
-        raise InvalidParams("channel must be 1 or 2")
-    if finite_float(start, "instruction start") < 0.0:
-        raise InvalidParams(f"instruction start must be finite and >= 0, got {start}")
+def _check_instruction(instr, **values):
+    """An instruction's channel is 1 or 2, kept as a Python int, its start
+    >= 0, and its start and named ``values`` pass ``finite_float``."""
+    object.__setattr__(instr, "channel", discrete(instr.channel, "channel", TRANSMONS))
+    if finite_float(instr.start, "instruction start") < 0.0:
+        raise InvalidParams(f"instruction start must be finite and >= 0, got {instr.start}")
     for name, value in values.items():
         finite_float(value, name)
 
@@ -196,7 +194,7 @@ class Play:
     carrier_phase: float = 0.0  # rad
 
     def __post_init__(self):
-        _check_instruction(self.channel, self.start, carrier_freq=self.carrier_freq, carrier_phase=self.carrier_phase)
+        _check_instruction(self, carrier_freq=self.carrier_freq, carrier_phase=self.carrier_phase)
 
     @property
     def duration(self) -> float:
@@ -217,9 +215,8 @@ class PhaseShift:
     start: float = 0.0
 
     def __post_init__(self):
-        _check_instruction(self.channel, self.start, angle=self.angle)
-        if self.subspace not in ("01", "12"):
-            raise InvalidParams("subspace must be '01' or '12'")
+        _check_instruction(self, angle=self.angle)
+        object.__setattr__(self, "subspace", discrete(self.subspace, "subspace", SUBSPACES))
 
     @property
     def duration(self) -> float:
@@ -241,11 +238,8 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        for ch in (1, 2):
-            plays = sorted(
-                (i for i in self.instructions if isinstance(i, Play) and i.channel == ch),
-                key=lambda i: i.start,
-            )
+        for ch in TRANSMONS:
+            plays = sorted(self.plays(ch), key=lambda i: i.start)
             for a, b in zip(plays, plays[1:]):
                 if b.start < a.end - 1e-9:
                     raise InvalidParams(
@@ -296,8 +290,6 @@ def build_cr_schedule(p, subspace: str, amp: float, width: float, risefall: floa
     transition frequency, which is what makes the drive a cross-resonance
     drive.
     """
-    if subspace not in ("01", "12"):
-        raise InvalidParams("subspace must be '01' or '12'")
     finite_float(risefall, "risefall")  # before it is halved into sigma
     carrier = transition_frequencies(p, dressed=True).of(2, subspace)
     shape = GaussianSquare(amp=amp, sigma=risefall / 2.0, risefall=risefall, width=width)
